@@ -1,15 +1,40 @@
 //! The deterministic per-node protocol engine.
 //!
-//! The certified model ([`adore_raft::NetState`]) is *global*: all
-//! servers live in one struct and an acknowledgement is the synchronous
-//! return half of a delivery. A real cluster has no global struct, so
-//! this module decomposes the model into a per-node state machine with
-//! the acks reified as wire messages ([`PeerMsg::ElectAck`],
-//! [`PeerMsg::CommitAck`], [`PeerMsg::Nack`]). Every transition here
-//! mirrors a `NetState` rule; where this engine goes beyond the model
-//! (the no-op barrier on election win, Nack-driven step-down,
-//! heartbeat retransmission) the divergence is a liveness mechanism
-//! that leaves the safety-relevant state transitions identical.
+//! The protocol itself lives in one place: the certified model,
+//! [`adore_raft::NetState`] — the transition system the checker
+//! explores, `refine.rs` replays and adore-lint's L13 certifies. The
+//! engine owns one `NetState` in which its own node is the only live
+//! server and makes every protocol decision by calling it: `step` with
+//! `Elect`/`Invoke`/`Reconfig`/`Commit` for local moves, and for the
+//! wire the per-node halves of a delivery — `receive` for a peer's
+//! request, `credit_vote`/`credit_ack` for a peer's acknowledgement.
+//! Term, log, watermark and role change nowhere else.
+//!
+//! What the engine adds is what the model does not have:
+//!
+//! * **Ack reification.** The model credits an acknowledgement to the
+//!   sender in the same atomic step as the delivery; here the sender is
+//!   another process, so `receive`'s outcome leaves as a message:
+//!   `Applied` becomes [`PeerMsg::ElectAck`]/[`PeerMsg::CommitAck`],
+//!   `Rejected(StaleTime)` becomes [`PeerMsg::Nack`], and every other
+//!   rejection is silent (an outdated candidate must not disturb the
+//!   cluster — disruption-freedom).
+//! * **Three liveness extras, each built from model moves.** The no-op
+//!   barrier on a win (`Invoke(noop)` + `Commit`, so the current-term
+//!   commit rule is satisfiable without client traffic), heartbeat
+//!   retransmission (`Commit` on a timer, which also repairs lost
+//!   broadcasts), and the Nack step-down (`NetState::adopt_term`, the
+//!   one non-event move: how a zombie leader retires).
+//! * **Everything around the protocol**: exactly-once sessions, client
+//!   waiters, the applied store, timers, and the WAL.
+//!
+//! The engine never records what the model did; it *observes* it. Each
+//! input is bracketed by a before/after `Mark` of `(time, log length,
+//! watermark, role)`, and `Engine::observe` derives the WAL records,
+//! the journal's `StateDelta`, applies, waiter releases and step-down
+//! redirects from the difference (plus the common-prefix length taken
+//! before a shipped log is adopted) — the way `kv::sim` journals the
+//! same model.
 //!
 //! The engine is **pure** with respect to the outside world: it
 //! consumes [`Input`]s and returns [`Output`]s, touching no sockets, no
@@ -28,12 +53,12 @@
 //! *before* any `Send` or `Reply`, so an acknowledgement never leaves
 //! the node before the state it acknowledges is on disk.
 
-use std::collections::BTreeMap;
-
 use adore_core::{Configuration, NodeId, NodeSet, ReconfigGuard, Timestamp};
 use adore_kv::{KvCommand, KvStore};
 use adore_obs::EventKind;
-use adore_raft::{effective_config, log_up_to_date, Command, Entry, Request, Role};
+use adore_raft::{
+    effective_config, Command, EventOutcome, NetEvent, NetState, Rejection, Request, Role, Server,
+};
 use adore_schemes::SingleNode;
 use adore_storage::{DurableState, Wal, WalRecord};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -158,9 +183,35 @@ struct Waiter {
     duplicate: bool,
 }
 
-/// Effects accumulated while handling one input.
+/// What the engine compares across one input to learn what the model
+/// changed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Mark {
+    time: Timestamp,
+    log_len: usize,
+    commit_len: usize,
+    role: Role,
+}
+
+impl Mark {
+    fn of(s: &Server<Cfg, SessionCmd>) -> Self {
+        Mark {
+            time: s.time,
+            log_len: s.log.len(),
+            commit_len: s.commit_len,
+            role: s.role,
+        }
+    }
+}
+
+/// Effects accumulated while handling one input: handlers fill in
+/// `common`, `sends` and `replies`; `Engine::observe` derives the rest
+/// from the marks.
 #[derive(Debug, Default)]
 struct Step {
+    /// Length of the prefix the old log shares with an adopted one,
+    /// measured before the model replaced it.
+    common: Option<usize>,
     term: Option<u64>,
     truncate: Option<u64>,
     append: Vec<String>,
@@ -171,31 +222,15 @@ struct Step {
     replies: Vec<(u64, ClientReply)>,
 }
 
-impl Step {
-    fn has_delta(&self) -> bool {
-        self.term.is_some()
-            || self.truncate.is_some()
-            || !self.append.is_empty()
-            || self.commit_len.is_some()
-    }
-}
-
 /// The per-node deterministic protocol engine. See the module docs.
 #[derive(Debug)]
 pub struct Engine {
     nid: NodeId,
     peers: NodeSet,
-    conf0: Cfg,
-    guard: ReconfigGuard,
     params: EngineParams,
 
-    time: Timestamp,
-    log: Vec<NetEntry>,
-    commit_len: usize,
-    role: Role,
-    votes: NodeSet,
-    acks: BTreeMap<usize, NodeSet>,
-    abstaining: bool,
+    /// The certified model, with this node as its only live server.
+    model: NetState<Cfg, SessionCmd>,
 
     sessions: SessionTable,
     waiters: Vec<Waiter>,
@@ -224,11 +259,15 @@ impl Engine {
         state: DurableState<Cfg, SessionCmd>,
         abstaining: bool,
     ) -> Self {
-        let mut sessions =
-            SessionTable::new(cfg.params.session_window, cfg.params.session_clients);
-        rebuild_sessions(&mut sessions, &state.log);
+        let mut sessions = SessionTable::new(cfg.params.session_window, cfg.params.session_clients);
+        index_sessions(&mut sessions, &state.log, 0);
         let mut applied = KvStore::new();
-        apply_prefix(&mut applied, &state.log[..state.commit_len.min(state.log.len())]);
+        apply_entries(
+            &mut applied,
+            &state.log[..state.commit_len.min(state.log.len())],
+        );
+        let mut model = NetState::new(cfg.conf0, cfg.guard);
+        model.install_recovery(cfg.nid, state.time, state.log, state.commit_len, abstaining);
         let persisted = wal.disk().synced_bytes().len();
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ u64::from(cfg.nid.0));
         let election_deadline =
@@ -236,16 +275,8 @@ impl Engine {
         Engine {
             nid: cfg.nid,
             peers: cfg.peers,
-            conf0: cfg.conf0,
-            guard: cfg.guard,
             params: cfg.params,
-            time: state.time,
-            log: state.log,
-            commit_len: state.commit_len,
-            role: Role::Follower,
-            votes: NodeSet::new(),
-            acks: BTreeMap::new(),
-            abstaining,
+            model,
             sessions,
             waiters: Vec::new(),
             leader_hint: None,
@@ -259,9 +290,17 @@ impl Engine {
         }
     }
 
+    /// This node's server in the model.
+    fn me(&self) -> &Server<Cfg, SessionCmd> {
+        self.model
+            .server(self.nid)
+            .expect("Engine::new installed this node's server")
+    }
+
     /// Feeds one input through the state machine and returns the
     /// effects, in the order the runtime must honor them.
     pub fn step(&mut self, input: Input) -> Vec<Output> {
+        let before = Mark::of(self.me());
         let mut st = Step::default();
         match input {
             Input::Tick => self.on_tick(&mut st),
@@ -269,6 +308,7 @@ impl Engine {
             Input::Client { conn, msg } => self.on_client(&mut st, conn, msg),
             Input::ClientGone { conn } => self.waiters.retain(|w| w.conn != conn),
         }
+        self.observe(before, &mut st);
         self.finish(st)
     }
 
@@ -276,13 +316,21 @@ impl Engine {
 
     fn on_tick(&mut self, st: &mut Step) {
         self.ticks += 1;
-        if self.role == Role::Leader {
+        if self.role() == Role::Leader {
             if self.ticks >= self.next_heartbeat {
                 self.next_heartbeat = self.ticks + self.params.heartbeat_ticks;
-                self.broadcast_commit(st);
+                self.replicate(st);
             }
         } else if self.ticks >= self.election_deadline {
-            self.start_election(st);
+            self.reset_election_deadline();
+            if self
+                .model
+                .step(&NetEvent::Elect { nid: self.nid })
+                .applied()
+            {
+                self.broadcast_sent(st);
+                self.lead_if_elected(st);
+            }
         }
     }
 
@@ -291,64 +339,63 @@ impl Engine {
         self.election_deadline = self.ticks + self.rng.gen_range(span);
     }
 
-    /// Mirrors `NetState::elect`: non-members and abstainers do not
-    /// campaign; a campaign adopts a fresh term, votes for itself, and
-    /// broadcasts its log for the up-to-dateness check.
-    fn start_election(&mut self, st: &mut Step) {
-        self.reset_election_deadline();
-        if self.abstaining
-            || !effective_config(&self.conf0, &self.log)
-                .members()
-                .contains(&self.nid)
-        {
+    /// The no-op barrier: a candidate the model just promoted appends an
+    /// entry of its own term and replicates it, so the current-term
+    /// commit rule is satisfiable without client traffic and
+    /// earlier-term entries commit as soon as the barrier does. Call
+    /// only after a move made as a candidate.
+    fn lead_if_elected(&mut self, st: &mut Step) {
+        if self.role() != Role::Leader {
             return;
         }
-        self.adopt_time(st, self.time.next());
-        self.role = Role::Candidate;
-        self.votes = std::iter::once(self.nid).collect();
-        self.acks.clear();
-        let req: NetRequest = Request::Elect {
-            from: self.nid,
-            time: self.time,
-            log: self.log.clone(),
-        };
-        self.broadcast(st, &req);
-        self.maybe_win(st);
+        self.leader_hint = Some(self.nid);
+        self.next_heartbeat = self.ticks + self.params.heartbeat_ticks;
+        self.model.step(&NetEvent::Invoke {
+            nid: self.nid,
+            method: SessionCmd::noop(),
+        });
+        self.replicate(st);
+    }
+
+    /// The model's `Commit` — self-ack, full-log broadcast, watermark
+    /// advance if that completes a quorum. Serves a fresh append and
+    /// the heartbeat alike.
+    fn replicate(&mut self, st: &mut Step) {
+        self.model.step(&NetEvent::Commit { nid: self.nid });
+        self.broadcast_sent(st);
+    }
+
+    /// Moves what the model just sent onto the wire, to every peer in
+    /// the address book.
+    fn broadcast_sent(&mut self, st: &mut Step) {
+        for req in self.model.take_sent() {
+            let msg = PeerMsg::Req(req);
+            let others = self.peers.iter().filter(|p| **p != self.nid);
+            st.sends.extend(others.map(|p| (*p, msg.clone())));
+        }
     }
 
     // ---- peer protocol --------------------------------------------------
 
     fn on_peer(&mut self, st: &mut Step, msg: PeerMsg) {
         match msg {
-            PeerMsg::Req(Request::Elect { from, time, log }) => {
-                self.on_elect(st, from, time, &log);
-            }
-            PeerMsg::Req(Request::Commit {
-                from,
-                time,
-                log,
-                commit_len,
-            }) => self.on_commit(st, from, time, log, commit_len),
+            PeerMsg::Req(req) => self.on_request(st, req),
             PeerMsg::ElectAck { from, time } => {
-                if self.role == Role::Candidate && self.time.0 == time {
-                    self.votes.insert(NodeId(from));
-                    self.maybe_win(st);
+                if self.role() == Role::Candidate {
+                    self.model
+                        .credit_vote(self.nid, NodeId(from), Timestamp(time));
+                    self.lead_if_elected(st);
                 }
             }
             PeerMsg::CommitAck { from, time, len } => {
-                if self.role == Role::Leader && self.time.0 == time {
-                    let len = len as usize;
-                    self.acks.entry(len).or_default().insert(NodeId(from));
-                    self.maybe_advance_commit(st, len);
-                }
+                self.model
+                    .credit_ack(self.nid, NodeId(from), Timestamp(time), len as usize);
             }
             PeerMsg::Nack { from: _, time } => {
                 // A peer at a higher term: adopt it and step down. This
                 // is how a zombie leader (deposed during a partition)
                 // retires instead of disrupting the new term.
-                if time > self.time.0 {
-                    self.adopt_time(st, Timestamp(time));
-                    self.step_down(st);
+                if self.model.adopt_term(self.nid, Timestamp(time)).applied() {
                     self.leader_hint = None;
                     self.reset_election_deadline();
                 }
@@ -356,157 +403,39 @@ impl Engine {
         }
     }
 
-    /// Mirrors the model's `Elect` delivery. Rejections follow the
-    /// model's visibility: a stale-term candidacy gets a `Nack` (the
-    /// reified ack return path), an outdated log is rejected *silently*
-    /// — no term adoption, so a removed node with a long-stale log
-    /// cannot disrupt the cluster by campaigning (disruption-freedom).
-    fn on_elect(&mut self, st: &mut Step, from: NodeId, time: Timestamp, log: &[NetEntry]) {
-        if self.abstaining {
-            return;
-        }
-        if time <= self.time {
-            st.sends.push((
-                from,
-                PeerMsg::Nack {
-                    from: self.nid.0,
-                    time: self.time.0,
-                },
-            ));
-            return;
-        }
-        if !log_up_to_date(log, &self.log) {
-            return;
-        }
-        self.adopt_time(st, time);
-        self.step_down(st);
-        self.leader_hint = None;
-        self.reset_election_deadline();
-        st.sends.push((
-            from,
-            PeerMsg::ElectAck {
-                from: self.nid.0,
-                time: time.0,
-            },
-        ));
-    }
-
-    /// Mirrors the model's `Commit` delivery: adopt the shipped log if
-    /// it is at least as up-to-date, advance the watermark, ack. The
-    /// `CommitAck` leaves this node only after the `Persist` output —
-    /// the durability the ack claims is real by the time it is sent.
-    fn on_commit(
-        &mut self,
-        st: &mut Step,
-        from: NodeId,
-        time: Timestamp,
-        log: Vec<NetEntry>,
-        req_commit: usize,
-    ) {
-        if time < self.time {
-            st.sends.push((
-                from,
-                PeerMsg::Nack {
-                    from: self.nid.0,
-                    time: self.time.0,
-                },
-            ));
-            return;
-        }
-        if !log_up_to_date(&log, &self.log) {
-            // A leader's earlier, shorter broadcast arriving late must
-            // not truncate newer entries; its next heartbeat supersedes.
-            return;
-        }
-        if time > self.time {
-            self.adopt_time(st, time);
-        }
-        if from != self.nid {
-            self.step_down(st);
-        }
-        self.leader_hint = Some(from);
-        self.reset_election_deadline();
-        self.adopt_log(st, log);
-        let len = self.log.len();
-        let target = self.commit_len.max(req_commit.min(len));
-        if target > self.commit_len {
-            self.advance_commit(st, target);
-        }
-        st.sends.push((
-            from,
-            PeerMsg::CommitAck {
-                from: self.nid.0,
-                time: time.0,
-                len: len as u64,
-            },
-        ));
-    }
-
-    /// Mirrors `NetState::maybe_win`, plus the no-op barrier: a fresh
-    /// leader appends an entry of its own term immediately, so the
-    /// current-term commit rule is satisfiable without client traffic
-    /// and earlier-term entries commit as soon as the barrier does.
-    fn maybe_win(&mut self, st: &mut Step) {
-        if self.role != Role::Candidate {
-            return;
-        }
-        let config = effective_config(&self.conf0, &self.log);
-        if !config.is_quorum(&self.votes) {
-            return;
-        }
-        self.role = Role::Leader;
-        self.leader_hint = Some(self.nid);
-        self.next_heartbeat = self.ticks + self.params.heartbeat_ticks;
-        st.events.push(EventKind::LeaderElected {
-            nid: self.nid.0,
-            term: self.time.0,
-        });
-        self.push_entry(
-            st,
-            Entry {
-                time: self.time,
-                cmd: Command::Method(SessionCmd::noop()),
-            },
-        );
-        self.broadcast_commit(st);
-    }
-
-    /// Mirrors `NetState::commit`: requires the log to end with an
-    /// own-term entry (guaranteed by the barrier), self-acks, and
-    /// broadcasts the full log.
-    fn broadcast_commit(&mut self, st: &mut Step) {
-        if self.role != Role::Leader {
-            return;
-        }
-        if self.log.last().map(|e| e.time) != Some(self.time) {
-            return;
-        }
-        let len = self.log.len();
-        self.acks.entry(len).or_default().insert(self.nid);
-        let req: NetRequest = Request::Commit {
-            from: self.nid,
-            time: self.time,
-            log: self.log.clone(),
-            commit_len: self.commit_len,
+    /// The recipient half of a delivery, with the outcome reified: the
+    /// ack leaves as a message, after the `Persist` output, so the
+    /// durability a `CommitAck` claims is real by the time it is sent.
+    fn on_request(&mut self, st: &mut Step, req: NetRequest) {
+        let (from, time) = (req.from(), req.time());
+        let shipped = match &req {
+            Request::Commit { log, .. } => Some(common_prefix(&self.me().log, log)),
+            Request::Elect { .. } => None,
         };
-        self.broadcast(st, &req);
-        self.maybe_advance_commit(st, len);
-    }
-
-    /// Mirrors `NetState::maybe_advance_commit`: quorum per the
-    /// configuration effective at the acked prefix.
-    fn maybe_advance_commit(&mut self, st: &mut Step, len: usize) {
-        if self.role != Role::Leader {
-            return;
-        }
-        let Some(ackers) = self.acks.get(&len) else {
-            return;
+        let reply = match self.model.receive(req, self.nid, false) {
+            EventOutcome::Applied => {
+                st.common = shipped;
+                self.leader_hint = shipped.map(|_| from);
+                self.reset_election_deadline();
+                match shipped {
+                    Some(_) => PeerMsg::CommitAck {
+                        from: self.nid.0,
+                        time: time.0,
+                        len: self.log_len() as u64,
+                    },
+                    None => PeerMsg::ElectAck {
+                        from: self.nid.0,
+                        time: time.0,
+                    },
+                }
+            }
+            EventOutcome::Rejected(Rejection::StaleTime) => PeerMsg::Nack {
+                from: self.nid.0,
+                time: self.time().0,
+            },
+            _ => return,
         };
-        let prefix = self.log.get(..len.min(self.log.len())).unwrap_or(&[]);
-        let config = effective_config(&self.conf0, prefix);
-        if config.is_quorum(ackers) && len > self.commit_len {
-            self.advance_commit(st, len);
-        }
+        st.sends.push((from, reply));
     }
 
     // ---- client protocol ------------------------------------------------
@@ -514,26 +443,22 @@ impl Engine {
     fn on_client(&mut self, st: &mut Step, conn: u64, msg: ClientMsg) {
         match msg {
             ClientMsg::Status => {
-                let members = effective_config(&self.conf0, &self.log)
-                    .members()
-                    .iter()
-                    .map(|n| n.0)
-                    .collect();
+                let me = self.me();
                 st.replies.push((
                     conn,
                     ClientReply::Status {
                         nid: self.nid.0,
-                        role: role_name(self.role).to_string(),
-                        term: self.time.0,
-                        log_len: self.log.len() as u64,
-                        commit_len: self.commit_len as u64,
+                        role: role_name(me.role).to_string(),
+                        term: me.time.0,
+                        log_len: me.log.len() as u64,
+                        commit_len: me.commit_len as u64,
                         leader: self.leader_hint.map(|n| n.0),
-                        members,
+                        members: self.members().iter().map(|n| n.0).collect(),
                     },
                 ));
             }
             ClientMsg::Get { key } => {
-                if self.role != Role::Leader {
+                if self.role() != Role::Leader {
                     st.replies.push((conn, self.redirect()));
                     return;
                 }
@@ -546,79 +471,59 @@ impl Engine {
                 key,
                 value,
             } => {
-                if self.role != Role::Leader {
-                    st.replies.push((conn, self.redirect()));
-                    return;
-                }
                 if !self.admit(st, conn, client, seq) {
                     return;
                 }
-                self.push_entry(
-                    st,
-                    Entry {
-                        time: self.time,
-                        cmd: Command::Method(SessionCmd {
-                            client,
-                            seq,
-                            op: Some(KvCommand::put(key, value)),
-                        }),
+                self.model.step(&NetEvent::Invoke {
+                    nid: self.nid,
+                    method: SessionCmd {
+                        client,
+                        seq,
+                        op: Some(KvCommand::put(key, value)),
                     },
-                );
-                self.waiters.push(Waiter {
-                    conn,
-                    seq,
-                    len: self.log.len(),
-                    duplicate: false,
                 });
-                self.broadcast_commit(st);
+                self.await_commit(st, conn, seq);
             }
             ClientMsg::Reconfigure {
                 client,
                 seq,
                 members,
             } => {
-                if self.role != Role::Leader {
-                    st.replies.push((conn, self.redirect()));
-                    return;
-                }
                 if !self.admit(st, conn, client, seq) {
                     return;
                 }
-                if let Some(reason) = self.reconfig_rejection(&members) {
+                let config = SingleNode::new(members);
+                let event = NetEvent::Reconfig {
+                    nid: self.nid,
+                    config: config.clone(),
+                };
+                if !self.model.step(&event).applied() {
+                    let reason = self.refusal_reason(&config);
                     st.replies.push((conn, ClientReply::Rejected { reason }));
                     return;
                 }
-                self.push_entry(
-                    st,
-                    Entry {
-                        time: self.time,
-                        cmd: Command::Config(SingleNode::new(members)),
-                    },
-                );
                 // Config entries carry no session envelope, so their
                 // dedup record is volatile (lost on a log rebuild). That
                 // is sound: re-appending the same membership is
                 // idempotent and R1⁺ admits the no-change transition.
-                self.sessions.record(client, seq, self.log.len() as u64);
-                self.waiters.push(Waiter {
-                    conn,
-                    seq,
-                    len: self.log.len(),
-                    duplicate: false,
-                });
-                self.broadcast_commit(st);
+                self.sessions.record(client, seq, self.log_len() as u64);
+                self.await_commit(st, conn, seq);
             }
         }
     }
 
-    /// Session admission for a leader-side write: replies and returns
-    /// `false` for duplicates, stale seqs, and overload; returns `true`
-    /// when the caller should append.
+    /// Admission for a leader-side write: replies and returns `false`
+    /// for non-leaders, duplicates, stale seqs, and overload; returns
+    /// `true` when the caller should append.
     fn admit(&mut self, st: &mut Step, conn: u64, client: u64, seq: u64) -> bool {
+        if self.role() != Role::Leader {
+            st.replies.push((conn, self.redirect()));
+            return false;
+        }
         match self.sessions.check(client, seq) {
             SeqVerdict::Duplicate { len } => {
                 let len = len as usize;
-                if len <= self.commit_len {
+                if len <= self.commit_len() {
                     st.replies.push((
                         conn,
                         ClientReply::Acked {
@@ -653,25 +558,32 @@ impl Engine {
         }
     }
 
-    /// The R1⁺/R2/R3 guard, verbatim from `NetState::reconfig`, as a
-    /// rejection reason (`None` = admitted).
-    fn reconfig_rejection(&self, members: &[u32]) -> Option<String> {
-        let next = SingleNode::new(members.iter().copied());
-        let current = effective_config(&self.conf0, &self.log);
-        if self.guard.r1 && !current.r1_plus(&next) {
-            return Some("R1+: membership may change by at most one node".to_string());
+    /// Parks `conn` until the entry just appended commits, and
+    /// replicates it.
+    fn await_commit(&mut self, st: &mut Step, conn: u64, seq: u64) {
+        self.waiters.push(Waiter {
+            conn,
+            seq,
+            len: self.log_len(),
+            duplicate: false,
+        });
+        self.replicate(st);
+    }
+
+    /// Words a reconfiguration the model has already refused: the legs
+    /// are probed in the model's order only to name the one that said
+    /// no. The decision itself is `NetState::reconfig`'s.
+    fn refusal_reason(&self, next: &Cfg) -> String {
+        let (me, guard) = (self.me(), self.model.guard());
+        let in_flight = me.log.get(me.commit_len..).unwrap_or(&[]);
+        if guard.r1 && !effective_config(self.model.conf0(), &me.log).r1_plus(next) {
+            "R1+: membership may change by at most one node"
+        } else if guard.r2 && in_flight.iter().any(|e| e.cmd.config().is_some()) {
+            "R2: an uncommitted config entry is already in flight"
+        } else {
+            "R3: no entry of the current term is committed yet"
         }
-        if self.guard.r2
-            && self.log[self.commit_len..]
-                .iter()
-                .any(|e| e.cmd.config().is_some())
-        {
-            return Some("R2: an uncommitted config entry is already in flight".to_string());
-        }
-        if self.guard.r3 && !self.log[..self.commit_len].iter().any(|e| e.time == self.time) {
-            return Some("R3: no entry of the current term is committed yet".to_string());
-        }
-        None
+        .to_string()
     }
 
     fn redirect(&self) -> ClientReply {
@@ -680,110 +592,85 @@ impl Engine {
         }
     }
 
-    // ---- mutation helpers (each journals + persists what it changes) ----
+    /// Derives everything the model's moves imply from the before/after
+    /// marks: WAL records and the journal delta, applies, waiter
+    /// releases, step-down redirects.
+    fn observe(&mut self, before: Mark, st: &mut Step) {
+        let nid = self.nid.0;
+        // Not `self.me()`: the sessions, store and waiters are updated
+        // below while the model's log is read.
+        let me = self
+            .model
+            .server(self.nid)
+            .expect("Engine::new installed this node's server");
+        let after = Mark::of(me);
 
-    fn adopt_time(&mut self, st: &mut Step, t: Timestamp) {
-        self.time = t;
-        st.term = Some(t.0);
-        st.records.push(WalRecord::Term { time: t.0 });
-    }
-
-    fn push_entry(&mut self, st: &mut Step, e: NetEntry) {
-        st.append
-            .push(serde_json::to_string(&e).expect("entries serialize"));
-        st.records.push(WalRecord::Append { entry: e.clone() });
-        if let Command::Method(sc) = &e.cmd {
-            if sc.client != 0 {
-                self.sessions.record(sc.client, sc.seq, (self.log.len() + 1) as u64);
-            }
+        if after.time != before.time {
+            st.term = Some(after.time.0);
+            st.records.push(WalRecord::Term { time: after.time.0 });
         }
-        self.log.push(e);
-    }
-
-    /// Installs a shipped log that passed `log_up_to_date`: truncates
-    /// the divergent suffix (rebuilding the session index, whose
-    /// entries above the cut are gone) and appends the rest.
-    fn adopt_log(&mut self, st: &mut Step, new_log: Vec<NetEntry>) {
-        let common = self
-            .log
-            .iter()
-            .zip(new_log.iter())
-            .take_while(|(a, b)| a == b)
-            .count();
-        if common < self.log.len() {
-            self.log.truncate(common);
+        // The log: a shipped log replaced everything above the common
+        // prefix (the session index above the cut is gone with it);
+        // local moves only ever append.
+        let common = st.common.unwrap_or(before.log_len);
+        let mut unindexed = common;
+        if common < before.log_len {
             st.truncate = Some(common as u64);
-            st.records.push(WalRecord::Truncate {
-                len: common as u64,
-            });
+            st.records.push(WalRecord::Truncate { len: common as u64 });
             self.sessions.clear();
-            rebuild_sessions(&mut self.sessions, &self.log);
+            unindexed = 0;
         }
-        for e in new_log.into_iter().skip(common) {
-            self.push_entry(st, e);
+        index_sessions(&mut self.sessions, &me.log, unindexed);
+        for e in me.log.get(common..).unwrap_or(&[]) {
+            st.append
+                .push(serde_json::to_string(e).expect("entries serialize"));
+            st.records.push(WalRecord::Append { entry: e.clone() });
         }
-    }
 
-    /// Advances the watermark to `target` (never backwards), applying
-    /// the newly committed entries and releasing their waiters.
-    fn advance_commit(&mut self, st: &mut Step, target: usize) {
-        let target = target.min(self.log.len());
-        for e in &self.log[self.commit_len.min(target)..target] {
-            match &e.cmd {
-                Command::Method(sc) => {
-                    if let Some(op) = &sc.op {
-                        self.applied.apply(op);
-                    }
-                }
-                Command::Config(c) => st.events.push(EventKind::ReconfigCommitted {
-                    nid: self.nid.0,
+        // Leaving leadership/candidacy redirects pending clients
+        // (graceful degradation, not silence: they learn immediately
+        // instead of timing out) — before the watermark releases
+        // anyone, since their slots may now hold another leader's
+        // entries.
+        if before.role != Role::Follower && after.role == Role::Follower {
+            let redirect = self.redirect();
+            let gone = self.waiters.drain(..);
+            st.replies.extend(gone.map(|w| (w.conn, redirect.clone())));
+        }
+        if before.role != Role::Leader && after.role == Role::Leader {
+            let term = after.time.0;
+            st.events.push(EventKind::LeaderElected { nid, term });
+        }
+        // The watermark (it never moves backwards): apply the newly
+        // committed entries and release their waiters.
+        if after.commit_len != before.commit_len {
+            st.commit_len = Some(after.commit_len as u64);
+            st.records.push(WalRecord::CommitLen {
+                len: after.commit_len as u64,
+            });
+            let settled = me
+                .log
+                .get(before.commit_len..after.commit_len)
+                .unwrap_or(&[]);
+            apply_entries(&mut self.applied, settled);
+            for c in settled.iter().filter_map(|e| e.cmd.config()) {
+                st.events.push(EventKind::ReconfigCommitted {
+                    nid,
                     members: c.members().iter().map(|n| n.0).collect(),
-                }),
+                });
             }
+            self.waiters.retain(|w| {
+                let done = w.len <= after.commit_len;
+                if done {
+                    let (seq, duplicate) = (w.seq, w.duplicate);
+                    st.replies
+                        .push((w.conn, ClientReply::Acked { seq, duplicate }));
+                }
+                !done
+            });
         }
-        self.commit_len = target;
-        st.commit_len = Some(target as u64);
-        st.records.push(WalRecord::CommitLen {
-            len: target as u64,
-        });
-        let mut kept = Vec::with_capacity(self.waiters.len());
-        for w in self.waiters.drain(..) {
-            if w.len <= target {
-                st.replies.push((
-                    w.conn,
-                    ClientReply::Acked {
-                        seq: w.seq,
-                        duplicate: w.duplicate,
-                    },
-                ));
-            } else {
-                kept.push(w);
-            }
-        }
-        self.waiters = kept;
-    }
-
-    /// Leaves leadership/candidacy; pending client requests are
-    /// redirected (graceful degradation, not silence: the client learns
-    /// immediately instead of timing out).
-    fn step_down(&mut self, st: &mut Step) {
-        if self.role == Role::Follower {
-            return;
-        }
-        self.role = Role::Follower;
-        self.votes.clear();
-        self.acks.clear();
-        let redirect = self.redirect();
-        for w in self.waiters.drain(..) {
-            st.replies.push((w.conn, redirect.clone()));
-        }
-    }
-
-    fn broadcast(&self, st: &mut Step, req: &NetRequest) {
-        for peer in &self.peers {
-            if *peer != self.nid {
-                st.sends.push((*peer, PeerMsg::Req(req.clone())));
-            }
+        if after.role == Role::Leader {
+            self.model.forget_settled_acks(self.nid);
         }
     }
 
@@ -792,7 +679,7 @@ impl Engine {
     /// so nothing leaves the node before its durable basis.
     fn finish(&mut self, st: Step) -> Vec<Output> {
         let mut out = Vec::new();
-        if st.has_delta() {
+        if !st.records.is_empty() {
             out.push(Output::Journal(EventKind::StateDelta {
                 nid: self.nid.0,
                 term: st.term,
@@ -800,8 +687,6 @@ impl Engine {
                 append: st.append,
                 commit_len: st.commit_len,
             }));
-        }
-        if !st.records.is_empty() {
             for rec in &st.records {
                 self.wal.append(rec);
             }
@@ -837,25 +722,25 @@ impl Engine {
     /// Current role.
     #[must_use]
     pub fn role(&self) -> Role {
-        self.role
+        self.me().role
     }
 
     /// Current term.
     #[must_use]
     pub fn time(&self) -> Timestamp {
-        self.time
+        self.me().time
     }
 
     /// Log length.
     #[must_use]
     pub fn log_len(&self) -> usize {
-        self.log.len()
+        self.me().log.len()
     }
 
     /// Commit watermark.
     #[must_use]
     pub fn commit_len(&self) -> usize {
-        self.commit_len
+        self.me().commit_len
     }
 
     /// Best current guess at the leader.
@@ -867,7 +752,7 @@ impl Engine {
     /// Members of the effective configuration.
     #[must_use]
     pub fn members(&self) -> NodeSet {
-        effective_config(&self.conf0, &self.log).members()
+        effective_config(self.model.conf0(), &self.me().log).members()
     }
 
     /// A committed value, from the applied store.
@@ -882,7 +767,8 @@ impl Engine {
     /// progress without parsing the journal.
     #[must_use]
     pub fn config_epoch(&self) -> usize {
-        self.log
+        self.me()
+            .log
             .iter()
             .filter(|e| matches!(e.cmd, Command::Config(_)))
             .count()
@@ -904,10 +790,15 @@ fn role_name(role: Role) -> &'static str {
     }
 }
 
-/// Rebuilds the session index from a log: every non-noop method entry
-/// contributes its `(client, seq)` at its 1-based position.
-fn rebuild_sessions(sessions: &mut SessionTable, log: &[NetEntry]) {
-    for (i, e) in log.iter().enumerate() {
+/// Length of the longest common prefix of two logs.
+fn common_prefix(a: &[NetEntry], b: &[NetEntry]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+/// Indexes `log[from..]` into the session table: every non-noop method
+/// entry contributes its `(client, seq)` at its 1-based position.
+fn index_sessions(sessions: &mut SessionTable, log: &[NetEntry], from: usize) {
+    for (i, e) in log.iter().enumerate().skip(from) {
         if let Command::Method(sc) = &e.cmd {
             if sc.client != 0 {
                 sessions.record(sc.client, sc.seq, (i + 1) as u64);
@@ -916,9 +807,9 @@ fn rebuild_sessions(sessions: &mut SessionTable, log: &[NetEntry]) {
     }
 }
 
-/// Applies the committed prefix to a store.
-fn apply_prefix(store: &mut KvStore, prefix: &[NetEntry]) {
-    for e in prefix {
+/// Applies committed entries to a store.
+fn apply_entries(store: &mut KvStore, entries: &[NetEntry]) {
+    for e in entries {
         if let Command::Method(sc) = &e.cmd {
             if let Some(op) = &sc.op {
                 store.apply(op);
@@ -930,7 +821,8 @@ fn apply_prefix(store: &mut KvStore, prefix: &[NetEntry]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
+    use adore_raft::MsgId;
+    use std::collections::{BTreeMap, VecDeque};
 
     fn fresh(nid: u32, members: &[u32], params: EngineParams) -> Engine {
         let cfg = EngineConfig {
@@ -992,6 +884,36 @@ mod tests {
             .into_iter()
             .map(|n| (n, fresh(n, &[1, 2, 3], EngineParams::default())))
             .collect()
+    }
+
+    fn put(client: u64, seq: u64) -> ClientMsg {
+        ClientMsg::Put {
+            client,
+            seq,
+            key: format!("k{seq}"),
+            value: "v".into(),
+        }
+    }
+
+    /// Node 1 as a leader whose barrier no follower has seen yet: node 2
+    /// votes, and the barrier's broadcast goes nowhere.
+    fn leader_with_uncommitted_barrier(params: EngineParams) -> Engine {
+        let mut leader = fresh(1, &[1, 2, 3], params);
+        let mut voter = fresh(2, &[1, 2, 3], EngineParams::default());
+        while leader.role() != Role::Leader {
+            for out in leader.step(Input::Tick) {
+                let Output::Send { to: NodeId(2), msg } = out else {
+                    continue;
+                };
+                for vote in voter.step(Input::Peer(msg)) {
+                    if let Output::Send { msg, .. } = vote {
+                        leader.step(Input::Peer(msg));
+                    }
+                }
+            }
+        }
+        assert_eq!((leader.log_len(), leader.commit_len()), (1, 0));
+        leader
     }
 
     #[test]
@@ -1089,48 +1011,14 @@ mod tests {
     #[test]
     fn bounded_inflight_sheds_overload() {
         // A leader whose peers never answer: waiters pile up.
-        let params = EngineParams {
+        let mut leader = leader_with_uncommitted_barrier(EngineParams {
             inflight_cap: 2,
             ..EngineParams::default()
-        };
-        let mut leader = fresh(1, &[1, 2, 3], params);
-        // Campaign; votes never arrive, so force the win via a second
-        // engine voting.
-        let mut engines: BTreeMap<u32, Engine> =
-            [(1, leader)].into_iter().collect();
-        let mut voter = fresh(2, &[1, 2, 3], EngineParams::default());
-        for _ in 0..41 {
-            let outs = engines.get_mut(&1).unwrap().step(Input::Tick);
-            for o in outs {
-                if let Output::Send { to, msg } = o {
-                    if to == NodeId(2) {
-                        for v in voter.step(Input::Peer(msg)) {
-                            if let Output::Send { to, msg } = v {
-                                if to == NodeId(1) {
-                                    engines.get_mut(&1).unwrap().step(Input::Peer(msg));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if engines[&1].role() == Role::Leader {
-                break;
-            }
-        }
-        leader = engines.remove(&1).unwrap();
-        assert_eq!(leader.role(), Role::Leader);
-        // Node 2's ack committed the barrier; further acks are dropped
-        // on the floor from here, so puts stay in flight.
+        });
         for (seq, conn) in [(1u64, 1u64), (2, 2)] {
             let outs = leader.step(Input::Client {
                 conn,
-                msg: ClientMsg::Put {
-                    client: 4,
-                    seq,
-                    key: format!("k{seq}"),
-                    value: "v".into(),
-                },
+                msg: put(4, seq),
             });
             assert!(
                 !outs
@@ -1141,12 +1029,7 @@ mod tests {
         }
         let outs = leader.step(Input::Client {
             conn: 3,
-            msg: ClientMsg::Put {
-                client: 4,
-                seq: 3,
-                key: "k3".into(),
-                value: "v".into(),
-            },
+            msg: put(4, 3),
         });
         assert!(outs.contains(&Output::Reply {
             conn: 3,
@@ -1233,5 +1116,297 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    #[test]
+    fn a_long_lived_leader_keeps_no_settled_acks_and_an_empty_bag() {
+        let mut engines = three();
+        elect_node_one(&mut engines);
+        for seq in 1..=1000 {
+            let outs = engines.get_mut(&1).unwrap().step(Input::Client {
+                conn: 1,
+                msg: put(9, seq),
+            });
+            let replies = pump(&mut engines, outs);
+            assert_eq!(replies.len(), 1, "put {seq}: {replies:?}");
+        }
+        let leader = engines[&1].me();
+        assert_eq!(leader.commit_len, 1001);
+        // Every length up to the watermark was acked by three nodes; none
+        // of those sets is still held (the late ack's set included).
+        let settled: Vec<_> = leader.acks.keys().filter(|l| **l <= 1001).collect();
+        assert!(settled.is_empty(), "{settled:?}");
+        for e in engines.values() {
+            assert!(e.model.messages().is_empty() && e.model.delivered().is_empty());
+        }
+    }
+
+    #[test]
+    fn a_refused_reconfiguration_names_its_guard_and_appends_nothing() {
+        // (barrier committed?, a reconfiguration left in flight, the
+        // proposal, the leg that must be named)
+        type Members = &'static [u32];
+        let table: [(bool, Option<Members>, Members, &str); 4] = [
+            (true, None, &[1], "R1+:"),
+            (true, Some(&[1, 2]), &[1], "R2:"),
+            (false, None, &[1, 2], "R3:"),
+            (false, None, &[1], "R1+:"), // R1+ and R3 both fail: model order
+        ];
+        for (committed, in_flight, proposal, leg) in table {
+            let mut leader = if committed {
+                let mut engines = three();
+                elect_node_one(&mut engines);
+                engines.remove(&1).unwrap()
+            } else {
+                leader_with_uncommitted_barrier(EngineParams::default())
+            };
+            let mut reconfigure = |seq, members: &[u32]| {
+                leader.step(Input::Client {
+                    conn: 1,
+                    msg: ClientMsg::Reconfigure {
+                        client: 2,
+                        seq,
+                        members: members.to_vec(),
+                    },
+                })
+            };
+            if let Some(first) = in_flight {
+                let outs = reconfigure(1, first);
+                assert!(outs.iter().any(|o| matches!(o, Output::Persist { .. })));
+            }
+            let outs = reconfigure(2, proposal);
+            let [Output::Reply {
+                reply: ClientReply::Rejected { reason },
+                ..
+            }] = outs.as_slice()
+            else {
+                panic!("{leg} case: the model refused, so nothing but a reply: {outs:?}");
+            };
+            assert!(reason.starts_with(leg), "{leg} case named `{reason}`");
+            let appended = 1 + usize::from(in_flight.is_some());
+            assert_eq!(leader.log_len(), appended, "{leg} case appended");
+        }
+    }
+
+    /// Three engines beside one three-server reference model. Acks travel
+    /// with their request (or are lost whole), so every engine move has
+    /// an event of the reference to stand beside.
+    struct Beside {
+        engines: BTreeMap<u32, Engine>,
+        reference: NetState<Cfg, SessionCmd>,
+        /// Requests in flight: `(recipient, id in the reference's bag)`.
+        pool: Vec<(u32, MsgId)>,
+    }
+
+    impl Beside {
+        /// Plays `events` on the reference — plus the barrier if engine
+        /// `n` just became leader — and checks that the engine broadcast
+        /// exactly what the reference sent.
+        fn beside(
+            &mut self,
+            n: u32,
+            was: Role,
+            outs: &[Output],
+            mut events: Vec<NetEvent<Cfg, SessionCmd>>,
+        ) {
+            let nid = NodeId(n);
+            if was != Role::Leader && self.engines[&n].role() == Role::Leader {
+                let method = SessionCmd::noop();
+                events.extend([NetEvent::Invoke { nid, method }, NetEvent::Commit { nid }]);
+            }
+            let sent = self.reference.messages().len();
+            for ev in &events {
+                let applied = self.reference.step(ev).applied();
+                // A refused append is not replicated.
+                if !applied && !matches!(ev, NetEvent::Elect { .. } | NetEvent::Commit { .. }) {
+                    break;
+                }
+            }
+            let mut expected = Vec::new();
+            for id in sent..self.reference.messages().len() {
+                for to in [1, 2, 3].into_iter().filter(|to| *to != n) {
+                    self.pool.push((to, MsgId(id as u32)));
+                    expected.push((NodeId(to), self.reference.messages()[id].clone()));
+                }
+            }
+            let broadcast: Vec<_> = outs
+                .iter()
+                .filter_map(|o| match o {
+                    Output::Send {
+                        to,
+                        msg: PeerMsg::Req(req),
+                    } => Some((*to, req.clone())),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(broadcast, expected, "engine {n} vs the reference's bag");
+        }
+
+        /// Hands request `id` to engine `to`; with `ack`, its answer goes
+        /// straight back to the sender, as in the reference's `Deliver`.
+        fn deliver(&mut self, to: u32, id: MsgId, ack: bool) {
+            let req = self.reference.message(id).expect("in the bag").clone();
+            let from = req.from();
+            let outs = self
+                .engines
+                .get_mut(&to)
+                .unwrap()
+                .step(Input::Peer(PeerMsg::Req(req)));
+            let answers: Vec<PeerMsg> = outs
+                .into_iter()
+                .filter_map(|o| match o {
+                    Output::Send { to, msg } if to == from => Some(msg),
+                    Output::Send { .. } => panic!("a request is answered to its sender only"),
+                    _ => None,
+                })
+                .collect();
+            let lost = |a: NodeId, b: NodeId| !(a == NodeId(to) && b == from);
+            let up = |_: NodeId, _: NodeId| true;
+            let link: &dyn Fn(NodeId, NodeId) -> bool = if ack { &up } else { &lost };
+            // The reification rule: applied is acked, a stale term is
+            // nacked with the recipient's own term, the rest is silence.
+            match self.reference.deliver_via(id, NodeId(to), link) {
+                EventOutcome::Applied => assert!(
+                    matches!(
+                        answers[..],
+                        [PeerMsg::ElectAck { .. } | PeerMsg::CommitAck { .. }]
+                    ),
+                    "{answers:?}"
+                ),
+                EventOutcome::Rejected(Rejection::StaleTime) => {
+                    let time = self.reference.server(NodeId(to)).unwrap().time;
+                    assert_eq!(
+                        answers,
+                        [PeerMsg::Nack {
+                            from: to,
+                            time: time.0
+                        }]
+                    );
+                    if ack {
+                        // The one liveness move outside the event alphabet.
+                        let _ = self.reference.adopt_term(from, time);
+                    }
+                }
+                _ => assert_eq!(answers, []),
+            }
+            for msg in answers.into_iter().filter(|_| ack) {
+                let sender = self.engines.get_mut(&from.0).unwrap();
+                let was = sender.role();
+                let outs = sender.step(Input::Peer(msg));
+                self.beside(from.0, was, &outs, Vec::new());
+            }
+        }
+
+        fn assert_agree(&self, after: &str) {
+            for (n, e) in &self.engines {
+                let (me, it) = (e.me(), self.reference.server(NodeId(*n)).unwrap());
+                assert_eq!(
+                    (me.time, &me.log, me.commit_len, me.role),
+                    (it.time, &it.log, it.commit_len, it.role),
+                    "engine {n} left the reference after {after}"
+                );
+                // What `observe` derived is the same state again: a crash
+                // right now would replay to it.
+                let wal = e.wal.mirror();
+                assert_eq!(
+                    (wal.time, &wal.log, wal.commit_len),
+                    (me.time, &me.log, me.commit_len),
+                    "engine {n}'s WAL left its model after {after}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn engines_track_the_reference_model_move_for_move() {
+        let params = EngineParams {
+            heartbeat_ticks: 2,
+            election_ticks_min: 2,
+            election_ticks_max: 6,
+            inflight_cap: usize::MAX,
+            ..EngineParams::default()
+        };
+        let conf0 = SingleNode::new([1, 2, 3]);
+        let mut b = Beside {
+            engines: (1..=3)
+                .map(|n| (n, fresh(n, &[1, 2, 3], params.clone())))
+                .collect(),
+            reference: NetState::new(conf0, ReconfigGuard::all()),
+            pool: Vec::new(),
+        };
+        let memberships: [&[u32]; 5] = [&[1, 2, 3], &[1, 2], &[2, 3], &[1, 3], &[1]];
+        let mut rng = StdRng::seed_from_u64(0xAD0E);
+        for seq in 1..=600u64 {
+            let n = rng.gen_range(1..=3u32);
+            let nid = NodeId(n);
+            let was = b.engines[&n].role();
+            let what = match rng.gen_range(0..16) {
+                0..=2 => {
+                    // A tick: an election, a heartbeat, or nothing.
+                    let outs = b.engines.get_mut(&n).unwrap().step(Input::Tick);
+                    let first = outs.iter().find_map(|o| match o {
+                        Output::Send {
+                            msg: PeerMsg::Req(req),
+                            ..
+                        } => Some(req.kind_name()),
+                        _ => None,
+                    });
+                    let events = match first {
+                        Some("elect") => vec![NetEvent::Elect { nid }],
+                        Some(_) => vec![NetEvent::Commit { nid }],
+                        None => Vec::new(),
+                    };
+                    b.beside(n, was, &outs, events);
+                    "a tick"
+                }
+                3..=4 => {
+                    let method = SessionCmd {
+                        client: 5,
+                        seq,
+                        op: Some(KvCommand::put(format!("k{seq}"), "v")),
+                    };
+                    let outs = b.engines.get_mut(&n).unwrap().step(Input::Client {
+                        conn: 1,
+                        msg: put(5, seq),
+                    });
+                    let events = vec![NetEvent::Invoke { nid, method }, NetEvent::Commit { nid }];
+                    b.beside(n, was, &outs, events);
+                    "a put"
+                }
+                5 => {
+                    let members = memberships[rng.gen_range(0..memberships.len())];
+                    let outs = b.engines.get_mut(&n).unwrap().step(Input::Client {
+                        conn: 1,
+                        msg: ClientMsg::Reconfigure {
+                            client: 5,
+                            seq,
+                            members: members.to_vec(),
+                        },
+                    });
+                    let config = SingleNode::new(members.iter().copied());
+                    let events = vec![NetEvent::Reconfig { nid, config }, NetEvent::Commit { nid }];
+                    b.beside(n, was, &outs, events);
+                    "a reconfiguration"
+                }
+                _ if b.pool.is_empty() => continue,
+                kind => {
+                    let i = rng.gen_range(0..b.pool.len());
+                    let (to, id) = b.pool[i];
+                    // 6: dropped; 7: delivered, ack lost; 8-9: delivered and
+                    // kept for a stale redelivery; else delivered, acked.
+                    if !(8..=9).contains(&kind) {
+                        b.pool.swap_remove(i);
+                    }
+                    if kind != 6 {
+                        b.deliver(to, id, kind != 7);
+                    }
+                    "a delivery"
+                }
+            };
+            b.assert_agree(what);
+        }
+        // The walk is not vacuous: leaders came and went, entries committed.
+        let terms = b.reference.servers().map(|(_, s)| s.time.0).max();
+        assert!(terms > Some(3) && b.reference.committed_prefix().len() > 5);
     }
 }

@@ -1,16 +1,20 @@
 //! Wire message types: what `adored` nodes and clients say to each
 //! other, as JSON payloads inside [`crate::det::wire`] frames.
 //!
-//! The peer protocol is the existing certified model's [`Request`]
-//! (full-log `Elect`/`Commit` broadcasts) **plus explicit
-//! acknowledgement messages**. The simulated `NetState` models an ack
-//! as the synchronous return half of a delivery; on a real wire the
-//! return path is its own packet, so [`PeerMsg`] reifies the three ack
-//! shapes the model folds away: a granted vote ([`PeerMsg::ElectAck`]),
-//! an adoption ack ([`PeerMsg::CommitAck`]), and a higher-term
-//! rejection ([`PeerMsg::Nack`], which is how a deposed or partitioned
-//! leader learns to step down — the model's recipient-side `StaleTime`
-//! rejection, made visible to the sender).
+//! The peer protocol is the certified model's [`Request`] (full-log
+//! `Elect`/`Commit` broadcasts, taken out of the engine's `NetState`
+//! as they are) **plus explicit acknowledgement messages**. In the
+//! model an ack is the synchronous return half of a delivery: the
+//! sender is a server of the same state and is credited in the same
+//! step. Between processes the return path is its own packet, so
+//! [`PeerMsg`] carries the outcome of the recipient's
+//! `NetState::receive` back to the sender: a granted vote
+//! ([`PeerMsg::ElectAck`], credited there with `credit_vote`), an
+//! adoption ack ([`PeerMsg::CommitAck`], credited with `credit_ack`),
+//! and a higher-term rejection ([`PeerMsg::Nack`] — the model's
+//! recipient-side `StaleTime` rejection made visible to the sender,
+//! which is how a deposed or partitioned leader learns to step down).
+//! Every other rejection stays on the recipient, as in the model.
 
 use serde::{Deserialize, Serialize};
 

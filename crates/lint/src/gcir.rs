@@ -37,7 +37,7 @@ const MAX_PATHS: usize = 256;
 /// Cap on CNF clauses per condition before degrading to opaque.
 const MAX_CNF: usize = 16;
 /// Inlining depth bound.
-const MAX_INLINE: usize = 3;
+const MAX_INLINE: usize = 4;
 
 /// Comparison operators recognized in guard conditions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1561,32 +1561,21 @@ impl Enumerator<'_> {
 // ---- extraction + inlining ----------------------------------------------
 
 /// Parameter names from a signature token stream (skips `self`, `mut`,
-/// references, and everything after each `:`).
+/// references, and everything after each `:`). Only a part with a
+/// `name :` pair counts: a generic type's own commas (`req: Request<C,
+/// M>`) split off fragments that are not parameters.
 fn param_names(sig: &proc_macro2::TokenStream) -> Vec<String> {
     let trees = sig.trees();
     let parens = trees.iter().find_map(|t| paren_of(Some(t)));
     let Some(g) = parens else { return Vec::new() };
     let mut out = Vec::new();
     for part in split_on(g.stream().trees(), ',') {
-        let mut it = part.iter();
-        let mut name = None;
-        for t in it.by_ref() {
-            if is_punct(Some(t), ':') {
-                break;
-            }
-            if let Some(id) = ident_of(t) {
-                if id == "self" {
-                    name = None;
-                    break;
-                }
-                if id != "mut" {
-                    name = Some(id);
-                }
-            }
-        }
-        if let Some(n) = name {
-            out.push(n);
-        }
+        let colon = part.iter().position(|t| is_punct(Some(t), ':'));
+        let Some(colon) = colon.filter(|c| !is_punct(part.get(c + 1), ':')) else {
+            continue; // `self`, or the tail of a generic argument list
+        };
+        let name = part[..colon].iter().filter_map(ident_of).rfind(|id| id != "mut");
+        out.extend(name);
     }
     out
 }
@@ -2201,6 +2190,38 @@ impl Node {
             classes,
             vec![EmitClass::Journal, EmitClass::Persist, EmitClass::Send, EmitClass::Reply]
         );
+    }
+
+    #[test]
+    fn generic_typed_parameter_keeps_later_arguments_aligned() {
+        let src = r#"
+impl Net {
+    fn outer(&mut self, to: NodeId) -> EventOutcome {
+        let Some(req) = self.messages.get(0).cloned() else {
+            return EventOutcome::LocalNoOp;
+        };
+        self.inner(req, to, true)
+    }
+    fn inner(&mut self, req: Request<C, M>, mut to: NodeId, ok: bool) -> EventOutcome {
+        let s = self.ensure_server(to);
+        if ok {
+            s.role = Role::Follower;
+        }
+        EventOutcome::Applied
+    }
+}
+"#;
+        let irs = extract(&file_of(src), &["inner".to_string(), "outer".to_string()]);
+        assert_eq!(irs[0].params, vec!["req", "to", "ok"]);
+        // Inlined, `to` must still name the node and `ok` the flag: a
+        // phantom `M` parameter would shift both by one.
+        let binds_to = irs[1].paths.iter().any(|p| {
+            p.steps.iter().any(|s| {
+                matches!(s, Step::Act(Act { action: Action::BindServer { nid: Ex::Var(v), .. }, .. })
+                    if v == "to")
+            })
+        });
+        assert!(binds_to, "{:#?}", irs[1]);
     }
 
     #[test]

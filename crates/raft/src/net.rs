@@ -10,6 +10,14 @@
 //! The same state machine serves as "SRaft" when driven by a normalized
 //! trace (valid deliveries only, globally ordered, atomically grouped) —
 //! exactly the paper's "same specification with simplifying assumptions".
+//!
+//! It also serves one node of a real cluster: the `adored` daemon keeps a
+//! `NetState` whose only live server is itself, issues the local events,
+//! and calls the two halves of a delivery separately — [`NetState::receive`]
+//! where a request arrives, [`NetState::credit_vote`] /
+//! [`NetState::credit_ack`] where its acknowledgement does. `deliver` is
+//! those same calls back to back, so what the checker explores is what the
+//! daemon runs.
 
 use std::collections::BTreeMap;
 
@@ -445,8 +453,8 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
     }
 
     /// [`Self::deliver`] with the synchronous acknowledgement made
-    /// conditional (`ack_ok`): the recipient's adoption always applies,
-    /// but the sender only learns of it when the return path is up.
+    /// conditional (`ack_ok`): bag lookup and crash check here, the
+    /// per-node halves in [`Self::receive`] and `credit_*`.
     fn deliver_gated(&mut self, msg: MsgId, to: NodeId, ack_ok: bool) -> EventOutcome {
         let Some(req) = self.messages.get(msg.0 as usize).cloned() else {
             return EventOutcome::Rejected(Rejection::UnknownMessage);
@@ -455,6 +463,17 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
             return EventOutcome::Rejected(Rejection::RecipientCrashed);
         }
         self.delivered.push((msg, to));
+        self.receive(req, to, ack_ok)
+    }
+
+    /// The recipient half of a delivery: `to` validates `req` and adopts
+    /// it. With `ack_ok` the sender — a server of this same state — is
+    /// credited synchronously; a per-node driver passes `false` and
+    /// carries the acknowledgement to the sender's own state as a
+    /// message (`Applied` is the ack, [`Rejection::StaleTime`] the nack).
+    /// The adoption applies either way: a wasted vote or ack still
+    /// changed the recipient, so the request is NOT an ignorable message.
+    pub fn receive(&mut self, req: Request<C, M>, to: NodeId, ack_ok: bool) -> EventOutcome {
         match req {
             Request::Elect { from, time, log } => {
                 let recipient = self.ensure_server(to);
@@ -469,18 +488,8 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
                 }
                 recipient.time = time;
                 recipient.role = Role::Follower;
-                // Synchronous acknowledgement: the candidate counts the vote
-                // unless it has moved on — in which case the vote is wasted
-                // but the recipient's state still changed, so the delivery
-                // counts as applied (it is NOT an ignorable message).
-                let candidate = self.ensure_server(from);
-                if ack_ok
-                    && !candidate.crashed
-                    && candidate.role == Role::Candidate
-                    && candidate.time == time
-                {
-                    candidate.votes.insert(to);
-                    self.maybe_win(from);
+                if ack_ok {
+                    self.credit_vote(from, to, time);
                 }
                 EventOutcome::Applied
             }
@@ -508,15 +517,66 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
                 let len = log.len();
                 recipient.log = log;
                 recipient.commit_len = recipient.commit_len.max(commit_len.min(len));
-                // Synchronous acknowledgement: the leader counts the ack
-                // unless it has moved on (the adoption above still counts).
-                let leader = self.ensure_server(from);
-                if ack_ok && !leader.crashed && leader.role == Role::Leader && leader.time == time {
-                    leader.acks.entry(len).or_default().insert(to);
-                    self.maybe_advance_commit(from, len);
+                if ack_ok {
+                    self.credit_ack(from, to, time, len);
                 }
                 EventOutcome::Applied
             }
+        }
+    }
+
+    /// The sender half of an `Elect` delivery: candidate `from` counts
+    /// `to`'s vote for term `time` unless it has moved on.
+    pub fn credit_vote(&mut self, from: NodeId, to: NodeId, time: Timestamp) {
+        let candidate = self.ensure_server(from);
+        if !candidate.crashed && candidate.role == Role::Candidate && candidate.time == time {
+            candidate.votes.insert(to);
+            self.maybe_win(from);
+        }
+    }
+
+    /// The sender half of a `Commit` delivery: leader `from` counts
+    /// `to`'s acknowledgement of log length `len` at term `time` unless
+    /// it has moved on.
+    pub fn credit_ack(&mut self, from: NodeId, to: NodeId, time: Timestamp, len: usize) {
+        let leader = self.ensure_server(from);
+        if !leader.crashed && leader.role == Role::Leader && leader.time == time {
+            leader.acks.entry(len).or_default().insert(to);
+            self.maybe_advance_commit(from, len);
+        }
+    }
+
+    /// Not an event of the model: `nid` learns of a higher term from a
+    /// reified [`Rejection::StaleTime`] and retires to follower. It is
+    /// the term half of an `Elect` adoption with no vote granted, so the
+    /// observed time stays monotone and nothing else moves.
+    pub fn adopt_term(&mut self, nid: NodeId, time: Timestamp) -> EventOutcome {
+        let Some(s) = self.servers.get_mut(&nid) else {
+            return EventOutcome::LocalNoOp;
+        };
+        if s.crashed || time <= s.time {
+            return EventOutcome::LocalNoOp;
+        }
+        s.time = time;
+        s.role = Role::Follower;
+        EventOutcome::Applied
+    }
+
+    /// Not an event of the model: hands the sent bag to a driver that
+    /// carries requests itself, leaving the bag empty (ids restart at 0).
+    pub fn take_sent(&mut self) -> Vec<Request<C, M>> {
+        std::mem::take(&mut self.messages)
+    }
+
+    /// Not an event of the model: drops `nid`'s ack sets for lengths at
+    /// or below its watermark. They can never be consulted again —
+    /// [`Self::maybe_advance_commit`] requires `len > commit_len` — so a
+    /// long-lived leader calls this instead of keeping one set per log
+    /// length forever.
+    pub fn forget_settled_acks(&mut self, nid: NodeId) {
+        if let Some(s) = self.servers.get_mut(&nid) {
+            let settled = s.commit_len;
+            s.acks.retain(|len, _| *len > settled);
         }
     }
 
