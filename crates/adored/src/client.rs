@@ -7,6 +7,8 @@
 //! a second application. This is the real-wire twin of the simulated
 //! `nemesis` client's sessioned retry path.
 
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))] // L8: no `let _ =` on a result in a recovery scope
+
 use std::collections::BTreeMap;
 use std::io::{self};
 use std::net::TcpStream;

@@ -44,7 +44,7 @@
 //! sequence — the runtime (`crate::node`) is a thin shell that feeds
 //! ticks and frames in and carries bytes, journal lines, and replies
 //! out. That boundary is what keeps the protocol state machine inside
-//! the `det` lint scope (L1/L7) while IO threads live at the edges.
+//! the `det` determinism ban while IO threads live at the edges.
 //!
 //! # Durability ordering
 //!
@@ -1191,6 +1191,21 @@ mod tests {
     /// Three engines beside one three-server reference model. Acks travel
     /// with their request (or are lost whole), so every engine move has
     /// an event of the reference to stand beside.
+    /// Nothing durable follows the first outbound output of one step:
+    /// what L15 proves of `finish`'s source, held on an executed path.
+    fn assert_durable_before_outbound(outs: &[Output]) {
+        let outbound = |o: &Output| matches!(o, Output::Send { .. } | Output::Reply { .. });
+        let durable = |o: &Output| {
+            matches!(
+                o,
+                Output::Persist { .. }
+                    | Output::Journal(EventKind::StateDelta { .. } | EventKind::WalSync { .. })
+            )
+        };
+        let first = outs.iter().position(outbound).unwrap_or(outs.len());
+        assert!(!outs[first..].iter().any(durable), "durable after outbound: {outs:?}");
+    }
+
     struct Beside {
         engines: BTreeMap<u32, Engine>,
         reference: NetState<Cfg, SessionCmd>,
@@ -1209,6 +1224,7 @@ mod tests {
             outs: &[Output],
             mut events: Vec<NetEvent<Cfg, SessionCmd>>,
         ) {
+            assert_durable_before_outbound(outs);
             let nid = NodeId(n);
             if was != Role::Leader && self.engines[&n].role() == Role::Leader {
                 let method = SessionCmd::noop();
@@ -1252,6 +1268,7 @@ mod tests {
                 .get_mut(&to)
                 .unwrap()
                 .step(Input::Peer(PeerMsg::Req(req)));
+            assert_durable_before_outbound(&outs);
             let answers: Vec<PeerMsg> = outs
                 .into_iter()
                 .filter_map(|o| match o {

@@ -19,6 +19,8 @@
 //!   merged journals, and on failure persists a replayable,
 //!   sim-minimized counterexample artifact.
 
+#![deny(clippy::disallowed_methods)] // L12a: as the library
+
 mod hunt;
 
 use std::collections::BTreeMap;

@@ -257,7 +257,8 @@ fn bad_frame_reason(e: &io::Error) -> Option<&'static str> {
 /// Loads (or creates) the node's WAL from `data_dir/wal.bin`, runs
 /// recovery, and journals the crash/recovery pair when prior state
 /// existed. Returns the WAL, the recovered durable state, and whether
-/// the replica must abstain (media loss). Fail-stops on corruption.
+/// the replica must abstain (media loss). Fail-stops on corruption and
+/// on a WAL that exists but cannot be read.
 #[allow(clippy::type_complexity)]
 fn load_wal(
     nid: NodeId,
@@ -268,7 +269,20 @@ fn load_wal(
     adore_storage::DurableState<SingleNode, SessionCmd>,
     bool,
 )> {
-    let existing = fs::read(wal_path).unwrap_or_default();
+    let existing = match fs::read(wal_path) {
+        Ok(bytes) => bytes,
+        // Only a missing file is a first boot. Any other failure leaves
+        // a WAL on disk that this boot cannot see: booting fresh would
+        // overwrite it below and rejoin voting with term, vote and log
+        // forgotten.
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => {
+            return Err(io::Error::new(
+                e.kind(),
+                format!("cannot read WAL {}: {e}: fail-stop", wal_path.display()),
+            ));
+        }
+    };
     let had_state = !existing.is_empty();
     let mut wal = Wal::from_bytes(nid, &existing);
     let recovery = wal.recover(&DurabilityPolicy::strict());
@@ -565,20 +579,35 @@ pub fn run(cfg: NodeConfig) -> io::Result<()> {
     Ok(())
 }
 
+/// Milliseconds to wait before redialling after `failures` consecutive
+/// failed attempts: exponential in the count, capped at
+/// [`BACKOFF_CAP_MS`], the upper half jittered so peers that lost the
+/// same node do not redial it in lockstep.
+fn backoff_ms(failures: u32, rng: &mut StdRng) -> u64 {
+    let cap = BACKOFF_BASE_MS
+        .saturating_mul(1 << failures.min(6))
+        .min(BACKOFF_CAP_MS);
+    cap / 2 + rng.gen_range(0..=cap / 2 + 1)
+}
+
 /// Supervised outbound link: dial, introduce, pump messages; on any
 /// failure back off (capped exponential + seeded jitter) and redial.
 fn peer_connector(my_nid: u32, addr: &str, rx: &Receiver<PeerMsg>, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut failures: u32 = 0;
     loop {
-        match TcpStream::connect(addr) {
+        // A link is up once the `Hello` is written: a peer that accepts
+        // and then resets counts as a failed dial, not as a success
+        // that clears the backoff.
+        let link = TcpStream::connect(addr).and_then(|mut stream| {
+            let _ = stream.set_nodelay(true);
+            let _ = stream.set_write_timeout(Some(WRITE_DEADLINE));
+            write_frame(&mut stream, &Hello::Peer { from: my_nid })?;
+            Ok(stream)
+        });
+        match link {
             Ok(mut stream) => {
                 failures = 0;
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_write_timeout(Some(WRITE_DEADLINE));
-                if write_frame(&mut stream, &Hello::Peer { from: my_nid }).is_err() {
-                    continue;
-                }
                 // Anything queued while the link was down is stale
                 // (heartbeats supersede it); start fresh.
                 while rx.try_recv().is_ok() {}
@@ -595,10 +624,7 @@ fn peer_connector(my_nid: u32, addr: &str, rx: &Receiver<PeerMsg>, seed: u64) {
             }
             Err(_) => {
                 failures = failures.saturating_add(1);
-                let exp = BACKOFF_BASE_MS.saturating_mul(1 << failures.min(6));
-                let cap = exp.min(BACKOFF_CAP_MS);
-                let jitter = rng.gen_range(0..=cap / 2 + 1);
-                thread::sleep(Duration::from_millis(cap / 2 + jitter));
+                thread::sleep(Duration::from_millis(backoff_ms(failures, &mut rng)));
                 // Drop queued messages while unreachable: the engine's
                 // bounded outbox must never block on a dead peer.
                 while rx.try_recv().is_ok() {}
@@ -722,5 +748,54 @@ fn serve_connection(
             lock_clients(clients, tx).remove(&conn);
             let _ = tx.send(Event::ClientGone { conn });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backoff_grows_to_its_cap_and_jitters_the_upper_half() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for failures in 1..=40u32 {
+            let cap = (BACKOFF_BASE_MS << failures.min(6)).min(BACKOFF_CAP_MS);
+            let draws: Vec<u64> = (0..200).map(|_| backoff_ms(failures, &mut rng)).collect();
+            assert!(
+                draws.iter().all(|d| (cap / 2..=cap + 1).contains(d)),
+                "failures={failures}: {draws:?}"
+            );
+            assert!(draws.iter().min() < draws.iter().max(), "failures={failures}: no jitter");
+        }
+        // First retry is quick, and no count — u32::MAX included — waits
+        // past the cap.
+        assert!(backoff_ms(1, &mut rng) <= 2 * BACKOFF_BASE_MS + 1);
+        assert!(backoff_ms(u32::MAX, &mut rng) <= BACKOFF_CAP_MS + 1);
+    }
+
+    #[test]
+    fn an_unreadable_wal_is_fail_stop_not_first_boot() {
+        let dir = std::env::temp_dir().join(format!("adored-wal-dir-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        // A `wal.bin` that exists but cannot be read as a file.
+        let wal_path = dir.join("wal.bin");
+        fs::create_dir_all(wal_path.join("keep")).expect("mkdir");
+        let err = run(NodeConfig {
+            nid: 1,
+            peers: vec![(1, "127.0.0.1:0".to_string())],
+            data_dir: dir.clone(),
+            seed: 1,
+            tick_ms: 10,
+            max_runtime_ms: Some(1),
+            params: EngineParams::default(),
+            guard: adore_core::ReconfigGuard::all(),
+            peer_read_deadline_ms: DEFAULT_PEER_READ_DEADLINE_MS,
+            export_addr: None,
+            metrics_addr: None,
+        })
+        .expect_err("a WAL that cannot be read must not boot");
+        assert!(err.to_string().contains("cannot read WAL"), "{err}");
+        assert!(wal_path.join("keep").is_dir(), "the path was left as found");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

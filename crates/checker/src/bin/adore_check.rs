@@ -11,6 +11,8 @@
 //! the checked property holds (or a requested counterexample was found),
 //! 1 on a surprise, 2 on usage errors.
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)] // L1, L12a: as the library
+
 use std::process::ExitCode;
 
 use adore_checker::{

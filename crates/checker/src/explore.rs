@@ -12,7 +12,7 @@
 //! range, and the checker *finds them* the moment a guard bit is dropped.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use adore_core::invariants::{self, Violation};
 use adore_core::{telemetry, AdoreState, Configuration, NodeId, ReconfigGuard};
@@ -203,8 +203,11 @@ pub fn explore<C>(conf0: &C, params: &ExploreParams) -> ExploreReport<C, &'stati
 where
     C: Configuration + ReconfigSpace,
 {
-    // adore-lint: allow(L1, reason = "wall-clock timing reported in ExploreReport::elapsed only; never affects exploration order or results")
-    let start = Instant::now();
+    #[allow(
+        clippy::disallowed_types,
+        reason = "wall-clock timing reported in ExploreReport::elapsed only; never affects exploration order or results"
+    )]
+    let start = std::time::Instant::now();
     let initial: AdoreState<C, &'static str> = AdoreState::new(conf0.clone());
     let mut universe = conf0.members();
     let max = universe.iter().map(|n| n.0).max().unwrap_or(0);

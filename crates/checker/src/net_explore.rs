@@ -10,7 +10,7 @@
 //! interleaving that ADORE's atomic operations collapse.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use adore_core::{telemetry, Configuration, NodeId, ReconfigGuard};
 use adore_obs::Metrics;
@@ -124,8 +124,11 @@ pub fn explore_net<C: Configuration + ReconfigSpace>(
     conf0: &C,
     params: &NetExploreParams,
 ) -> NetExploreReport {
-    // adore-lint: allow(L1, reason = "wall-clock timing reported in NetExploreReport::elapsed only; never affects exploration order or results")
-    let start = Instant::now();
+    #[allow(
+        clippy::disallowed_types,
+        reason = "wall-clock timing reported in NetExploreReport::elapsed only; never affects exploration order or results"
+    )]
+    let start = std::time::Instant::now();
     let initial: NetState<C, u32> = NetState::new(conf0.clone(), params.guard);
     let mut universe = conf0.members();
     let max = universe.iter().map(|n| n.0).max().unwrap_or(0);

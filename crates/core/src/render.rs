@@ -6,6 +6,11 @@
 //! methods as circles, reconfigurations as double circles, commits as
 //! squares (the paper draws committed methods as squares in Fig. 1).
 
+#![allow(
+    clippy::let_underscore_must_use,
+    reason = "every discarded result here is a fmt::Write into a String, which cannot fail"
+)]
+
 use std::fmt::Write as _;
 
 use adore_tree::Tree;

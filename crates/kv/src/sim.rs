@@ -908,7 +908,8 @@ where
                 ),
                 _ => (0, Vec::new(), 0),
             };
-            // adore-lint: allow(L8, reason = "trace() returns the event's journal sequence number; recovery links no children to it")
+            // trace() returns the event's journal sequence number;
+            // recovery links no children to it.
             self.trace(EventKind::WalRecover {
                 nid: nid.0,
                 outcome: outcome_name.to_string(),

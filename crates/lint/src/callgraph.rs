@@ -1,20 +1,16 @@
 //! Call-graph summaries: one-level same-file, and workspace fixpoint.
 //!
-//! The flow rules need to see through helper functions:
-//! `self.check_r3(...)` delegations must count as guard calls (L6), a
-//! helper returning `thread_rng().gen()` must taint its callers' bindings
-//! (L7), and `self.append_frame(...)` must count as fallible when its
-//! signature says `-> io::Result<...>` (L8).
+//! L6 needs to see through helper functions: a `self.check_r3(...)`
+//! delegation must count as a guard call.
 //!
 //! Two strengths are provided. [`summarize`] walks one file's items and
 //! produces a **one-level, same-file** [`FnSummary`] per function name —
 //! the single-file entry point (`lint_source`) uses it.
 //! [`summarize_workspace`] instead computes the summaries as a
 //! **fixpoint over the whole workspace's call graph**: a helper that
-//! delegates to a second helper in another file is seen through, guards
-//! established on all paths propagate transitively, and taint flows
-//! through arbitrarily deep call chains. `run_lint` feeds the workspace
-//! summaries to the flow layer, so L6/L7/L8 no longer stop at file
+//! delegates to a second helper in another file is seen through, and
+//! guards established on all paths propagate transitively. `run_lint`
+//! feeds the workspace summaries to L6, so it does not stop at file
 //! boundaries (resolution stays name-based and conservative: same-named
 //! functions merge to what holds for all of them).
 
@@ -25,20 +21,13 @@ use proc_macro2::{Delimiter, Span, TokenTree};
 use crate::cfg::{self, EXIT};
 use crate::dataflow;
 
-/// What one function guarantees to its callers, as far as a one-level
-/// syntactic summary can tell.
+/// What one function guarantees to its callers, as far as a syntactic
+/// summary can tell.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FnSummary {
-    /// The signature returns `Result<..>` or `Option<..>`.
-    pub returns_fallible: bool,
     /// Guard predicates this function calls directly on **every** path
     /// to its exit (so calling it is as good as calling the guard).
     pub guards_on_all_paths: BTreeSet<String>,
-    /// The body mentions an L1-banned nondeterminism source and the
-    /// function returns a value — callers must treat the result as
-    /// tainted. (Whole-body, not per-return-path: over-approximate in
-    /// the conservative direction.)
-    pub tainted_return: bool,
 }
 
 /// Every `ident(...)` call in the trees, recursively through groups:
@@ -66,58 +55,11 @@ fn collect_calls(trees: &[TokenTree], out: &mut Vec<(String, Span)>) {
     }
 }
 
-/// An L1-banned nondeterminism source in the trees, if any: returns a
-/// description like `thread_rng()` for the first one found.
-#[must_use]
-pub fn banned_source_in(trees: &[TokenTree]) -> Option<&'static str> {
-    for i in 0..trees.len() {
-        match &trees[i] {
-            TokenTree::Ident(id) => {
-                if *id == "thread_rng" {
-                    return Some("thread_rng()");
-                }
-                if *id == "SystemTime" && crate::rules::is_path_call(trees, i, "now") {
-                    return Some("SystemTime::now()");
-                }
-                if *id == "Instant" && crate::rules::is_path_call(trees, i, "now") {
-                    return Some("Instant::now()");
-                }
-            }
-            TokenTree::Group(g) => {
-                if let Some(src) = banned_source_in(g.stream().trees()) {
-                    return Some(src);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Whether a signature token stream returns a `Result`/`Option` (path
-/// qualifiers like `io::Result` included).
-fn signature_returns_fallible(sig: &str) -> bool {
-    let Some(idx) = sig.rfind("->") else {
-        return false;
-    };
-    let ret = &sig[idx + 2..];
-    let head = ret.split('<').next().unwrap_or("");
-    head.contains("Result") || head.contains("Option")
-}
-
-fn signature_returns_value(sig: &str) -> bool {
-    sig.rfind("->").is_some_and(|idx| {
-        let ret = sig[idx + 2..].trim();
-        !ret.is_empty() && ret != "()"
-    })
-}
-
 /// Summarizes every non-test function in `file`. `guard_names` is the
 /// union of all configured guard predicates; only those are tracked in
 /// [`FnSummary::guards_on_all_paths`]. When two functions share a name
 /// (methods of different types), the merged summary keeps only what
-/// holds for both (guards intersect; fallible/tainted union — the
-/// conservative direction for each field's consumer).
+/// holds for both (guards intersect).
 #[must_use]
 pub fn summarize(
     file: &syn::File,
@@ -127,14 +69,8 @@ pub fn summarize(
     let mut fns = Vec::new();
     collect_fns(&file.items, false, &mut fns);
     for f in fns {
-        let sig = f.signature.to_string();
-        let mut s = FnSummary {
-            returns_fallible: signature_returns_fallible(&sig),
-            ..FnSummary::default()
-        };
+        let mut s = FnSummary::default();
         if let Some(body) = &f.body {
-            s.tainted_return = signature_returns_value(&sig)
-                && banned_source_in(body.stream().trees()).is_some();
             let cfg = cfg::build(body);
             let gen: Vec<BTreeSet<String>> = cfg
                 .nodes
@@ -155,8 +91,6 @@ pub fn summarize(
             }
             std::collections::btree_map::Entry::Occupied(mut e) => {
                 let merged = e.get_mut();
-                merged.returns_fallible |= s.returns_fallible;
-                merged.tainted_return |= s.tainted_return;
                 merged.guards_on_all_paths = merged
                     .guards_on_all_paths
                     .intersection(&s.guards_on_all_paths)
@@ -172,9 +106,6 @@ pub fn summarize(
 /// per-node call lists are extracted once; only the summary map varies.
 struct FnFacts {
     name: String,
-    returns_fallible: bool,
-    returns_value: bool,
-    direct_source: bool,
     graph: Option<cfg::Cfg>,
     calls_per_node: Vec<Vec<String>>,
 }
@@ -182,23 +113,19 @@ struct FnFacts {
 /// Summarizes every non-test function across the whole parsed
 /// workspace, iterating to a fixpoint over the cross-file call graph:
 ///
-/// - `guards_on_all_paths` propagates transitively — a wrapper whose
-///   every path calls a helper that itself guards on every path counts
-///   as guarding;
-/// - `tainted_return` propagates through call chains of any depth;
-/// - `returns_fallible` stays signature-derived (a delegating wrapper's
-///   own signature already says `Result`/`Option`).
+/// `guards_on_all_paths` propagates transitively — a wrapper whose
+/// every path calls a helper that itself guards on every path counts
+/// as guarding.
 ///
 /// Resolution is by bare name and therefore ambiguous across the
-/// workspace, so every fact is merged with **AND across same-named
+/// workspace, so the fact is merged with **AND across same-named
 /// definitions**: a name's entry claims only what holds for *every*
-/// function the call could resolve to. That is conservative in both
-/// directions — no false guard credit for L6, and no false taint/
-/// fallibility blame for L7/L8 from an unrelated `push`/`apply`/
-/// `default` in another crate. Same-file facts (where resolution is
-/// near-certain) are layered back on top by [`overlay`].
+/// function the call could resolve to — no false guard credit for L6
+/// from an unrelated `push`/`apply`/`default` in another crate.
+/// Same-file facts (where resolution is near-certain) are layered back
+/// on top by [`overlay`].
 ///
-/// Both propagated facts grow monotonically from the direct seed, so
+/// The propagated fact grows monotonically from the direct seed, so
 /// the iteration terminates; a depth cap bounds pathological graphs.
 #[must_use]
 pub fn summarize_workspace(
@@ -210,8 +137,7 @@ pub fn summarize_workspace(
         let mut fns = Vec::new();
         collect_fns(&file.items, false, &mut fns);
         for f in fns {
-            let sig = f.signature.to_string();
-            let (graph, calls_per_node, direct_source) = match &f.body {
+            let (graph, calls_per_node) = match &f.body {
                 Some(body) => {
                     let graph = cfg::build(body);
                     let calls = graph
@@ -219,16 +145,12 @@ pub fn summarize_workspace(
                         .iter()
                         .map(|n| calls_in(&n.tokens).into_iter().map(|(name, _)| name).collect())
                         .collect();
-                    let src = banned_source_in(body.stream().trees()).is_some();
-                    (Some(graph), calls, src)
+                    (Some(graph), calls)
                 }
-                None => (None, Vec::new(), false),
+                None => (None, Vec::new()),
             };
             facts.push(FnFacts {
                 name: f.ident.clone(),
-                returns_fallible: signature_returns_fallible(&sig),
-                returns_value: signature_returns_value(&sig),
-                direct_source,
                 graph,
                 calls_per_node,
             });
@@ -238,10 +160,7 @@ pub fn summarize_workspace(
     for _round in 0..32 {
         let mut next: BTreeMap<String, FnSummary> = BTreeMap::new();
         for f in &facts {
-            let mut s = FnSummary {
-                returns_fallible: f.returns_fallible,
-                ..FnSummary::default()
-            };
+            let mut s = FnSummary::default();
             if let Some(graph) = &f.graph {
                 let gen: Vec<BTreeSet<String>> = f
                     .calls_per_node
@@ -259,11 +178,6 @@ pub fn summarize_workspace(
                     })
                     .collect();
                 s.guards_on_all_paths = dataflow::must_forward(graph, &gen)[EXIT].clone();
-                s.tainted_return = f.returns_value
-                    && (f.direct_source
-                        || f.calls_per_node.iter().flatten().any(|name| {
-                            map.get(name).is_some_and(|c| c.tainted_return)
-                        }));
             }
             match next.entry(f.name.clone()) {
                 std::collections::btree_map::Entry::Vacant(e) => {
@@ -271,8 +185,6 @@ pub fn summarize_workspace(
                 }
                 std::collections::btree_map::Entry::Occupied(mut e) => {
                     let merged = e.get_mut();
-                    merged.returns_fallible &= s.returns_fallible;
-                    merged.tainted_return &= s.tainted_return;
                     merged.guards_on_all_paths = merged
                         .guards_on_all_paths
                         .intersection(&s.guards_on_all_paths)
@@ -290,9 +202,8 @@ pub fn summarize_workspace(
 }
 
 /// Layers one file's same-file summaries over the workspace fixpoint:
-/// names defined in the file keep their local (one-level, OR-merged)
-/// facts — resolution inside a file is near-certain — and additionally
-/// gain any workspace guard facts, which are safe to add because the
+/// names defined in the file keep their local (one-level) facts —
+/// resolution inside a file is near-certain — and additionally gain any workspace guard facts, which are safe to add because the
 /// fixpoint only records guards holding for *every* definition of the
 /// name. Names defined elsewhere resolve through the workspace entry.
 #[must_use]
@@ -352,23 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn fallible_signatures_are_recognized() {
-        let s = summaries(
-            "fn a() -> Result<u8, E> { Ok(0) }\n\
-             fn b() -> io::Result<()> { Ok(()) }\n\
-             fn c() -> Option<u8> { None }\n\
-             fn d() -> Vec<Result<u8, E>> { vec![] }\n\
-             fn e() {}\n",
-            &[],
-        );
-        assert!(s["a"].returns_fallible);
-        assert!(s["b"].returns_fallible);
-        assert!(s["c"].returns_fallible);
-        assert!(!s["d"].returns_fallible, "outer type is Vec");
-        assert!(!s["e"].returns_fallible);
-    }
-
-    #[test]
     fn guard_summary_requires_all_paths() {
         let src = "\
 impl S {
@@ -385,21 +279,6 @@ impl S {
     }
 
     #[test]
-    fn tainted_return_needs_source_and_value() {
-        let src = "\
-fn pick() -> u64 { thread_rng().gen() }
-fn stamp() -> u64 { SystemTime::now().into() }
-fn log_only() { observe(thread_rng().gen()); }
-fn clean() -> u64 { 7 }
-";
-        let s = summaries(src, &[]);
-        assert!(s["pick"].tainted_return);
-        assert!(s["stamp"].tainted_return);
-        assert!(!s["log_only"].tainted_return, "returns no value");
-        assert!(!s["clean"].tainted_return);
-    }
-
-    #[test]
     fn cfg_test_functions_are_not_summarized() {
         let s = summaries(
             "#[cfg(test)]\nmod tests { fn t() -> Result<(), E> { Ok(()) } }\n",
@@ -411,20 +290,18 @@ fn clean() -> u64 { 7 }
     #[test]
     fn workspace_fixpoint_sees_through_cross_file_chains() {
         // a.rs: deep wrapper chain ending in a guard; b.rs: the guard
-        // caller and a taint chain — neither file alone resolves them.
+        // caller — neither file alone resolves the chain.
         let a = syn::parse_file(
             "impl S {\n\
                  fn level2(&self) { self.level1(); }\n\
                  fn level1(&self) { self.check_quorum(); }\n\
-             }\n\
-             fn pick2() -> u64 { pick1() }\n",
+             }\n",
         )
         .expect("a");
         let b = syn::parse_file(
             "impl S {\n\
                  fn check_quorum(&self) { self.is_quorum(q()); }\n\
              }\n\
-             fn pick1() -> u64 { thread_rng().gen() }\n\
              fn partial(&self, c: bool) { if c { self.level2(); } }\n",
         )
         .expect("b");
@@ -434,9 +311,6 @@ fn clean() -> u64 { 7 }
         // Three-deep, cross-file: level2 -> level1 -> check_quorum -> guard.
         assert!(s["level2"].guards_on_all_paths.contains("is_quorum"));
         assert!(s["level1"].guards_on_all_paths.contains("is_quorum"));
-        // Taint crosses the file boundary through the wrapper.
-        assert!(s["pick1"].tainted_return);
-        assert!(s["pick2"].tainted_return);
         // A conditional call still does not guard on all paths.
         assert!(s["partial"].guards_on_all_paths.is_empty());
     }
@@ -464,8 +338,8 @@ fn clean() -> u64 { 7 }
         .expect("a");
         let parsed = vec![("a.rs".to_string(), a)];
         let s = summarize_workspace(&parsed, &BTreeSet::new());
-        assert!(!s["ping"].tainted_return);
-        assert!(!s["pong"].tainted_return);
+        assert!(s["ping"].guards_on_all_paths.is_empty());
+        assert!(s["pong"].guards_on_all_paths.is_empty());
     }
 
     #[test]

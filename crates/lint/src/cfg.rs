@@ -81,9 +81,6 @@ pub struct Node {
     pub span: Option<Span>,
     /// Successor node indices.
     pub succs: Vec<usize>,
-    /// Whether the statement ended with `;` (a tail expression or arm
-    /// body does not — its value is consumed by the surrounding block).
-    pub has_semi: bool,
     /// Whether the statement is a `return`.
     pub is_return: bool,
 }
@@ -121,7 +118,6 @@ pub fn build(body: &Group) -> Cfg {
                 tokens: Vec::new(),
                 span: None,
                 succs: Vec::new(),
-                has_semi: false,
                 is_return: false,
             },
             Node {
@@ -130,7 +126,6 @@ pub fn build(body: &Group) -> Cfg {
                 tokens: Vec::new(),
                 span: None,
                 succs: Vec::new(),
-                has_semi: false,
                 is_return: false,
             },
         ],
@@ -150,7 +145,6 @@ pub fn build(body: &Group) -> Cfg {
 enum Stmt<'a> {
     Simple {
         tokens: &'a [TokenTree],
-        has_semi: bool,
     },
     If {
         chain: Vec<(&'a [TokenTree], &'a Group)>,
@@ -302,7 +296,6 @@ fn split_statements<'a>(trees: &'a [TokenTree]) -> Vec<Stmt<'a>> {
                 }
                 out.push(Stmt::Simple {
                     tokens: &trees[start..i],
-                    has_semi: true,
                 });
             }
             TokenTree::Group(g) if g.delimiter() == Delimiter::Brace => {
@@ -328,7 +321,6 @@ fn consume_simple<'a>(trees: &'a [TokenTree], start: usize, out: &mut Vec<Stmt<'
         if punct_is(trees.get(i), ';') {
             out.push(Stmt::Simple {
                 tokens: &trees[start..i],
-                has_semi: true,
             });
             return i + 1;
         }
@@ -336,7 +328,6 @@ fn consume_simple<'a>(trees: &'a [TokenTree], start: usize, out: &mut Vec<Stmt<'
     }
     out.push(Stmt::Simple {
         tokens: &trees[start..],
-        has_semi: false,
     });
     i
 }
@@ -350,10 +341,10 @@ fn parse_if<'a>(trees: &'a [TokenTree], mut i: usize) -> (Stmt<'a>, usize) {
             // Malformed / macro fragment: fall back to one opaque node.
             let mut out = Vec::new();
             let next = consume_simple(trees, i, &mut out);
-            let Some(Stmt::Simple { tokens, has_semi }) = out.pop() else {
+            let Some(stmt @ Stmt::Simple { .. }) = out.pop() else {
                 unreachable!("consume_simple pushes exactly one Simple");
             };
-            return (Stmt::Simple { tokens, has_semi }, next);
+            return (stmt, next);
         };
         chain.push((&trees[hs..he], then));
         i = he + 1;
@@ -475,7 +466,6 @@ impl Builder {
         kind: NodeKind,
         role: BranchRole,
         tokens: Vec<TokenTree>,
-        has_semi: bool,
     ) -> usize {
         let span = tokens.first().map(TokenTree::span);
         let is_return = matches!(leading_term(&tokens), Term::Return);
@@ -485,7 +475,6 @@ impl Builder {
             tokens,
             span,
             succs: Vec::new(),
-            has_semi,
             is_return,
         });
         self.nodes.len() - 1
@@ -499,8 +488,8 @@ impl Builder {
 
     /// Lowers a statement's tokens into one node and wires its early
     /// exits; returns the fall-through frontier.
-    fn lower_simple(&mut self, tokens: &[TokenTree], has_semi: bool, preds: &[usize]) -> Vec<usize> {
-        let n = self.node(NodeKind::Stmt, BranchRole::None, tokens.to_vec(), has_semi);
+    fn lower_simple(&mut self, tokens: &[TokenTree], preds: &[usize]) -> Vec<usize> {
+        let n = self.node(NodeKind::Stmt, BranchRole::None, tokens.to_vec());
         self.connect(preds, n);
         if contains_question(tokens) {
             self.edge(n, EXIT);
@@ -530,7 +519,7 @@ impl Builder {
     }
 
     fn cond_node(&mut self, tokens: &[TokenTree], role: BranchRole, preds: &[usize]) -> usize {
-        let c = self.node(NodeKind::Cond, role, tokens.to_vec(), false);
+        let c = self.node(NodeKind::Cond, role, tokens.to_vec());
         self.connect(preds, c);
         if contains_question(tokens) {
             self.edge(c, EXIT);
@@ -555,7 +544,7 @@ impl Builder {
 
     fn lower_stmt(&mut self, stmt: &Stmt<'_>, frontier: Vec<usize>) -> Vec<usize> {
         match stmt {
-            Stmt::Simple { tokens, has_semi } => self.lower_simple(tokens, *has_semi, &frontier),
+            Stmt::Simple { tokens } => self.lower_simple(tokens, &frontier),
             Stmt::Block { body } => self.lower_group(body, frontier),
             Stmt::If { chain, else_block } => {
                 let mut merged = Vec::new();
@@ -579,7 +568,7 @@ impl Builder {
                     match &arm.body {
                         ArmBody::Block(g) => merged.extend(self.lower_group(g, vec![p])),
                         ArmBody::Expr(tokens) => {
-                            merged.extend(self.lower_simple(tokens, false, &[p]));
+                            merged.extend(self.lower_simple(tokens, &[p]));
                         }
                     }
                 }
@@ -619,7 +608,7 @@ impl Builder {
                 out
             }
             Stmt::Loop { body } => {
-                let h = self.node(NodeKind::Cond, BranchRole::LoopHead, Vec::new(), false);
+                let h = self.node(NodeKind::Cond, BranchRole::LoopHead, Vec::new());
                 self.connect(&frontier, h);
                 self.loops.push(LoopCtx {
                     head: h,
@@ -672,7 +661,6 @@ mod tests {
         assert_eq!(cfg.nodes[2].succs, vec![3]);
         assert_eq!(cfg.nodes[3].succs, vec![4]);
         assert_eq!(cfg.nodes[4].succs, vec![EXIT]);
-        assert!(cfg.nodes[2].has_semi && !cfg.nodes[4].has_semi);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The concurrency-discipline rules: L9 lock-order, L10 no-panic lock
 //! acquisition, L11 lock-across-blocking, L12 channel discipline.
 //!
-//! Where L1–L8 certify the deterministic protocol, these four certify
-//! the *threaded shell around it* — the node event loops, proxy pumps,
-//! and monitor threads that `crates/adored` added:
+//! Where L2, L3 and L6 certify the deterministic protocol, these four
+//! certify the *threaded shell around it* — the node event loops, proxy
+//! pumps, and monitor threads that `crates/adored` added:
 //!
 //! * **L9** — per-crate lock-acquisition graph. Every `lock()` while
 //!   another guard is held adds an order edge; any cycle (including a
@@ -19,11 +19,11 @@
 //!   read/write/connect/accept, `Receiver::recv`, blocking channel
 //!   `send`, `thread::sleep`, `join`). One slow peer must never stall
 //!   every thread that needs the lock.
-//! * **L12** — protocol-path channels must be bounded: bare
-//!   `mpsc::channel()` is banned in the configured crates (only
-//!   `sync_channel` carries backpressure), and in configured hot-path
-//!   scopes sends must be `try_send` with the shed outcome consumed
-//!   (a discarded `try_send` silently loses the overflow signal).
+//! * **L12** — in configured hot-path scopes sends must be `try_send`
+//!   with the shed outcome consumed (a discarded `try_send` silently
+//!   loses the overflow signal). The other half of bounded-channel
+//!   discipline — no bare `mpsc::channel()` — is a path ban that
+//!   clippy's `disallowed_methods` carries.
 //!
 //! # Guard tracking
 //!
@@ -133,14 +133,11 @@ fn scan_crate(
     let any_l11 = group
         .iter()
         .any(|(rel, _)| config.l11_crates.iter().any(|c| in_dir(rel, c)));
-    let any_l12a = group
-        .iter()
-        .any(|(rel, _)| config.l12_crates.iter().any(|c| in_dir(rel, c)));
     let any_scoped = group.iter().any(|(rel, _)| {
         config.l10_scopes.iter().any(|s| s.file == *rel)
             || config.l12_scopes.iter().any(|s| s.file == *rel)
     });
-    if !any_l9 && !any_l11 && !any_l12a && !any_scoped {
+    if !any_l9 && !any_l11 && !any_scoped {
         return;
     }
 
@@ -150,7 +147,6 @@ fn scan_crate(
     for (rel, file) in group {
         let l9 = config.l9_crates.iter().any(|c| in_dir(rel, c));
         let l11 = config.l11_crates.iter().any(|c| in_dir(rel, c));
-        let l12a = config.l12_crates.iter().any(|c| in_dir(rel, c));
         let l10_fns: Vec<&str> = config
             .l10_scopes
             .iter()
@@ -163,7 +159,7 @@ fn scan_crate(
             .filter(|s| s.file == *rel)
             .flat_map(|s| s.functions.iter().map(String::as_str))
             .collect();
-        if !l9 && !l11 && !l12a && l10_fns.is_empty() && l12_fns.is_empty() {
+        if !l9 && !l11 && l10_fns.is_empty() && l12_fns.is_empty() {
             continue;
         }
         let mut fns = Vec::new();
@@ -183,9 +179,6 @@ fn scan_crate(
             };
             let mut held = Vec::new();
             walk_block(body.stream().trees(), &mut held, &mut ctx);
-        }
-        if l12a {
-            flag_unbounded_channels(rel, &fns, findings);
         }
     }
 
@@ -510,8 +503,6 @@ fn scan_token(
                 if ctx.l10 {
                     flag_l10_chain(trees, i + 2, &lock, ctx);
                 }
-            } else if name == "channel" && ctx.l12b {
-                // L12a is flagged per-crate elsewhere; nothing here.
             } else if name == "send" && ctx.l12b && is_method(trees, i) {
                 push_finding(
                     ctx.findings,
@@ -828,44 +819,6 @@ fn discards_result(trees: &[TokenTree], i: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// L12a: unbounded channels
-// ---------------------------------------------------------------------------
-
-fn flag_unbounded_channels(rel: &str, fns: &[&syn::ItemFn], findings: &mut Vec<Finding>) {
-    fn scan(trees: &[TokenTree], rel: &str, findings: &mut Vec<Finding>) {
-        for i in 0..trees.len() {
-            match &trees[i] {
-                TokenTree::Ident(id)
-                    if *id == "channel"
-                        && matches!(
-                            trees.get(i + 1),
-                            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis
-                        ) =>
-                {
-                    push_finding(
-                        findings,
-                        "L12",
-                        rel,
-                        id.span(),
-                        "unbounded `channel()` on a protocol path: use \
-                         `sync_channel(depth)` so backpressure is bounded and \
-                         overload sheds instead of ballooning memory"
-                            .into(),
-                    );
-                }
-                TokenTree::Group(g) => scan(g.stream().trees(), rel, findings),
-                _ => {}
-            }
-        }
-    }
-    for f in fns {
-        if let Some(body) = &f.body {
-            scan(body.stream().trees(), rel, findings);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // L9: cycle detection over the crate's order graph
 // ---------------------------------------------------------------------------
 
@@ -974,7 +927,6 @@ mod tests {
         Config {
             l9_crates: vec!["crates/x".into()],
             l11_crates: vec!["crates/x".into()],
-            l12_crates: vec!["crates/x".into()],
             l10_scopes: vec![crate::config::L2Scope {
                 file: file.into(),
                 functions: vec!["*".into()],
@@ -1177,17 +1129,14 @@ fn f(a: M) {
     }
 
     #[test]
-    fn l12_flags_unbounded_channel_and_blocking_send() {
+    fn l12_flags_blocking_send() {
         let src = "\
 fn f(tx: T) {
-    let (a, b) = mpsc::channel();
     tx.send(msg).unwrap();
-    consume(a, b);
 }
 ";
         let found = run(src);
-        assert!(found.contains(&("L12".to_string(), 2, 23)), "{found:?}");
-        assert!(found.contains(&("L12".to_string(), 3, 7)), "{found:?}");
+        assert!(found.contains(&("L12".to_string(), 2, 7)), "{found:?}");
     }
 
     #[test]

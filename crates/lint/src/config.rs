@@ -145,32 +145,12 @@ pub struct Config {
     pub roots: Vec<String>,
     /// Path prefixes excluded from the scan.
     pub exclude: Vec<String>,
-    /// L1: crate directories that must be deterministic.
-    pub l1_crates: Vec<String>,
     /// L2: panic-free scopes.
     pub l2_scopes: Vec<L2Scope>,
     /// L3: mutation-encapsulated types.
     pub l3_types: Vec<L3Type>,
-    /// L4: type names that must carry `#[must_use]`.
-    pub l4_must_use_types: Vec<String>,
-    /// L4: function-name prefixes whose return value must be consumed.
-    pub l4_consume_prefixes: Vec<String>,
-    /// L4: path prefixes where the consumption check applies.
-    pub l4_paths: Vec<String>,
-    /// L5: crate directories where stray console output is banned.
-    pub l5_crates: Vec<String>,
-    /// L5: path prefixes (files or directories) exempt from the ban —
-    /// bin entry points whose job *is* console output.
-    pub l5_allow: Vec<String>,
     /// L6: guard-before-mutation entries.
     pub l6_protected: Vec<L6Protected>,
-    /// L7: crate directories where nondeterminism taint is tracked.
-    pub l7_crates: Vec<String>,
-    /// L7: field names that count as protocol-state sinks.
-    pub l7_sink_fields: Vec<String>,
-    /// L8: names treated as fallible callees in addition to same-file
-    /// functions whose signature returns `Result`/`Option`.
-    pub l8_fallible: Vec<String>,
     /// L9: crate directories whose lock-acquisition graph must be
     /// acyclic (each crate gets its own graph; helpers are summarized
     /// cross-file within the crate).
@@ -188,9 +168,6 @@ pub struct Config {
     /// L11: callee names treated as blocking (socket reads/writes,
     /// channel recv/send, sleeps, joins).
     pub l11_blocking: Vec<String>,
-    /// L12: crate directories where unbounded `mpsc::channel()` is
-    /// banned on protocol paths (bounded `sync_channel` only).
-    pub l12_crates: Vec<String>,
     /// L12: hot-path scopes where channel sends must be `try_send`
     /// with the shed outcome explicitly handled.
     pub l12_scopes: Vec<L2Scope>,
@@ -228,24 +205,14 @@ impl Default for Config {
         Config {
             roots: vec!["crates".into(), "src".into()],
             exclude: Vec::new(),
-            l1_crates: Vec::new(),
             l2_scopes: Vec::new(),
             l3_types: Vec::new(),
-            l4_must_use_types: Vec::new(),
-            l4_consume_prefixes: vec!["check_".into(), "certify_".into()],
-            l4_paths: vec!["crates".into()],
-            l5_crates: Vec::new(),
-            l5_allow: Vec::new(),
             l6_protected: Vec::new(),
-            l7_crates: Vec::new(),
-            l7_sink_fields: Vec::new(),
-            l8_fallible: Vec::new(),
             l9_crates: Vec::new(),
             l9_locks: Vec::new(),
             l10_scopes: Vec::new(),
             l11_crates: Vec::new(),
             l11_blocking: DEFAULT_BLOCKING.iter().map(|s| (*s).into()).collect(),
-            l12_crates: Vec::new(),
             l12_scopes: Vec::new(),
             l13_conform: Vec::new(),
             l14_protected: Vec::new(),
@@ -276,25 +243,7 @@ impl Config {
             Some(Value::Table(t)) => t.clone(),
             _ => BTreeMap::new(),
         };
-        if let Some(Value::Table(l1)) = rules.get("L1") {
-            if let Some(v) = l1.get("crates") {
-                cfg.l1_crates = v.string_array();
-            }
-        }
-        if let Some(Value::Table(l2)) = rules.get("L2") {
-            if let Some(Value::Array(scopes)) = l2.get("scopes") {
-                for s in scopes {
-                    let Value::Table(t) = s else { continue };
-                    cfg.l2_scopes.push(L2Scope {
-                        file: t.get("file").and_then(Value::as_str).unwrap_or("").into(),
-                        functions: t
-                            .get("functions")
-                            .map(Value::string_array)
-                            .unwrap_or_default(),
-                    });
-                }
-            }
-        }
+        cfg.l2_scopes = scopes_of(&rules, "L2");
         if let Some(Value::Table(l3)) = rules.get("L3") {
             if let Some(Value::Array(types)) = l3.get("types") {
                 for s in types {
@@ -311,25 +260,6 @@ impl Config {
                         construct: matches!(t.get("construct"), Some(Value::Bool(true))),
                     });
                 }
-            }
-        }
-        if let Some(Value::Table(l4)) = rules.get("L4") {
-            if let Some(v) = l4.get("must_use_types") {
-                cfg.l4_must_use_types = v.string_array();
-            }
-            if let Some(v) = l4.get("consume_prefixes") {
-                cfg.l4_consume_prefixes = v.string_array();
-            }
-            if let Some(v) = l4.get("paths") {
-                cfg.l4_paths = v.string_array();
-            }
-        }
-        if let Some(Value::Table(l5)) = rules.get("L5") {
-            if let Some(v) = l5.get("crates") {
-                cfg.l5_crates = v.string_array();
-            }
-            if let Some(v) = l5.get("allow") {
-                cfg.l5_allow = v.string_array();
             }
         }
         if let Some(Value::Table(l6)) = rules.get("L6") {
@@ -349,19 +279,6 @@ impl Config {
                 }
             }
         }
-        if let Some(Value::Table(l7)) = rules.get("L7") {
-            if let Some(v) = l7.get("crates") {
-                cfg.l7_crates = v.string_array();
-            }
-            if let Some(v) = l7.get("sink_fields") {
-                cfg.l7_sink_fields = v.string_array();
-            }
-        }
-        if let Some(Value::Table(l8)) = rules.get("L8") {
-            if let Some(v) = l8.get("fallible") {
-                cfg.l8_fallible = v.string_array();
-            }
-        }
         if let Some(Value::Table(l9)) = rules.get("L9") {
             if let Some(v) = l9.get("crates") {
                 cfg.l9_crates = v.string_array();
@@ -370,20 +287,7 @@ impl Config {
                 cfg.l9_locks = v.string_array();
             }
         }
-        if let Some(Value::Table(l10)) = rules.get("L10") {
-            if let Some(Value::Array(scopes)) = l10.get("scopes") {
-                for s in scopes {
-                    let Value::Table(t) = s else { continue };
-                    cfg.l10_scopes.push(L2Scope {
-                        file: t.get("file").and_then(Value::as_str).unwrap_or("").into(),
-                        functions: t
-                            .get("functions")
-                            .map(Value::string_array)
-                            .unwrap_or_default(),
-                    });
-                }
-            }
-        }
+        cfg.l10_scopes = scopes_of(&rules, "L10");
         if let Some(Value::Table(l11)) = rules.get("L11") {
             if let Some(v) = l11.get("crates") {
                 cfg.l11_crates = v.string_array();
@@ -392,23 +296,7 @@ impl Config {
                 cfg.l11_blocking = v.string_array();
             }
         }
-        if let Some(Value::Table(l12)) = rules.get("L12") {
-            if let Some(v) = l12.get("crates") {
-                cfg.l12_crates = v.string_array();
-            }
-            if let Some(Value::Array(scopes)) = l12.get("scopes") {
-                for s in scopes {
-                    let Value::Table(t) = s else { continue };
-                    cfg.l12_scopes.push(L2Scope {
-                        file: t.get("file").and_then(Value::as_str).unwrap_or("").into(),
-                        functions: t
-                            .get("functions")
-                            .map(Value::string_array)
-                            .unwrap_or_default(),
-                    });
-                }
-            }
-        }
+        cfg.l12_scopes = scopes_of(&rules, "L12");
         if let Some(Value::Table(l13)) = rules.get("L13") {
             if let Some(Value::Array(entries)) = l13.get("conform") {
                 for s in entries {
@@ -442,22 +330,30 @@ impl Config {
                 }
             }
         }
-        if let Some(Value::Table(l15)) = rules.get("L15") {
-            if let Some(Value::Array(scopes)) = l15.get("scopes") {
-                for s in scopes {
-                    let Value::Table(t) = s else { continue };
-                    cfg.l15_scopes.push(L2Scope {
-                        file: t.get("file").and_then(Value::as_str).unwrap_or("").into(),
-                        functions: t
-                            .get("functions")
-                            .map(Value::string_array)
-                            .unwrap_or_default(),
-                    });
-                }
-            }
-        }
+        cfg.l15_scopes = scopes_of(&rules, "L15");
         Ok(cfg)
     }
+}
+
+/// The `[[rules.<rule>.scopes]]` tables: a file plus the functions in
+/// it that the rule covers.
+fn scopes_of(rules: &BTreeMap<String, Value>, rule: &str) -> Vec<L2Scope> {
+    let Some(Value::Table(table)) = rules.get(rule) else {
+        return Vec::new();
+    };
+    let Some(Value::Array(scopes)) = table.get("scopes") else {
+        return Vec::new();
+    };
+    scopes
+        .iter()
+        .filter_map(|s| match s {
+            Value::Table(t) => Some(L2Scope {
+                file: t.get("file").and_then(Value::as_str).unwrap_or("").into(),
+                functions: t.get("functions").map(Value::string_array).unwrap_or_default(),
+            }),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Parses the TOML subset into a table tree.
@@ -723,15 +619,12 @@ mod tests {
 roots = ["crates", "src"]
 exclude = ["crates/lint/tests/fixtures"]
 
-[rules.L1]
-crates = [
-    "crates/core",
-    "crates/checker",
-]
-
 [[rules.L2.scopes]]
 file = "crates/storage/src/wal.rs"
-functions = ["recover", "advance_mirror"]
+functions = [
+    "recover",
+    "advance_mirror",
+]
 
 [[rules.L2.scopes]]
 file = "crates/raft/src/net.rs"
@@ -742,15 +635,6 @@ type = "AdoreState"
 crate_dir = "crates/core"
 fields = ["tree", "times"]
 owners = ["crates/core/src/state.rs"]
-
-[rules.L4]
-must_use_types = ["Violation"]
-consume_prefixes = ["check_", "certify_"]
-paths = ["crates"]
-
-[rules.L5]
-crates = ["crates/core", "crates/obs"]
-allow = ["crates/obs/src/main.rs"]
 
 [[rules.L3.types]]
 type = "TraceEvent"
@@ -765,13 +649,6 @@ crate_dir = "crates/raft"
 fields = ["commit_len", "log"]
 guards = ["is_quorum", "log_up_to_date"]
 
-[rules.L7]
-crates = ["crates/raft"]
-sink_fields = ["commit_len", "log"]
-
-[rules.L8]
-fallible = ["split_frame"]
-
 [rules.L9]
 crates = ["crates/adored"]
 locks = ["clients", "state"]
@@ -784,9 +661,6 @@ functions = ["*"]
 crates = ["crates/adored"]
 blocking = ["recv", "write_all"]
 
-[rules.L12]
-crates = ["crates/adored"]
-
 [[rules.L12.scopes]]
 file = "crates/adored/src/node.rs"
 functions = ["run"]
@@ -794,27 +668,20 @@ functions = ["run"]
         )
         .expect("parses");
         assert_eq!(cfg.roots, vec!["crates", "src"]);
-        assert_eq!(cfg.l1_crates.len(), 2);
         assert_eq!(cfg.l2_scopes.len(), 2);
+        assert_eq!(cfg.l2_scopes[0].functions, vec!["recover", "advance_mirror"]);
         assert_eq!(cfg.l2_scopes[1].functions, vec!["*"]);
         assert_eq!(cfg.l3_types[0].fields, vec!["tree", "times"]);
-        assert_eq!(cfg.l4_must_use_types, vec!["Violation"]);
-        assert_eq!(cfg.l5_crates, vec!["crates/core", "crates/obs"]);
-        assert_eq!(cfg.l5_allow, vec!["crates/obs/src/main.rs"]);
         assert!(!cfg.l3_types[0].construct);
         assert!(cfg.l3_types[1].construct);
         assert_eq!(cfg.l3_types[1].type_name, "TraceEvent");
         assert_eq!(cfg.l6_protected.len(), 1);
         assert_eq!(cfg.l6_protected[0].guards, vec!["is_quorum", "log_up_to_date"]);
-        assert_eq!(cfg.l7_crates, vec!["crates/raft"]);
-        assert_eq!(cfg.l7_sink_fields, vec!["commit_len", "log"]);
-        assert_eq!(cfg.l8_fallible, vec!["split_frame"]);
         assert_eq!(cfg.l9_crates, vec!["crates/adored"]);
         assert_eq!(cfg.l9_locks, vec!["clients", "state"]);
         assert_eq!(cfg.l10_scopes.len(), 1);
         assert_eq!(cfg.l10_scopes[0].functions, vec!["*"]);
         assert_eq!(cfg.l11_blocking, vec!["recv", "write_all"]);
-        assert_eq!(cfg.l12_crates, vec!["crates/adored"]);
         assert_eq!(cfg.l12_scopes[0].functions, vec!["run"]);
     }
 

@@ -1,22 +1,16 @@
 //! Fixpoint dataflow over [`crate::cfg::Cfg`].
 //!
-//! Two analyses, both forward:
+//! One forward analysis, **must-reach** ([`must_forward`]): a fact (a
+//! guard call) reaches a node iff it was generated on *every* path from
+//! entry. Join is set intersection over predecessors; the lattice is
+//! the powerset of all facts generated anywhere in the function,
+//! ordered by `⊇` with the full universe as ⊤ (so back edges in loops
+//! do not spuriously kill facts established before the loop).
 //!
-//! * **must-reach** ([`must_forward`]): a fact (a guard call) reaches a
-//!   node iff it was generated on *every* path from entry. Join is set
-//!   intersection over predecessors; the lattice is the powerset of all
-//!   facts generated anywhere in the function, ordered by `⊇` with the
-//!   full universe as ⊤ (so back edges in loops do not spuriously kill
-//!   facts established before the loop).
-//! * **may-taint** ([`may_forward`]): a variable is tainted at a node
-//!   iff it *may* carry a banned value on some path. Join is map union
-//!   over predecessors; the per-variable origin is the first source
-//!   seen (deterministic because node transfer order is fixed).
-//!
-//! Both iterate to a fixpoint with a worklist-free full sweep — the
+//! It iterates to a fixpoint with a worklist-free full sweep — the
 //! CFGs here are tiny (a function body), so simplicity wins.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::cfg::{Cfg, ENTRY};
 
@@ -47,41 +41,6 @@ pub fn must_forward(cfg: &Cfg, gen: &[BTreeSet<String>]) -> Vec<BTreeSet<String>
                 });
             }
             let new_in = new_in.unwrap_or_default();
-            if new_in != ins[i] {
-                ins[i] = new_in;
-                changed = true;
-            }
-        }
-        if !changed {
-            return ins;
-        }
-    }
-}
-
-/// Taint state at a program point: variable name → origin description.
-pub type Taint = BTreeMap<String, String>;
-
-/// Runs the may-taint analysis. `transfer(i, in_map)` computes node
-/// `i`'s OUT map from its IN map (taint new bindings, kill overwritten
-/// ones). The result `r[i]` is node `i`'s IN map.
-#[must_use]
-pub fn may_forward(cfg: &Cfg, transfer: &dyn Fn(usize, &Taint) -> Taint) -> Vec<Taint> {
-    let preds = cfg.preds();
-    let n = cfg.nodes.len();
-    let mut ins: Vec<Taint> = vec![Taint::new(); n];
-    loop {
-        let mut changed = false;
-        for i in 0..n {
-            if i == ENTRY {
-                continue;
-            }
-            let mut new_in = Taint::new();
-            for &p in &preds[i] {
-                let out = transfer(p, &ins[p]);
-                for (k, v) in out {
-                    new_in.entry(k).or_insert(v);
-                }
-            }
             if new_in != ins[i] {
                 ins[i] = new_in;
                 changed = true;
@@ -165,27 +124,5 @@ mod tests {
         let ins = must_forward(&cfg, &guard_gen(&cfg));
         let mutate = cfg.nodes.len() - 1;
         assert!(ins[mutate].contains("g"));
-    }
-
-    #[test]
-    fn may_taint_unions_branches() {
-        let cfg = cfg_of("fn f() { if c() { let x = rng(); } use_(x); }");
-        // Transfer: a node whose text contains `rng` taints "x".
-        let transfer = |i: usize, m: &Taint| {
-            let mut out = m.clone();
-            let text: String = cfg.nodes[i]
-                .tokens
-                .iter()
-                .cloned()
-                .collect::<proc_macro2::TokenStream>()
-                .to_string();
-            if text.contains("rng") {
-                out.insert("x".into(), "rng".into());
-            }
-            out
-        };
-        let ins = may_forward(&cfg, &transfer);
-        let use_node = cfg.nodes.len() - 1;
-        assert_eq!(ins[use_node].get("x").map(String::as_str), Some("rng"));
     }
 }

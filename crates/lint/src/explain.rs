@@ -7,23 +7,6 @@
 pub fn explain(rule: &str) -> Option<&'static str> {
     let rule = rule.to_ascii_uppercase();
     Some(match rule.as_str() {
-        "L1" => {
-            "L1 — determinism\n\
-             \n\
-             Protocol crates must not use hash-ordered collections (HashMap/\n\
-             HashSet), ambient clocks (SystemTime, Instant::now), or ambient\n\
-             randomness (thread_rng).\n\
-             \n\
-             Paper invariant: the model checker and the nemesis certify Adore's\n\
-             safety theorem by exhaustive/seeded replay; a counterexample is only\n\
-             a proof artifact if re-running it visits the same states in the same\n\
-             order. Any iteration-order or wall-clock dependence voids that.\n\
-             \n\
-             Violating example:\n\
-             \n\
-                 use std::collections::HashMap;   // L1\n\
-                 let t = Instant::now();          // L1\n"
-        }
         "L2" => {
             "L2 — panic-free recovery\n\
              \n\
@@ -57,35 +40,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
                  s.commit_len = 0;                    // L3\n\
                  let ev = TraceEvent { .. };          // L3 (construct-protected)\n"
         }
-        "L4" => {
-            "L4 — certificate hygiene\n\
-             \n\
-             Verdict types must carry #[must_use], and a statement whose value\n\
-             is a check_*/certify_* call must consume the result.\n\
-             \n\
-             Paper invariant: a certification that nobody reads certifies\n\
-             nothing. #[must_use] alone cannot flag `let _ = check(..);`, and\n\
-             unit-returning \"checkers\" never trigger it at all.\n\
-             \n\
-             Violating example:\n\
-             \n\
-                 check_quorum(s);            // L4: verdict discarded\n\
-                 let _ = certify_commit(s);  // L4: explicitly discarded\n"
-        }
-        "L5" => {
-            "L5 — no stray console output\n\
-             \n\
-             Protocol crates must not call the print-macro family outside the\n\
-             configured bin entry points.\n\
-             \n\
-             Paper invariant: observable behavior routes through the tracer and\n\
-             metrics registry so the trace auditor can re-certify runs from the\n\
-             journal alone; ad-hoc prints are invisible to the audit.\n\
-             \n\
-             Violating example:\n\
-             \n\
-                 println!(\"leader elected\");   // L5\n"
-        }
         "L6" => {
             "L6 — guard-before-mutation (flow-sensitive)\n\
              \n\
@@ -109,41 +63,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
                  } else if c.is_quorum(a) {\n\
                      s.commit_len = n;        // ok: dominated by the guard\n\
                  }\n"
-        }
-        "L7" => {
-            "L7 — nondeterminism taint (flow-sensitive)\n\
-             \n\
-             A value derived from an L1-banned source (thread_rng, SystemTime::\n\
-             now, Instant::now) must not flow into a protocol-state sink field —\n\
-             through let-renames, branch joins, or same-file helper returns.\n\
-             \n\
-             Paper invariant: L1 bans the *names*; L7 follows the *values*.\n\
-             Deterministic replay (the foundation of every certificate this repo\n\
-             produces) is void if any bit of protocol state was derived from an\n\
-             ambient source, no matter how many bindings it passed through.\n\
-             \n\
-             Violating example:\n\
-             \n\
-                 let r = thread_rng().gen::<usize>();\n\
-                 let len = r;                 // taint flows through the rename\n\
-                 s.commit_len = len;          // L7\n"
-        }
-        "L8" => {
-            "L8 — discarded fallible results in recovery scopes (flow-sensitive)\n\
-             \n\
-             Inside the configured L2 recovery scopes, `let _ = fallible(..);`\n\
-             and bare `fallible(..);` expression statements are banned when the\n\
-             callee returns Result/Option (same-file signature, or configured).\n\
-             \n\
-             Paper invariant: certified recovery distinguishes \"replayed the\n\
-             prefix\" from \"hit a torn frame\" only through its error channel;\n\
-             a recovery path that drops an error silently converts a detected\n\
-             corruption into an unreported one, voiding the recovery certificate.\n\
-             \n\
-             Violating example (inside a recovery scope):\n\
-             \n\
-                 let _ = parse_payload(frame);   // L8\n\
-                 sync_mirror(state);             // L8 if sync_mirror -> Result\n"
         }
         "L9" => {
             "L9 — lock-order cycles (concurrency-discipline)\n\
@@ -212,26 +131,24 @@ pub fn explain(rule: &str) -> Option<&'static str> {
                                                             // write under lock\n"
         }
         "L12" => {
-            "L12 — bounded-channel discipline (concurrency-discipline)\n\
+            "L12 — hot-path sends shed explicitly (concurrency-discipline)\n\
              \n\
-             Two halves. (a) In configured crates, unbounded `mpsc::channel()`\n\
-             is banned on protocol paths: only `sync_channel(depth)` carries\n\
-             backpressure. (b) In configured hot-path scopes, sends must be\n\
-             `try_send` with the shed outcome consumed — a blocking `send` can\n\
-             stall the pump, and a discarded `try_send` silently drops the\n\
-             overflow signal the availability monitor is supposed to see.\n\
+             In configured hot-path scopes, sends must be `try_send` with the\n\
+             shed outcome consumed — a blocking `send` can stall the pump, and\n\
+             a discarded `try_send` silently drops the overflow signal the\n\
+             availability monitor is supposed to see. (The other half of the\n\
+             bounded-channel discipline, no unbounded `mpsc::channel()`, is a\n\
+             path ban: clippy's `disallowed_methods` carries it.)\n\
              \n\
              Paper invariant: DESIGN §11 claims every inter-thread queue is\n\
              bounded with explicit shed behavior, so overload degrades into\n\
              *measured* refusals (the availability ledger) instead of\n\
-             unbounded memory growth. L12 makes that claim machine-checked\n\
-             rather than aspirational.\n\
+             unbounded memory growth and lost backpressure.\n\
              \n\
              Violating example (hot-path scope):\n\
              \n\
-                 let (tx, rx) = mpsc::channel();   // L12a: unbounded\n\
-                 tx.send(ev).unwrap();             // L12b: blocking send\n\
-                 tx.try_send(ev);                  // L12b: shed outcome dropped\n"
+                 tx.send(ev).unwrap();             // L12: blocking send\n\
+                 tx.try_send(ev);                  // L12: shed outcome dropped\n"
         }
         "L13" => {
             "L13 — spec drift (differential conformance)\n\
@@ -309,7 +226,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
                 "Violating example:\n",
                 "\n",
                 "// adore-",
-                "lint: allow(L1)          // P0: missing reason\n",
+                "lint: allow(L2)          // P0: missing reason\n",
                 "// adore-",
                 "lint: allow(L99, reason = \"x\")  // P0: unknown rule\n",
             )
@@ -326,17 +243,13 @@ pub fn explain(rule: &str) -> Option<&'static str> {
 }
 
 /// Every rule id `--explain` accepts, in display order.
+///
+/// The gaps are deliberate: L1, L4, L5, L7 and L8 were retired to
+/// rustc/clippy (DESIGN.md's static-discipline table says which lint
+/// carries each), and the surviving ids were not renumbered.
 pub const RULE_IDS: &[&str] = &[
-    "L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "L10", "L11", "L12", "L13", "L14",
-    "L15", "P0", "E0",
+    "L2", "L3", "L6", "L9", "L10", "L11", "L12", "L13", "L14", "L15", "P0", "E0",
 ];
-
-/// A one-line summary per rule id (the first line of the explanation),
-/// used by the SARIF rule metadata.
-#[must_use]
-pub fn summary(rule: &str) -> Option<&'static str> {
-    explain(rule).map(|text| text.lines().next().unwrap_or(text))
-}
 
 #[cfg(test)]
 mod tests {
@@ -353,10 +266,8 @@ mod tests {
     }
 
     #[test]
-    fn flow_rules_cite_the_paper_invariants() {
+    fn flow_rule_cites_the_paper_invariants() {
         assert!(explain("L6").expect("L6").contains("R1+/R2/R3"));
-        assert!(explain("L7").expect("L7").contains("replay"));
-        assert!(explain("L8").expect("L8").contains("recovery"));
     }
 
     #[test]
@@ -372,6 +283,5 @@ mod tests {
         assert!(explain("L13").expect("L13").contains("witness"));
         assert!(explain("L14").expect("L14").contains("dominated"));
         assert!(explain("L15").expect("L15").contains("durable"));
-        assert_eq!(summary("L13"), Some("L13 — spec drift (differential conformance)"));
     }
 }

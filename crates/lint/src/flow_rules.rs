@@ -1,42 +1,31 @@
-//! The three flow-sensitive rules: L6 guard-before-mutation, L7
-//! nondeterminism taint, L8 discarded fallible results.
+//! The flow-sensitive rule: L6 guard-before-mutation.
 //!
-//! * **L6** — every control-flow path to an assignment of a protected
-//!   protocol-state field must contain a call to one of the field's
-//!   configured guard predicates (directly, or through a same-file
-//!   helper that calls the guard on all of *its* paths). This is the
-//!   static analogue of the paper's necessity argument for R1⁺/R2/R3:
-//!   the transition function must *consult* the guard before mutating
-//!   commit/log state, on the `else` branches too.
-//! * **L7** — a value derived from an L1-banned nondeterminism source
-//!   (`thread_rng`, `SystemTime::now`, `Instant::now`) must not reach a
-//!   protocol-state sink field, even through let-renames, branch joins,
-//!   or same-file helper returns. L1 bans the *names*; L7 follows the
-//!   *values*.
-//! * **L8** — inside the configured L2 recovery scopes, a statement must
-//!   not discard a fallible result: `let _ = fallible(..);` and a bare
-//!   `fallible(..);` expression statement both lose the error a recovery
-//!   path exists to surface. Fallibility comes from same-file signatures
-//!   (`-> Result/Option`) plus the configured `rules.L8.fallible` names.
+//! Every control-flow path to an assignment of a protected
+//! protocol-state field must contain a call to one of the field's
+//! configured guard predicates (directly, or through a helper that
+//! calls the guard on all of *its* paths). This is the static analogue
+//! of the paper's necessity argument for R1⁺/R2/R3: the transition
+//! function must *consult* the guard before mutating commit/log state,
+//! on the `else` branches too.
 //!
-//! All three build per-function CFGs ([`crate::cfg`]), run the fixpoint
-//! analyses ([`crate::dataflow`]), and consult one-level call-graph
+//! The rule builds per-function CFGs ([`crate::cfg`]), runs the
+//! must-reach fixpoint ([`crate::dataflow`]), and consults call-graph
 //! summaries ([`crate::callgraph`]).
 
 use std::collections::BTreeSet;
 
-use proc_macro2::{Delimiter, Span, TokenTree};
+use proc_macro2::{Span, TokenTree};
 
 use crate::callgraph::{self, FnSummary};
-use crate::cfg::{self, Cfg, NodeKind};
+use crate::cfg::{self, Cfg};
 use crate::config::{Config, L6Protected};
-use crate::dataflow::{self, Taint};
+use crate::dataflow;
 use crate::rules::{assignment_follows, in_dir};
 use crate::Finding;
 use std::collections::BTreeMap;
 
-/// Runs the flow rules over one parsed file with **same-file,
-/// one-level** helper summaries — the single-file entry point. The
+/// Runs L6 over one parsed file with **same-file, one-level** helper
+/// summaries — the single-file entry point. The
 /// workspace driver uses [`scan_flow_with`] with cross-file fixpoint
 /// summaries instead.
 pub fn scan_flow(rel: &str, file: &syn::File, config: &Config) -> Vec<Finding> {
@@ -50,11 +39,9 @@ pub fn scan_flow(rel: &str, file: &syn::File, config: &Config) -> Vec<Finding> {
     scan_flow_with(rel, file, config, &summaries)
 }
 
-/// Runs the flow rules over one parsed file with caller-provided helper
-/// summaries — typically [`callgraph::summarize_workspace`]'s cross-file
-/// fixpoint, which lets L6 credit guard delegation through helpers in
-/// other files, L7 follow taint through cross-file wrappers, and L8
-/// recognize fallible helpers wherever they are defined.
+/// Runs L6 over one parsed file with caller-provided helper summaries —
+/// typically [`callgraph::summarize_workspace`]'s cross-file fixpoint,
+/// which credits guard delegation through helpers in other files.
 pub fn scan_flow_with(
     rel: &str,
     file: &syn::File,
@@ -66,14 +53,7 @@ pub fn scan_flow_with(
         .iter()
         .filter(|e| in_dir(rel, &e.crate_dir))
         .collect();
-    let l7 = config.l7_crates.iter().any(|c| in_dir(rel, c));
-    let l8_fns: Vec<&str> = config
-        .l2_scopes
-        .iter()
-        .filter(|s| s.file == rel)
-        .flat_map(|s| s.functions.iter().map(String::as_str))
-        .collect();
-    if l6.is_empty() && !l7 && l8_fns.is_empty() {
+    if l6.is_empty() {
         return Vec::new();
     }
 
@@ -89,15 +69,7 @@ pub fn scan_flow_with(
     for f in fns {
         let Some(body) = &f.body else { continue };
         let graph = cfg::build(body);
-        if !l6.is_empty() {
-            flag_l6(rel, &graph, &l6, &guard_names, summaries, &mut findings);
-        }
-        if l7 {
-            flag_l7(rel, &graph, &config.l7_sink_fields, summaries, &mut findings);
-        }
-        if l8_fns.iter().any(|n| *n == "*" || *n == f.ident) {
-            flag_l8(rel, &graph, summaries, &config.l8_fallible, &mut findings);
-        }
+        flag_l6(rel, &graph, &l6, &guard_names, summaries, &mut findings);
     }
     findings
 }
@@ -212,330 +184,9 @@ fn collect_field_assignments(trees: &[TokenTree], out: &mut Vec<(String, Span)>)
     }
 }
 
-// ---------------------------------------------------------------------------
-// L7: nondeterminism taint
-// ---------------------------------------------------------------------------
-
-fn flag_l7(
-    rel: &str,
-    graph: &Cfg,
-    sink_fields: &[String],
-    summaries: &BTreeMap<String, FnSummary>,
-    findings: &mut Vec<Finding>,
-) {
-    let transfer =
-        |i: usize, in_map: &Taint| taint_transfer(&graph.nodes[i], in_map, summaries, graph);
-    let ins = dataflow::may_forward(graph, &transfer);
-    for (i, node) in graph.nodes.iter().enumerate() {
-        sink_check(rel, &node.tokens, &ins[i], sink_fields, summaries, findings);
-    }
-}
-
-/// The taint of an expression: a direct banned source, a call to a
-/// tainted same-file helper, or mention of an already-tainted variable
-/// — in that order, first match wins.
-fn taint_of(
-    trees: &[TokenTree],
-    taint: &Taint,
-    summaries: &BTreeMap<String, FnSummary>,
-) -> Option<String> {
-    if let Some(src) = callgraph::banned_source_in(trees) {
-        return Some(src.to_string());
-    }
-    for (name, _) in callgraph::calls_in(trees) {
-        if summaries.get(&name).is_some_and(|s| s.tainted_return) {
-            return Some(format!("{name}(), a helper returning a nondeterministic value"));
-        }
-    }
-    tainted_ident_in(trees, taint)
-}
-
-fn tainted_ident_in(trees: &[TokenTree], taint: &Taint) -> Option<String> {
-    for tt in trees {
-        match tt {
-            TokenTree::Ident(id) => {
-                if let Some(origin) = taint.get(&id.to_string()) {
-                    return Some(origin.clone());
-                }
-            }
-            TokenTree::Group(g) => {
-                if let Some(origin) = tainted_ident_in(g.stream().trees(), taint) {
-                    return Some(origin);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Variable names a pattern binds: idents that are not keywords, path
-/// segments, constructor names (followed by a group or `::`), or struct
-/// field labels (followed by a single `:`).
-fn pattern_vars(trees: &[TokenTree]) -> Vec<String> {
-    let mut out = Vec::new();
-    collect_pattern_vars(trees, &mut out);
-    out
-}
-
-const PATTERN_KEYWORDS: &[&str] = &["mut", "ref", "box", "_"];
-
-fn collect_pattern_vars(trees: &[TokenTree], out: &mut Vec<String>) {
-    let colon = |k: usize| matches!(trees.get(k), Some(TokenTree::Punct(p)) if p.as_char() == ':');
-    for i in 0..trees.len() {
-        match &trees[i] {
-            TokenTree::Ident(id) => {
-                if PATTERN_KEYWORDS.iter().any(|k| *id == **k) {
-                    continue;
-                }
-                // Constructor / path segment / field label, not a binding.
-                if matches!(trees.get(i + 1), Some(TokenTree::Group(_))) {
-                    continue;
-                }
-                if colon(i + 1) || (i > 0 && colon(i - 1)) {
-                    continue;
-                }
-                out.push(id.to_string());
-            }
-            TokenTree::Group(g) => collect_pattern_vars(g.stream().trees(), out),
-            _ => {}
-        }
-    }
-}
-
-/// Index of the first top-level binding `=` (not `==`, `=>`, `<=`,
-/// `>=`, `!=`), if any.
-fn binding_eq_index(trees: &[TokenTree]) -> Option<usize> {
-    for k in 0..trees.len() {
-        let TokenTree::Punct(p) = &trees[k] else {
-            continue;
-        };
-        if p.as_char() != '=' {
-            continue;
-        }
-        let ch = |t: Option<&TokenTree>| match t {
-            Some(TokenTree::Punct(q)) => Some(q.as_char()),
-            _ => None,
-        };
-        let prev = k.checked_sub(1).and_then(|j| ch(trees.get(j)));
-        let next = ch(trees.get(k + 1));
-        if !matches!(prev, Some('=' | '<' | '>' | '!')) && !matches!(next, Some('=' | '>')) {
-            return Some(k);
-        }
-    }
-    None
-}
-
-/// Index of a top-level `in` keyword (a `for` header), if any.
-fn for_in_index(trees: &[TokenTree]) -> Option<usize> {
-    trees
-        .iter()
-        .position(|tt| matches!(tt, TokenTree::Ident(i) if *i == "in"))
-}
-
-/// Cuts a `let` pattern at its type annotation: `x : u64` → `x`.
-fn cut_type_annotation(trees: &[TokenTree]) -> &[TokenTree] {
-    let colon = |k: usize| matches!(trees.get(k), Some(TokenTree::Punct(p)) if p.as_char() == ':');
-    let mut k = 0;
-    while k < trees.len() {
-        if colon(k) && !colon(k + 1) && (k == 0 || !colon(k - 1)) {
-            return &trees[..k];
-        }
-        k += 1;
-    }
-    trees
-}
-
-fn taint_transfer(
-    node: &cfg::Node,
-    in_map: &Taint,
-    summaries: &BTreeMap<String, FnSummary>,
-    _graph: &Cfg,
-) -> Taint {
-    let mut out = in_map.clone();
-    let trees = &node.tokens;
-    let is_let = matches!(trees.first(), Some(TokenTree::Ident(i)) if *i == "let");
-    if is_let {
-        // `let PAT = RHS` — statements and `if let`/`while let` headers.
-        let rest = &trees[1..];
-        match binding_eq_index(rest) {
-            Some(eq) => {
-                let pat = cut_type_annotation(&rest[..eq]);
-                let origin = taint_of(&rest[eq + 1..], in_map, summaries);
-                apply_binding(&mut out, pat, origin);
-            }
-            None => apply_binding(&mut out, rest, None), // `let x;`
-        }
-        return out;
-    }
-    if node.kind == NodeKind::Cond {
-        // `for` headers arrive as `PAT in EXPR`.
-        if let Some(pos) = for_in_index(trees) {
-            let origin = taint_of(&trees[pos + 1..], in_map, summaries);
-            apply_binding(&mut out, &trees[..pos], origin);
-        }
-        return out;
-    }
-    // `x = RHS` / `x += RHS`: a single-ident assignment retargets the
-    // variable; compound assignment can only add taint (the old value
-    // still contributes).
-    if let Some(TokenTree::Ident(var)) = trees.first() {
-        if let Some(op_len) = assignment_op_len(trees, 1) {
-            let origin = taint_of(&trees[1 + op_len..], in_map, summaries);
-            let compound = op_len > 1;
-            match origin {
-                Some(o) => {
-                    out.insert(var.to_string(), o);
-                }
-                None if !compound => {
-                    out.remove(&var.to_string());
-                }
-                None => {}
-            }
-        }
-    }
-    out
-}
-
-fn apply_binding(out: &mut Taint, pattern: &[TokenTree], origin: Option<String>) {
-    for var in pattern_vars(pattern) {
-        match &origin {
-            Some(o) => {
-                out.insert(var, o.clone());
-            }
-            None => {
-                out.remove(&var);
-            }
-        }
-    }
-}
-
-/// Token length of the assignment operator at `trees[j]`: 1 for `=`,
-/// 2 for `+=`-family, 3 for `<<=`/`>>=`; `None` if not an assignment.
-fn assignment_op_len(trees: &[TokenTree], j: usize) -> Option<usize> {
-    if !assignment_follows(trees, j) {
-        return None;
-    }
-    let c = |k: usize| match trees.get(j + k) {
-        Some(TokenTree::Punct(p)) => Some(p.as_char()),
-        _ => None,
-    };
-    match c(0) {
-        Some('=') => Some(1),
-        Some('<' | '>') => Some(3),
-        _ => Some(2),
-    }
-}
-
-fn sink_check(
-    rel: &str,
-    trees: &[TokenTree],
-    taint: &Taint,
-    sink_fields: &[String],
-    summaries: &BTreeMap<String, FnSummary>,
-    findings: &mut Vec<Finding>,
-) {
-    let dot = |k: usize| matches!(trees.get(k), Some(TokenTree::Punct(p)) if p.as_char() == '.');
-    for i in 0..trees.len() {
-        match &trees[i] {
-            TokenTree::Punct(p) if p.as_char() == '.' => {
-                if dot(i + 1) || (i > 0 && dot(i - 1)) {
-                    continue;
-                }
-                let Some(TokenTree::Ident(field)) = trees.get(i + 1) else {
-                    continue;
-                };
-                if !sink_fields.iter().any(|f| *field == **f) {
-                    continue;
-                }
-                let Some(op_len) = assignment_op_len(trees, i + 2) else {
-                    continue;
-                };
-                if let Some(origin) = taint_of(&trees[i + 2 + op_len..], taint, summaries) {
-                    push(
-                        findings,
-                        "L7",
-                        rel,
-                        field.span(),
-                        format!(
-                            "nondeterministic value derived from {origin} flows into \
-                             protocol state field `{field}`"
-                        ),
-                    );
-                }
-            }
-            TokenTree::Group(g) => {
-                sink_check(rel, g.stream().trees(), taint, sink_fields, summaries, findings);
-            }
-            _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L8: discarded fallible results in recovery scopes
-// ---------------------------------------------------------------------------
-
-fn flag_l8(
-    rel: &str,
-    graph: &Cfg,
-    summaries: &BTreeMap<String, FnSummary>,
-    extra_fallible: &[String],
-    findings: &mut Vec<Finding>,
-) {
-    let fallible = |name: &str| {
-        summaries.get(name).is_some_and(|s| s.returns_fallible)
-            || extra_fallible.iter().any(|f| f == name)
-    };
-    for node in &graph.nodes {
-        if !node.has_semi {
-            continue;
-        }
-        let trees = &node.tokens;
-        let n = trees.len();
-        // The discarded value must be a call in final position:
-        // `... name ( args )`.
-        let (Some(TokenTree::Ident(name)), Some(TokenTree::Group(gp))) =
-            (n.checked_sub(2).and_then(|k| trees.get(k)), trees.last())
-        else {
-            continue;
-        };
-        if gp.delimiter() != Delimiter::Parenthesis || !fallible(&name.to_string()) {
-            continue;
-        }
-        let is_kw = |k: usize, kw: &str| {
-            matches!(trees.get(k), Some(TokenTree::Ident(i)) if *i == kw)
-        };
-        let discard_binding = is_kw(0, "let")
-            && matches!(trees.get(1), Some(TokenTree::Ident(i)) if *i == "_");
-        if !discard_binding {
-            // A bare expression statement only discards if nothing
-            // consumes the value: no binding/assignment, no `?`, not a
-            // control-flow value.
-            if is_kw(0, "return") || is_kw(0, "break") || is_kw(0, "let") {
-                continue;
-            }
-            if binding_eq_index(trees).is_some() || cfg::contains_question(trees) {
-                continue;
-            }
-        }
-        push(
-            findings,
-            "L8",
-            rel,
-            name.span(),
-            format!(
-                "fallible result of `{name}(..)` discarded in a recovery scope \
-                 (handle or propagate the error)"
-            ),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::L2Scope;
 
     fn run(rel: &str, src: &str, config: &Config) -> Vec<(String, usize, usize)> {
         let file = syn::parse_file(src).expect("fixture parses");
@@ -602,91 +253,5 @@ impl Net {
     fn l6_out_of_crate_dir_is_ignored() {
         let src = "fn f(s: &mut Server) { s.commit_len = 0; }";
         assert!(run("crates/kv/src/sim.rs", src, &l6_config()).is_empty());
-    }
-
-    fn l7_config() -> Config {
-        Config {
-            l7_crates: vec!["crates/raft".into()],
-            l7_sink_fields: vec!["commit_len".into()],
-            ..Config::default()
-        }
-    }
-
-    #[test]
-    fn l7_tracks_taint_through_rename() {
-        let src = "\
-fn f(s: &mut Server) {
-    let r = thread_rng().gen::<usize>();
-    let len = r;
-    s.commit_len = len;
-}
-";
-        let got = run("crates/raft/src/net.rs", src, &l7_config());
-        assert_eq!(got, vec![("L7".into(), 4, 6)]);
-    }
-
-    #[test]
-    fn l7_kill_on_rebind_clears_taint() {
-        let src = "\
-fn f(s: &mut Server) {
-    let mut len = thread_rng().gen::<usize>();
-    len = stable(s);
-    s.commit_len = len;
-}
-";
-        assert!(run("crates/raft/src/net.rs", src, &l7_config()).is_empty());
-    }
-
-    #[test]
-    fn l7_taints_through_helper_return() {
-        let src = "\
-fn jitter() -> usize { thread_rng().gen() }
-fn f(s: &mut Server) {
-    let len = jitter();
-    s.commit_len = len;
-}
-";
-        let got = run("crates/raft/src/net.rs", src, &l7_config());
-        assert_eq!(got, vec![("L7".into(), 4, 6)]);
-    }
-
-    fn l8_config() -> Config {
-        Config {
-            l2_scopes: vec![L2Scope {
-                file: "crates/storage/src/wal.rs".into(),
-                functions: vec!["recover".into()],
-            }],
-            l8_fallible: vec!["ext_sync".into()],
-            ..Config::default()
-        }
-    }
-
-    #[test]
-    fn l8_flags_discarded_fallible_results() {
-        let src = "\
-fn parse(b: &[u8]) -> Result<Rec, E> { decode(b) }
-fn recover(w: &mut Wal) -> Result<(), E> {
-    let _ = parse(tail(w));
-    parse(head(w));
-    ext_sync(w);
-    let rec = parse(head(w))?;
-    apply(w, rec);
-    Ok(())
-}
-";
-        let got = run("crates/storage/src/wal.rs", src, &l8_config());
-        assert_eq!(
-            got,
-            vec![("L8".into(), 3, 12), ("L8".into(), 4, 4), ("L8".into(), 5, 4)]
-        );
-    }
-
-    #[test]
-    fn l8_only_applies_in_scope_functions() {
-        let src = "\
-fn parse(b: &[u8]) -> Result<Rec, E> { decode(b) }
-fn other(w: &mut Wal) { let _ = parse(tail(w)); }
-";
-        assert!(run("crates/storage/src/wal.rs", src, &l8_config()).is_empty());
     }
 }

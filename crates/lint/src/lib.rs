@@ -2,30 +2,38 @@
 //! protocol discipline at the source level.
 //!
 //! The model checker, the nemesis, and the replay tooling all assume
-//! properties of the *source* that rustc does not enforce: seeded runs
-//! only reproduce if iteration order is deterministic (L1), recovery
-//! paths only report faults if they cannot panic on corrupted input
-//! (L2), the protocol state only obeys the paper's transition rules if
-//! nothing else assigns its fields (L3), and safety verdicts only mean
-//! something if every one is consumed (L4). This crate walks every
-//! `.rs` file in the workspace and enforces those disciplines as
-//! token-pattern rules; see [`rules`] for the exact patterns and
-//! [`pragma`] for the `allow(...)`-with-reason escape hatch.
+//! properties of the *source* that neither rustc nor clippy can be
+//! asked to enforce: recovery paths only report faults if they cannot
+//! panic on corrupted input (L2), and the protocol state only obeys the
+//! paper's transition rules if nothing else assigns its fields (L3).
+//! This crate walks every `.rs` file in the workspace and enforces
+//! those as token-pattern rules; see [`rules`] for the exact patterns
+//! and [`pragma`] for the `allow(...)`-with-reason escape hatch.
 //!
 //! On top of the token-pattern rules sits a flow-sensitive layer
 //! ([`cfg`] → [`dataflow`] → [`callgraph`] → [`flow_rules`]): per-
 //! function control-flow graphs with a must-reach guard analysis (L6
 //! guard-before-mutation, the static analogue of consulting R1⁺/R2/R3
-//! on every path), a may-taint analysis (L7 nondeterminism taint), and
-//! a discarded-fallible-result check in recovery scopes (L8).
+//! on every path).
 //!
 //! A third, concurrency-discipline layer ([`conc_rules`]) certifies the
 //! threaded runtime around the deterministic engine: lock-order cycles
 //! (L9), panic-free lock acquisition in long-lived threads (L10),
-//! guards held across blocking calls (L11), and bounded-channel
-//! discipline on protocol paths (L12). Its call summaries are
-//! cross-file within a crate, so [`run_lint`] scans it globally over
-//! every parsed file rather than file-by-file.
+//! guards held across blocking calls (L11), and hot-path sends that
+//! shed explicitly (L12). Its call summaries are cross-file within a
+//! crate, so [`run_lint`] scans it globally over every parsed file
+//! rather than file-by-file.
+//!
+//! A fourth, spec-conformance layer ([`gcir`] → [`conform`]) lowers the
+//! protocol handlers to a guarded-command IR and certifies it against
+//! the checker (L13–L15).
+//!
+//! What is *not* here any more: determinism (L1), consumed verdicts
+//! (L4), console output (L5), nondeterminism taint (L7) and discarded
+//! recovery results (L8) are bans on names, paths and `#[must_use]`
+//! values — obligations rustc and clippy discharge with real name
+//! resolution and types. They live in `clippy.toml` and the crate-root
+//! `deny` attributes; the ids were not reused.
 //!
 //! Findings are deterministic (files walked in sorted order, findings
 //! sorted by position) so CI output is stable.
@@ -53,7 +61,7 @@ use config::Config;
 /// One lint finding.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule id: `L1`-`L12`, `P0` (malformed pragma), `E0` (parse error).
+    /// Rule id: one of [`RULES`], `P0` (malformed pragma), `E0` (parse error).
     pub rule: String,
     /// Workspace-relative path, forward slashes.
     pub file: String,
@@ -76,6 +84,10 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// How many files were scanned.
     pub files_scanned: usize,
+    /// Wall-clock milliseconds each rule's analysis took, run on its
+    /// own over the already-parsed files. Filled by [`run_lint`];
+    /// empty for single-file runs.
+    pub analysis_ms: BTreeMap<&'static str, f64>,
 }
 
 impl Report {
@@ -112,16 +124,28 @@ impl Report {
     }
 }
 
-/// Per-file findings that need no cross-file context: pragma errors
-/// plus the token-pattern and flow layers (or `E0` when the file does
-/// not parse). Returns the parse for reuse by the global
-/// concurrency-discipline scan.
-fn base_findings(
+/// The rules this linter runs, in report order, with what each
+/// certifies. Ids are stable: the gaps are rules since retired to
+/// rustc/clippy, and survivors were not renumbered.
+pub const RULES: &[(&str, &str)] = &[
+    ("L2", "panic-free recovery (no unwrap / panic! / indexing)"),
+    ("L3", "mutation encapsulation (owner-only field assignment)"),
+    ("L6", "guard-before-mutation (must-reach, R1+/R2/R3 analogue)"),
+    ("L9", "lock-order cycles (crate-wide acquisition graph)"),
+    ("L10", "no-panic lock acquisition in long-lived threads"),
+    ("L11", "no lock guard held across blocking calls"),
+    ("L12", "hot-path sends are try_send with the shed outcome consumed"),
+    ("L13", "spec drift (IR replayed on the checker's corpus)"),
+    ("L14", "semantic guard sufficiency on protected fields"),
+    ("L15", "emission order (durable-before-outbound on IR paths)"),
+];
+
+/// Pragma errors (`P0`) plus the parse, or `E0` when the file does not
+/// parse: what loading a file can find before any rule runs.
+fn load_findings(
     rel: &str,
     source: &str,
-    cfg: &Config,
     pragmas: &pragma::PragmaSet,
-    run_flow: bool,
 ) -> (Vec<Finding>, Option<syn::File>) {
     let mut findings = Vec::new();
     for err in &pragmas.errors {
@@ -136,13 +160,7 @@ fn base_findings(
         });
     }
     match syn::parse_file(source) {
-        Ok(file) => {
-            findings.extend(rules::scan_file(rel, &file, cfg));
-            if run_flow {
-                findings.extend(flow_rules::scan_flow(rel, &file, cfg));
-            }
-            (findings, Some(file))
-        }
+        Ok(file) => (findings, Some(file)),
         Err(e) => {
             findings.push(Finding {
                 rule: "E0".into(),
@@ -179,14 +197,16 @@ fn finish_file(findings: &mut [Finding], pragmas: &pragma::PragmaSet) {
 /// Lints one file's source text. `rel` is the workspace-relative path
 /// used for scope matching and reporting.
 ///
-/// The concurrency-discipline layer runs with this file as the whole
-/// crate, so cross-file summaries are empty; [`run_lint`] is the entry
-/// point that sees helpers across a crate.
+/// The cross-file layers run with this file as the whole workspace, so
+/// cross-file summaries are empty; [`run_lint`] is the entry point that
+/// sees helpers across files.
 #[must_use]
 pub fn lint_source(rel: &str, source: &str, cfg: &Config) -> Vec<Finding> {
     let pragmas = pragma::scan(source);
-    let (mut findings, parsed) = base_findings(rel, source, cfg, &pragmas, true);
+    let (mut findings, parsed) = load_findings(rel, source, &pragmas);
     if let Some(file) = parsed {
+        findings.extend(rules::scan_file(rel, &file, cfg));
+        findings.extend(flow_rules::scan_flow(rel, &file, cfg));
         let files = vec![(rel.to_string(), file)];
         findings.extend(conc_rules::scan_conc(&files, cfg));
         findings.extend(conform::scan_conform(&files, cfg));
@@ -201,7 +221,7 @@ pub fn lint_source(rel: &str, source: &str, cfg: &Config) -> Vec<Finding> {
 /// # Errors
 ///
 /// Propagates filesystem errors other than a missing root.
-pub fn collect_files(root: &Path, cfg: &Config) -> io::Result<Vec<String>> {
+fn collect_files(root: &Path, cfg: &Config) -> io::Result<Vec<String>> {
     let mut rels = Vec::new();
     for scan_root in &cfg.roots {
         let dir = root.join(scan_root);
@@ -246,135 +266,272 @@ fn walk_dir(dir: &Path, root: &Path, out: &mut Vec<String>) -> io::Result<()> {
     Ok(())
 }
 
+/// The workspace read and parsed once. Both things a run produces —
+/// the lint [`Report`] and the guarded-command IR dump — are derived
+/// from this one parse.
+pub struct Workspace {
+    /// Per scanned path: the `P0`/`E0` findings loading it produced,
+    /// and its pragmas.
+    loaded: BTreeMap<String, (Vec<Finding>, pragma::PragmaSet)>,
+    /// The files that parsed, in path order.
+    parsed: Vec<(String, syn::File)>,
+}
+
+impl Workspace {
+    /// Reads and parses every `.rs` file under the configured roots.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors reading the tree.
+    pub fn load(root: &Path, cfg: &Config) -> io::Result<Workspace> {
+        let rels = collect_files(root, cfg)?;
+        // Fanned out across threads in contiguous chunks and
+        // re-assembled in path order, so the result is identical to the
+        // sequential walk.
+        let threads = std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+            .clamp(1, 8);
+        let chunk = rels.len().div_ceil(threads).max(1);
+        type FileUnit = (String, Vec<Finding>, pragma::PragmaSet, Option<syn::File>);
+        let units: Vec<io::Result<Vec<FileUnit>>> = std::thread::scope(|s| {
+            let handles: Vec<_> = rels
+                .chunks(chunk)
+                .map(|part| {
+                    s.spawn(move || {
+                        part.iter()
+                            .map(|rel| {
+                                let source = fs::read_to_string(root.join(rel))?;
+                                let pragmas = pragma::scan(&source);
+                                let (findings, file) = load_findings(rel, &source, &pragmas);
+                                Ok((rel.clone(), findings, pragmas, file))
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("lint worker panicked")).collect()
+        });
+        let mut loaded = BTreeMap::new();
+        let mut parsed = Vec::new();
+        for unit in units {
+            for (rel, findings, pragmas, file) in unit? {
+                if let Some(file) = file {
+                    parsed.push((rel.clone(), file));
+                }
+                loaded.insert(rel, (findings, pragmas));
+            }
+        }
+        Ok(Workspace { loaded, parsed })
+    }
+
+    /// Runs every rule of [`RULES`] over the parse. Each rule runs on
+    /// its own — under a configuration holding only that rule's tables
+    /// — so the time recorded for it in [`Report::analysis_ms`] is what
+    /// enabling that rule alone costs, and no second pass is needed to
+    /// measure it.
+    #[must_use]
+    pub fn lint(&self, cfg: &Config) -> Report {
+        let mut per_file: BTreeMap<&str, Vec<Finding>> = self
+            .loaded
+            .iter()
+            .map(|(rel, (findings, _))| (rel.as_str(), findings.clone()))
+            .collect();
+        let mut analysis_ms = BTreeMap::new();
+        for (rule, _) in RULES {
+            let only = only_rule(rule, cfg);
+            let start = std::time::Instant::now();
+            let found = match *rule {
+                "L2" | "L3" => self
+                    .parsed
+                    .iter()
+                    .flat_map(|(rel, file)| rules::scan_file(rel, file, &only))
+                    .collect(),
+                // Against the workspace-wide call-graph fixpoint, so
+                // guard delegation is seen through helpers in *other*
+                // files.
+                "L6" => {
+                    let guard_names: std::collections::BTreeSet<String> = only
+                        .l6_protected
+                        .iter()
+                        .flat_map(|e| e.guards.iter().cloned())
+                        .collect();
+                    let workspace = callgraph::summarize_workspace(&self.parsed, &guard_names);
+                    let mut found = Vec::new();
+                    for (rel, file) in &self.parsed {
+                        let local = callgraph::summarize(file, &guard_names);
+                        let summaries = callgraph::overlay(local, &workspace);
+                        found.extend(flow_rules::scan_flow_with(rel, file, &only, &summaries));
+                    }
+                    found
+                }
+                "L9" | "L10" | "L11" | "L12" => conc_rules::scan_conc(&self.parsed, &only),
+                _ => conform::scan_conform(&self.parsed, &only),
+            };
+            analysis_ms.insert(*rule, start.elapsed().as_secs_f64() * 1e3);
+            for f in found {
+                if let Some(findings) = per_file.get_mut(f.file.as_str()) {
+                    findings.push(f);
+                }
+            }
+        }
+        let mut report = Report {
+            files_scanned: self.loaded.len(),
+            analysis_ms,
+            ..Report::default()
+        };
+        for (rel, (_, pragmas)) in &self.loaded {
+            let mut findings = per_file.remove(rel.as_str()).unwrap_or_default();
+            finish_file(&mut findings, pragmas);
+            report.findings.extend(findings);
+        }
+        report
+    }
+
+    /// Renders the guarded-command IR for every file the conformance
+    /// layer certifies: L13 handler scopes and L15 emission scopes, in
+    /// config order with duplicates merged. The output is deterministic
+    /// and pinned under `results/gcir.json`, which the CLI compares
+    /// against on every full run. A configured file that is missing or
+    /// did not parse is skipped (the lint run itself reports it).
+    #[must_use]
+    pub fn ir_dump(&self, cfg: &Config) -> String {
+        // scope -> wanted fn names, in first-seen config order.
+        let mut scopes: Vec<(String, Vec<String>)> = Vec::new();
+        let mut add = |file: &str, fns: &[String]| {
+            if let Some((_, wanted)) = scopes.iter_mut().find(|(f, _)| f == file) {
+                for f in fns {
+                    if !wanted.contains(f) {
+                        wanted.push(f.clone());
+                    }
+                }
+            } else {
+                scopes.push((file.to_string(), fns.to_vec()));
+            }
+        };
+        for c in &cfg.l13_conform {
+            add(&c.file, &c.handlers);
+        }
+        for s in &cfg.l15_scopes {
+            add(&s.file, &s.functions);
+        }
+        let mut dumped: Vec<(String, Vec<gcir::HandlerIr>)> = Vec::new();
+        for (rel, mut wanted) in scopes {
+            let Some((_, file)) = self.parsed.iter().find(|(r, _)| *r == rel) else {
+                continue;
+            };
+            if wanted.iter().any(|f| f == "*") {
+                let mut fns = Vec::new();
+                callgraph::collect_fns(&file.items, false, &mut fns);
+                wanted = fns.iter().map(|f| f.ident.clone()).collect();
+            }
+            dumped.push((rel, gcir::extract(file, &wanted)));
+        }
+        gcir::render_json_dump(&dumped)
+    }
+}
+
+/// `full` with every rule's tables emptied except `rule`'s (the scan
+/// roots are not copied: the files are already parsed).
+fn only_rule(rule: &str, full: &Config) -> Config {
+    let mut cfg = Config::default();
+    match rule {
+        "L2" => cfg.l2_scopes = full.l2_scopes.clone(),
+        "L3" => cfg.l3_types = full.l3_types.clone(),
+        "L6" => cfg.l6_protected = full.l6_protected.clone(),
+        "L9" => {
+            cfg.l9_crates = full.l9_crates.clone();
+            cfg.l9_locks = full.l9_locks.clone();
+        }
+        "L10" => cfg.l10_scopes = full.l10_scopes.clone(),
+        "L11" => {
+            cfg.l11_crates = full.l11_crates.clone();
+            cfg.l11_blocking = full.l11_blocking.clone();
+        }
+        "L12" => cfg.l12_scopes = full.l12_scopes.clone(),
+        "L13" => cfg.l13_conform = full.l13_conform.clone(),
+        "L14" => cfg.l14_protected = full.l14_protected.clone(),
+        "L15" => cfg.l15_scopes = full.l15_scopes.clone(),
+        other => unreachable!("`{other}` is not in RULES"),
+    }
+    cfg
+}
+
 /// Lints the whole workspace rooted at `root`.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors reading the tree.
 pub fn run_lint(root: &Path, cfg: &Config) -> io::Result<Report> {
-    let rels = collect_files(root, cfg)?;
-    let mut report = Report {
-        files_scanned: rels.len(),
-        ..Report::default()
-    };
-    // Pass 1: per-file layers, fanned out across threads in contiguous
-    // chunks. Chunk results are re-assembled in `rels` order, so the
-    // output is byte-identical to the sequential walk; each parse and
-    // pragma set is kept so the cross-file layers see the whole
-    // workspace at once.
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .clamp(1, 8);
-    let chunk = rels.len().div_ceil(threads).max(1);
-    type FileUnit = (String, Vec<Finding>, pragma::PragmaSet, Option<syn::File>);
-    let units: Vec<io::Result<Vec<FileUnit>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = rels
-            .chunks(chunk)
-            .map(|part| {
-                s.spawn(move || {
-                    part.iter()
-                        .map(|rel| {
-                            let source = fs::read_to_string(root.join(rel))?;
-                            let pragmas = pragma::scan(&source);
-                            // Flow rules run later against the
-                            // workspace-wide call-graph fixpoint.
-                            let (findings, file) =
-                                base_findings(rel, &source, cfg, &pragmas, false);
-                            Ok((rel.clone(), findings, pragmas, file))
-                        })
-                        .collect()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("lint worker panicked")).collect()
-    });
-    let mut per_file: BTreeMap<String, (Vec<Finding>, pragma::PragmaSet)> = BTreeMap::new();
-    let mut parsed: Vec<(String, syn::File)> = Vec::new();
-    for unit in units {
-        for (rel, findings, pragmas, file) in unit? {
-            if let Some(file) = file {
-                parsed.push((rel.clone(), file));
-            }
-            per_file.insert(rel, (findings, pragmas));
-        }
-    }
-    // Pass 1.5: the flow layer (L6–L8) against the workspace-wide
-    // call-graph fixpoint, so guard delegation, taint, and fallibility
-    // are seen through helpers in *other* files.
-    let guard_names: std::collections::BTreeSet<String> = cfg
-        .l6_protected
-        .iter()
-        .flat_map(|e| e.guards.iter().cloned())
-        .collect();
-    let workspace = callgraph::summarize_workspace(&parsed, &guard_names);
-    for (rel, file) in &parsed {
-        let local = callgraph::summarize(file, &guard_names);
-        let summaries = callgraph::overlay(local, &workspace);
-        for f in flow_rules::scan_flow_with(rel, file, cfg, &summaries) {
-            if let Some((findings, _)) = per_file.get_mut(&f.file) {
-                findings.push(f);
-            }
-        }
-    }
-    // Pass 2: one global L9–L12 scan, findings bucketed back per file so
-    // pragmas and position sorting apply uniformly.
-    for f in conc_rules::scan_conc(&parsed, cfg) {
-        if let Some((findings, _)) = per_file.get_mut(&f.file) {
-            findings.push(f);
-        }
-    }
-    // Pass 3: the spec-conformance layer (L13–L15) over the same parses.
-    for f in conform::scan_conform(&parsed, cfg) {
-        if let Some((findings, _)) = per_file.get_mut(&f.file) {
-            findings.push(f);
-        }
-    }
-    for rel in &rels {
-        let Some((mut findings, pragmas)) = per_file.remove(rel) else {
-            continue;
-        };
-        finish_file(&mut findings, &pragmas);
-        report.findings.extend(findings);
-    }
-    Ok(report)
+    Ok(Workspace::load(root, cfg)?.lint(cfg))
 }
 
-/// Renders a report as compiler-style text, one finding per line.
+/// Renders a report as compiler-style text, one finding per line,
+/// followed by the per-rule table.
 #[must_use]
 pub fn render_text(report: &Report) -> String {
     let mut out = String::new();
     for f in &report.findings {
+        let _ = write!(out, "{}:{}:{}: {}: {}", f.file, f.line, f.col + 1, f.rule, f.msg);
         if f.suppressed {
-            let reason = f.reason.as_deref().unwrap_or("");
-            let _ = writeln!(
-                out,
-                "{}:{}:{}: {}: {} [suppressed: {}]",
-                f.file,
-                f.line,
-                f.col + 1,
-                f.rule,
-                f.msg,
-                reason
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "{}:{}:{}: {}: {}",
-                f.file,
-                f.line,
-                f.col + 1,
-                f.rule,
-                f.msg
-            );
+            let _ = write!(out, " [suppressed: {}]", f.reason.as_deref().unwrap_or(""));
         }
+        out.push('\n');
+    }
+    if !report.findings.is_empty() {
+        out.push('\n');
+    }
+    out.push_str(&render_table(report));
+    out
+}
+
+/// Renders the per-rule table: unsuppressed findings, pragma-suppressed
+/// findings (the pragma debt) and the rule's own analysis time, one row
+/// per rule of [`RULES`] plus `P0`/`E0`, then the totals line.
+fn render_table(report: &Report) -> String {
+    let tally = report.tally();
+    let mut rows: Vec<[String; 5]> = Vec::new();
+    let integrity = [("P0", "malformed suppression pragma"), ("E0", "unparsable file")];
+    for (rule, what) in RULES.iter().chain(&integrity) {
+        let (active, suppressed) = tally.get(*rule).copied().unwrap_or((0, 0));
+        let ms = report
+            .analysis_ms
+            .get(rule)
+            .map_or_else(|| "-".to_string(), |ms| format!("{ms:.1}"));
+        rows.push([
+            (*rule).to_string(),
+            (*what).to_string(),
+            active.to_string(),
+            suppressed.to_string(),
+            ms,
+        ]);
+    }
+    let header = ["rule", "what it certifies", "findings", "suppressed (pragma debt)", "analysis ms"];
+    let widths: Vec<usize> = (0..header.len())
+        .map(|i| rows.iter().map(|r| r[i].chars().count()).chain([header[i].len()]).max().unwrap_or(0))
+        .collect();
+    let mut out = String::from("static discipline — adore-lint over the workspace\n\n");
+    let mut line = |cells: &[String]| {
+        let padded: Vec<String> = cells
+            .iter()
+            .zip(&widths)
+            .map(|(c, w)| format!("{c}{}", " ".repeat(w - c.chars().count())))
+            .collect();
+        let _ = writeln!(out, "| {} |", padded.join(" | "));
+    };
+    line(&header.map(String::from));
+    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
+    for row in &rows {
+        line(row);
     }
     let _ = writeln!(
         out,
-        "adore-lint: {} files scanned, {} findings ({} suppressed by pragma)",
+        "\n{} files scanned; {} unsuppressed findings, {} pragma-suppressed (each with a written reason); \
+         analyses {:.1} ms in total",
         report.files_scanned,
         report.active_count(),
-        report.suppressed_count()
+        report.suppressed_count(),
+        report.analysis_ms.values().sum::<f64>()
     );
     out
 }
@@ -412,114 +569,6 @@ pub fn render_json(report: &Report) -> String {
     out
 }
 
-/// Renders a report as a SARIF 2.1.0 log (`--format sarif`), one run
-/// with one result per finding. Suppressed findings carry a SARIF
-/// `suppressions` entry (kind `inSource`) holding the pragma reason, so
-/// downstream viewers can distinguish waived findings from clean files.
-#[must_use]
-pub fn render_sarif(report: &Report) -> String {
-    let mut out = String::from(
-        "{\n  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \"version\": \"2.1.0\",\n  \"runs\": [\n    {\n      \"tool\": {\n        \"driver\": {\n          \"name\": \"adore-lint\",\n          \"informationUri\": \"https://github.com/adore/adore\",\n          \"rules\": [",
-    );
-    let mut rule_ids: Vec<&str> = report.findings.iter().map(|f| f.rule.as_str()).collect();
-    rule_ids.sort_unstable();
-    rule_ids.dedup();
-    for (i, id) in rule_ids.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}}}",
-            json_escape(id),
-            json_escape(explain::summary(id).unwrap_or("adore-lint finding"))
-        );
-    }
-    out.push_str("\n          ]\n        }\n      },\n      \"results\": [");
-    for (i, f) in report.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n        {{\n          \"ruleId\": \"{}\",\n          \"level\": \"{}\",\n          \"message\": {{\"text\": \"{}\"}},\n          \"locations\": [\n            {{\n              \"physicalLocation\": {{\n                \"artifactLocation\": {{\"uri\": \"{}\"}},\n                \"region\": {{\"startLine\": {}, \"startColumn\": {}}}\n              }}\n            }}\n          ]",
-            json_escape(&f.rule),
-            if f.rule == "P0" || f.rule == "E0" { "error" } else { "warning" },
-            json_escape(&f.msg),
-            json_escape(&f.file),
-            f.line,
-            f.col + 1
-        );
-        if f.suppressed {
-            let reason = f.reason.as_deref().unwrap_or("");
-            let _ = write!(
-                out,
-                ",\n          \"suppressions\": [{{\"kind\": \"inSource\", \"justification\": \"{}\"}}]",
-                json_escape(reason)
-            );
-        }
-        out.push_str("\n        }");
-    }
-    let _ = write!(
-        out,
-        "\n      ],\n      \"properties\": {{\"filesScanned\": {}, \"active\": {}, \"suppressed\": {}}}\n    }}\n  ]\n}}\n",
-        report.files_scanned,
-        report.active_count(),
-        report.suppressed_count()
-    );
-    out
-}
-
-/// Renders the guarded-command IR dump (`--dump-ir`) for every file the
-/// conformance layer certifies: L13 handler scopes and L15 emission
-/// scopes, in config order with duplicates merged. The output is
-/// deterministic and pinned under `results/gcir.json` by CI.
-///
-/// # Errors
-///
-/// Propagates filesystem errors reading a configured file; a configured
-/// file that is missing or unparsable is skipped (the lint run itself
-/// reports it).
-pub fn render_ir_dump(root: &Path, cfg: &Config) -> io::Result<String> {
-    // scope -> wanted fn names, in first-seen config order.
-    let mut scopes: Vec<(String, Vec<String>)> = Vec::new();
-    let mut add = |file: &str, fns: &[String]| {
-        if let Some((_, wanted)) = scopes.iter_mut().find(|(f, _)| f == file) {
-            for f in fns {
-                if !wanted.contains(f) {
-                    wanted.push(f.clone());
-                }
-            }
-        } else {
-            scopes.push((file.to_string(), fns.to_vec()));
-        }
-    };
-    for c in &cfg.l13_conform {
-        add(&c.file, &c.handlers);
-    }
-    for s in &cfg.l15_scopes {
-        add(&s.file, &s.functions);
-    }
-    let mut dumped: Vec<(String, Vec<gcir::HandlerIr>)> = Vec::new();
-    for (rel, mut wanted) in scopes {
-        let path = root.join(&rel);
-        if !path.is_file() {
-            continue;
-        }
-        let source = fs::read_to_string(&path)?;
-        let Ok(file) = syn::parse_file(&source) else {
-            continue;
-        };
-        if wanted.iter().any(|f| f == "*") {
-            let mut fns = Vec::new();
-            callgraph::collect_fns(&file.items, false, &mut fns);
-            wanted = fns.iter().map(|f| f.ident.clone()).collect();
-        }
-        dumped.push((rel, gcir::extract(&file, &wanted)));
-    }
-    Ok(gcir::render_json_dump(&dumped))
-}
-
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -548,16 +597,19 @@ mod tests {
     #[test]
     fn suppression_marks_but_keeps_findings() {
         let cfg = Config {
-            l1_crates: vec!["crates/core".into()],
+            l2_scopes: vec![config::L2Scope {
+                file: "crates/core/src/a.rs".into(),
+                functions: vec!["*".into()],
+            }],
             ..Config::default()
         };
         let src = format!(
-            "fn f() {{\n    {}\n    let t = Instant::now();\n    let m = HashMap::new();\n}}\n",
-            pragma_line(r#"allow(L1, reason = "wall-clock timing only")"#)
+            "fn f() {{\n    {}\n    let t = decode(a).unwrap();\n    let m = decode(b).unwrap();\n}}\n",
+            pragma_line(r#"allow(L2, reason = "bytes written two lines up")"#)
         );
         let f = lint_source("crates/core/src/a.rs", &src, &cfg);
         assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f[0].suppressed && f[0].reason.as_deref() == Some("wall-clock timing only"));
+        assert!(f[0].suppressed && f[0].reason.as_deref() == Some("bytes written two lines up"));
         assert!(!f[1].suppressed);
     }
 
@@ -573,7 +625,7 @@ mod tests {
     fn json_rendering_escapes() {
         let report = Report {
             findings: vec![Finding {
-                rule: "L1".into(),
+                rule: "L2".into(),
                 file: "a\"b.rs".into(),
                 line: 1,
                 col: 0,
@@ -582,6 +634,7 @@ mod tests {
                 reason: None,
             }],
             files_scanned: 1,
+            ..Report::default()
         };
         let json = render_json(&report);
         assert!(json.contains(r#""file": "a\"b.rs""#));

@@ -45,11 +45,9 @@ fn main() -> ExitCode {
                 }
             },
             "--format" => match args.next() {
-                Some(f) if f == "text" || f == "json" || f == "sarif" => format = f,
+                Some(f) if f == "text" || f == "json" => format = f,
                 other => {
-                    eprintln!(
-                        "adore-lint: --format expects `text`, `json`, or `sarif`, got {other:?}"
-                    );
+                    eprintln!("adore-lint: --format expects `text` or `json`, got {other:?}");
                     return ExitCode::from(2);
                 }
             },
@@ -91,36 +89,39 @@ fn main() -> ExitCode {
                 println!(
                     "adore-lint: certify protocol discipline at the source level\n\
                      \n\
-                     USAGE: adore-lint [--format text|json|sarif] [--root DIR]\n\
+                     USAGE: adore-lint [--format text|json] [--root DIR]\n\
                      \n                  [--config FILE] [--only RULE[,RULE...]]\n\
                      \n       adore-lint --explain RULE\n\
                      \n       adore-lint --dump-ir\n\
                      \n\
-                     Scans the workspace for violations of rules L1 (determinism),\n\
-                     L2 (panic-free recovery), L3 (mutation/construction\n\
-                     encapsulation), L4 (certificate hygiene), L5 (no stray console\n\
-                     output), the flow-sensitive rules L6 (guard-before-mutation),\n\
-                     L7 (nondeterminism taint), and L8 (discarded fallible results\n\
-                     in recovery scopes), the concurrency-discipline rules L9\n\
-                     (lock-order cycles), L10 (no-panic lock acquisition), L11 (no\n\
-                     lock held across blocking calls), and L12 (bounded-channel\n\
-                     discipline), and the spec-conformance rules L13 (differential\n\
-                     drift against the checker's transition system), L14 (semantic\n\
-                     guard sufficiency on IR paths), and L15 (durable-before-\n\
-                     outbound emission order). `--only L9,L10` narrows the report\n\
+                     Scans the workspace for violations of rules L2 (panic-free\n\
+                     recovery), L3 (mutation/construction encapsulation), the\n\
+                     flow-sensitive rule L6 (guard-before-mutation), the\n\
+                     concurrency-discipline rules L9 (lock-order cycles), L10\n\
+                     (no-panic lock acquisition), L11 (no lock held across blocking\n\
+                     calls), and L12 (hot-path sends shed explicitly), and the\n\
+                     spec-conformance rules L13 (differential drift against the\n\
+                     checker's transition system), L14 (semantic guard sufficiency\n\
+                     on IR paths), and L15 (durable-before-outbound emission\n\
+                     order). The ids L1, L4, L5, L7 and L8 are retired: rustc and\n\
+                     clippy discharge those obligations (see clippy.toml).\n\
+                     The text report ends with a per-rule table: findings, pragma\n\
+                     debt, and each rule's own analysis time. A full run also\n\
+                     checks that results/gcir.json, the committed dump of the IR\n\
+                     it certified, is current. `--only L9,L10` narrows the report\n\
                      (and the exit status) to the listed rules; P0/E0 always\n\
                      count. `--explain RULE` prints a rule's rationale, the paper\n\
                      invariant it guards, and a minimal violating example.\n\
-                     `--format sarif` emits a SARIF 2.1.0 log for code-scanning\n\
-                     upload. `--dump-ir` prints the guarded-command IR extracted\n\
-                     from the configured conformance scopes and exits.\n\
+                     `--dump-ir` prints the guarded-command IR extracted from the\n\
+                     configured conformance scopes and exits.\n\
                      Configuration: adore-lint.toml at the workspace root.\n\
                      \n\
                      EXIT STATUS:\n\
                      \n  0  clean (no unsuppressed findings)\n\
-                     \n  1  ordinary unsuppressed findings (L1-L15)\n\
+                     \n  1  ordinary unsuppressed findings\n\
                      \n  2  integrity errors: malformed pragma (P0), unparsable\n\
-                     \n     file (E0), bad configuration, IO failure, or usage"
+                     \n     file (E0), stale results/gcir.json, bad configuration,\n\
+                     \n     IO failure, or usage"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -156,30 +157,24 @@ fn main() -> ExitCode {
         }
     };
 
-    if dump_ir {
-        match adore_lint::render_ir_dump(&root, &cfg) {
-            Ok(dump) => {
-                print!("{dump}");
-                return ExitCode::SUCCESS;
-            }
-            Err(e) => {
-                eprintln!("adore-lint: IR dump failed: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    let mut report = match adore_lint::run_lint(&root, &cfg) {
-        Ok(r) => r,
+    let workspace = match adore_lint::Workspace::load(&root, &cfg) {
+        Ok(w) => w,
         Err(e) => {
             eprintln!("adore-lint: scan failed: {e}");
             return ExitCode::from(2);
         }
     };
 
-    // `--only` narrows the report to the listed rules, e.g. the ci.sh
-    // L9-L12 concurrency gate. P0/E0 stay: a malformed pragma or an
-    // unparsable file undermines whichever rules were requested.
+    if dump_ir {
+        print!("{}", workspace.ir_dump(&cfg));
+        return ExitCode::SUCCESS;
+    }
+
+    let mut report = workspace.lint(&cfg);
+
+    // `--only` narrows the report to the listed rules, for bisecting a
+    // failure by hand. P0/E0 stay: a malformed pragma or an unparsable
+    // file undermines whichever rules were requested.
     if let Some(only) = &only {
         report
             .findings
@@ -188,18 +183,32 @@ fn main() -> ExitCode {
 
     match format.as_str() {
         "json" => print!("{}", adore_lint::render_json(&report)),
-        "sarif" => print!("{}", adore_lint::render_sarif(&report)),
         _ => print!("{}", adore_lint::render_text(&report)),
+    }
+
+    // A full run also vouches for the committed IR dump: reviewers read
+    // results/gcir.json as the model L13-L15 just certified, so it must
+    // be what this parse extracts.
+    let ir_stale = only.is_none()
+        && !(cfg.l13_conform.is_empty() && cfg.l15_scopes.is_empty())
+        && std::fs::read_to_string(root.join("results/gcir.json")).ok().as_deref()
+            != Some(workspace.ir_dump(&cfg).as_str());
+    if ir_stale {
+        eprintln!(
+            "adore-lint: results/gcir.json is missing or stale — regenerate with \
+             `adore-lint --dump-ir > results/gcir.json`"
+        );
     }
 
     // Three-way exit: 2 = the lint's own inputs are compromised (a
     // malformed pragma can silently waive anything; an unparsable file
-    // was not checked at all), 1 = ordinary findings, 0 = clean.
+    // was not checked at all; a stale IR dump shows reviewers a model
+    // that was not the one certified), 1 = ordinary findings, 0 = clean.
     let integrity = report
         .findings
         .iter()
         .any(|f| !f.suppressed && (f.rule == "P0" || f.rule == "E0"));
-    if integrity {
+    if integrity || ir_stale {
         ExitCode::from(2)
     } else if report.active_count() > 0 {
         ExitCode::FAILURE

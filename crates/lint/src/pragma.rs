@@ -4,7 +4,7 @@
 //! reason:
 //!
 //! ```text
-//! let t = Instant::now(); // adore-lint: allow(L1, reason = "wall-clock timing only")
+//! s.role = Role::Follower; // adore-lint: allow(L3, reason = "test scaffold resets a private copy")
 //! ```
 //!
 //! A pragma on a comment-only line applies to the *next* line instead:
@@ -29,7 +29,7 @@ pub struct Pragma {
     pub line: usize,
     /// The line whose findings it suppresses.
     pub target_line: usize,
-    /// Rule ids it allows (`L1`..`L8`, `P0`, `E0`).
+    /// Rule ids it allows (any of [`crate::explain::RULE_IDS`]).
     pub rules: Vec<String>,
     /// The mandatory justification.
     pub reason: String,
@@ -97,7 +97,7 @@ pub fn scan(source: &str) -> PragmaSet {
     set
 }
 
-/// Parses `allow(L1, L2, reason = "...")`.
+/// Parses `allow(L2, L3, reason = "...")`.
 fn parse_allow(body: &str) -> Result<(Vec<String>, String), String> {
     let inner = body
         .strip_prefix("allow")
@@ -157,13 +157,13 @@ mod tests {
     fn same_line_and_standalone_targets() {
         let src = format!(
             "let x = 1; {}\n{}\nlet y = 2;\n",
-            pragma(r#"allow(L1, reason = "seeded")"#),
+            pragma(r#"allow(L6, reason = "seeded")"#),
             pragma(r#"allow(L2, L3, reason = "invariant held")"#),
         );
         let set = scan(&src);
         assert!(set.errors.is_empty());
-        assert!(set.allows("L1", 1));
-        assert!(!set.allows("L1", 2));
+        assert!(set.allows("L6", 1));
+        assert!(!set.allows("L6", 2));
         assert!(set.allows("L2", 3));
         assert!(set.allows("L3", 3));
         assert!(!set.allows("L2", 2));
@@ -171,9 +171,9 @@ mod tests {
 
     #[test]
     fn missing_reason_is_an_error() {
-        let set = scan(&pragma("allow(L1)"));
+        let set = scan(&pragma("allow(L2)"));
         assert_eq!(set.errors.len(), 1);
-        let set = scan(&pragma(r#"allow(L1, reason = "")"#));
+        let set = scan(&pragma(r#"allow(L2, reason = "")"#));
         assert_eq!(set.errors.len(), 1);
         let set = scan(&pragma(r#"allow(reason = "no rules")"#));
         assert_eq!(set.errors.len(), 1);
@@ -183,14 +183,16 @@ mod tests {
 
     #[test]
     fn marker_in_code_position_is_ignored() {
-        let src = format!("let s = \"{MARKER} allow(L1)\";");
+        let src = format!("let s = \"{MARKER} allow(L2)\";");
         let set = scan(&src);
         assert!(set.pragmas.is_empty() && set.errors.is_empty());
     }
 
     #[test]
     fn unknown_rule_id_is_an_error() {
-        for bad in ["L16", "L99", "P1", "E2", "LX"] {
+        // Retired ids (L1, L4, L5, L7, L8) are rejected like any unknown
+        // one, so a stale pragma cannot linger as a silent no-op.
+        for bad in ["L1", "L8", "L16", "L99", "P1", "E2", "LX"] {
             let set = scan(&pragma(&format!(r#"allow({bad}, reason = "x")"#)));
             assert_eq!(set.errors.len(), 1, "{bad} must be rejected");
             assert!(set.errors[0].msg.contains("unknown rule id"), "{bad}");
@@ -217,12 +219,12 @@ mod tests {
         // standalone pragma directly above suppresses it even when the
         // statement spans several lines.
         let src = format!(
-            "{}\nlet m = HashMap::from([\n    (1, 2),\n    (3, 4),\n]);\n",
-            pragma(r#"allow(L1, reason = "seeded fixture map")"#),
+            "{}\nlet m = decode(&[\n    (1, 2),\n    (3, 4),\n]).unwrap();\n",
+            pragma(r#"allow(L2, reason = "fixture bytes are well-formed")"#),
         );
         let set = scan(&src);
-        assert!(set.allows("L1", 2));
-        assert!(!set.allows("L1", 3), "later lines are not covered");
+        assert!(set.allows("L2", 2));
+        assert!(!set.allows("L2", 3), "later lines are not covered");
     }
 
     #[test]
@@ -230,11 +232,11 @@ mod tests {
         // A standalone pragma on the file's final line targets a line
         // that does not exist; it is well-formed (not P0) and simply
         // suppresses nothing.
-        let src = pragma(r#"allow(L1, reason = "dangling")"#);
+        let src = pragma(r#"allow(L2, reason = "dangling")"#);
         assert!(!src.ends_with('\n'));
         let set = scan(&src);
         assert!(set.errors.is_empty());
         assert_eq!(set.pragmas[0].target_line, 2);
-        assert!(!set.allows("L1", 1));
+        assert!(!set.allows("L2", 1));
     }
 }

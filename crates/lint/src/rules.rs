@@ -1,10 +1,5 @@
-//! The five protocol-discipline rules.
+//! The token-pattern rules.
 //!
-//! * **L1 — determinism**: protocol crates must not use hash-ordered
-//!   collections (`HashMap`/`HashSet`), ambient clocks (`SystemTime`,
-//!   `Instant::now`), or ambient randomness (`thread_rng`). Replaying a
-//!   counterexample or re-running a seeded exploration must visit states
-//!   in the same order every time.
 //! * **L2 — panic-free recovery**: configured (file, function) scopes —
 //!   WAL replay, crash recovery, counterexample replay — must not call
 //!   `.unwrap()`/`.expect()`, invoke panic-family macros, or index
@@ -13,24 +8,13 @@
 //! * **L3 — mutation encapsulation**: protected protocol-state fields
 //!   may only be assigned inside their owning transition module. Within
 //!   a crate rustc's privacy cannot enforce this, so the lint does.
-//! * **L4 — certificate hygiene**: verdict types carry `#[must_use]`,
-//!   and a statement whose result is a `check_*`/`certify_*` call must
-//!   consume it — `#[must_use]` alone cannot flag `let _ = ...`, and
-//!   unit-returning "checkers" (which the attribute never catches) are
-//!   banned by naming convention.
-//! * **L5 — no stray console output**: protocol crates must not call
-//!   the print-macro family (`println!`, `eprintln!`, `print!`,
-//!   `eprint!`, `dbg!`) outside the configured bin/bench entry points.
-//!   Observable behavior routes through the tracer and metrics registry
-//!   so it is journaled, deterministic, and auditable; ad-hoc prints
-//!   are invisible to the trace auditor and pollute table output.
 //!
-//! All rules are token-pattern passes over the item tree `syn` (the
-//! in-tree stand-in) produces — no type information. The patterns are
+//! Both are token-pattern passes over the item tree `syn` (the in-tree
+//! stand-in) produces — no type information. The patterns are
 //! deliberately conservative and syntactic; the suppression pragma
 //! (see [`crate::pragma`]) is the escape hatch for justified uses.
 
-use proc_macro2::{Delimiter, Group, Span, TokenTree};
+use proc_macro2::{Delimiter, Span, TokenTree};
 
 use crate::config::{Config, L2Scope};
 use crate::Finding;
@@ -38,7 +22,6 @@ use crate::Finding;
 /// Runs every rule over one parsed file. `rel` is the workspace-relative
 /// path with forward slashes; it selects which rule scopes apply.
 pub fn scan_file(rel: &str, file: &syn::File, cfg: &Config) -> Vec<Finding> {
-    let l1 = cfg.l1_crates.iter().any(|c| in_dir(rel, c));
     let l3: Vec<(&str, &str)> = cfg
         .l3_types
         .iter()
@@ -56,19 +39,12 @@ pub fn scan_file(rel: &str, file: &syn::File, cfg: &Config) -> Vec<Finding> {
         .map(|t| t.type_name.as_str())
         .collect();
     let l2_scopes: Vec<&L2Scope> = cfg.l2_scopes.iter().filter(|s| s.file == rel).collect();
-    let l4b = cfg.l4_paths.iter().any(|p| in_dir(rel, p));
-    let l5 = cfg.l5_crates.iter().any(|c| in_dir(rel, c))
-        && !cfg.l5_allow.iter().any(|p| rel == p || in_dir(rel, p));
 
     let mut ctx = Ctx {
         rel,
-        cfg,
-        l1,
         l2_scopes,
         l3,
         l3c,
-        l4b,
-        l5,
         findings: Vec::new(),
     };
     walk_items(&mut ctx, &file.items, false);
@@ -83,15 +59,11 @@ pub(crate) fn in_dir(rel: &str, dir: &str) -> bool {
 
 struct Ctx<'c> {
     rel: &'c str,
-    cfg: &'c Config,
-    l1: bool,
     l2_scopes: Vec<&'c L2Scope>,
     /// Active (type name, protected field) pairs for this file.
     l3: Vec<(&'c str, &'c str)>,
     /// Construct-protected type names active for this file.
     l3c: Vec<&'c str>,
-    l4b: bool,
-    l5: bool,
     findings: Vec<Finding>,
 }
 
@@ -110,27 +82,13 @@ impl Ctx<'_> {
     }
 }
 
-/// Which rules are live for the token stream being scanned. Signatures
-/// and type bodies get L1 only; function bodies get the full set the
-/// file's configuration enables; `#[cfg(test)]` subtrees get none.
+/// Which rules are live for the function body being scanned.
 #[derive(Clone, Copy)]
 struct Flags {
-    l1: bool,
     l2: bool,
     l3: bool,
     l3c: bool,
-    l4b: bool,
-    l5: bool,
 }
-
-const OFF: Flags = Flags {
-    l1: false,
-    l2: false,
-    l3: false,
-    l3c: false,
-    l4b: false,
-    l5: false,
-};
 
 fn walk_items(ctx: &mut Ctx<'_>, items: &[syn::Item], in_test: bool) {
     for item in items {
@@ -143,38 +101,7 @@ fn walk_items(ctx: &mut Ctx<'_>, items: &[syn::Item], in_test: bool) {
                 }
             }
             syn::Item::Impl(i) => walk_items(ctx, &i.items, in_test),
-            syn::Item::Struct(syn::ItemStruct {
-                attrs,
-                ident,
-                span,
-                body,
-            })
-            | syn::Item::Enum(syn::ItemEnum {
-                attrs,
-                ident,
-                span,
-                body,
-            }) => {
-                if !in_test {
-                    flag_missing_must_use(ctx, attrs, ident, *span);
-                    let fl = Flags {
-                        l1: ctx.l1,
-                        ..OFF
-                    };
-                    if let Some(b) = body {
-                        scan(ctx, b.stream().trees(), fl);
-                    }
-                }
-            }
-            syn::Item::Other(o) => {
-                if !in_test {
-                    let fl = Flags {
-                        l1: ctx.l1,
-                        ..OFF
-                    };
-                    scan(ctx, o.tokens.trees(), fl);
-                }
-            }
+            _ => {}
         }
     }
 }
@@ -187,59 +114,22 @@ fn walk_fn(ctx: &mut Ctx<'_>, f: &syn::ItemFn, in_test: bool) {
         .l2_scopes
         .iter()
         .any(|s| s.functions.iter().any(|n| n == "*" || *n == f.ident));
-    let sig_flags = Flags {
-        l1: ctx.l1,
-        ..OFF
-    };
-    scan(ctx, f.signature.trees(), sig_flags);
     if let Some(body) = &f.body {
         let fl = Flags {
-            l1: ctx.l1,
             l2,
             l3: !ctx.l3.is_empty(),
             l3c: !ctx.l3c.is_empty(),
-            l4b: ctx.l4b,
-            l5: ctx.l5,
         };
-        if fl.l4b {
-            flag_discarded_verdicts(ctx, body);
-        }
         scan(ctx, body.stream().trees(), fl);
     }
-}
-
-/// L4a: a configured verdict type must carry `#[must_use]`.
-fn flag_missing_must_use(
-    ctx: &mut Ctx<'_>,
-    attrs: &[syn::Attribute],
-    ident: &str,
-    span: Span,
-) {
-    if !ctx.l4b || !ctx.cfg.l4_must_use_types.iter().any(|t| t == ident) {
-        return;
-    }
-    if attrs.iter().any(|a| a.is("must_use")) {
-        return;
-    }
-    ctx.push(
-        "L4",
-        span,
-        format!("verdict type `{ident}` must be declared `#[must_use]`"),
-    );
 }
 
 fn scan(ctx: &mut Ctx<'_>, trees: &[TokenTree], fl: Flags) {
     for i in 0..trees.len() {
         match &trees[i] {
             TokenTree::Ident(_) => {
-                if fl.l1 {
-                    l1_ident(ctx, trees, i);
-                }
                 if fl.l2 {
                     l2_ident(ctx, trees, i);
-                }
-                if fl.l5 {
-                    l5_ident(ctx, trees, i);
                 }
                 if fl.l3c {
                     l3_construct(ctx, trees, i);
@@ -256,45 +146,11 @@ fn scan(ctx: &mut Ctx<'_>, trees: &[TokenTree], fl: Flags) {
                         "slice indexing in a panic-free scope (use `.get(..)`)".to_string(),
                     );
                 }
-                if fl.l4b && g.delimiter() == Delimiter::Brace {
-                    flag_discarded_verdicts(ctx, g);
-                }
                 scan(ctx, g.stream().trees(), fl);
             }
             _ => {}
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// L1: determinism
-// ---------------------------------------------------------------------------
-
-fn l1_ident(ctx: &mut Ctx<'_>, trees: &[TokenTree], i: usize) {
-    let TokenTree::Ident(id) = &trees[i] else {
-        return;
-    };
-    let msg = if *id == "HashMap" || *id == "HashSet" {
-        format!("hash-ordered collection `{id}` in a protocol crate (use BTreeMap/BTreeSet)")
-    } else if *id == "SystemTime" {
-        "ambient wall clock `SystemTime` in a protocol crate".to_string()
-    } else if *id == "thread_rng" {
-        "ambient RNG `thread_rng` in a protocol crate (thread a seeded RNG through instead)"
-            .to_string()
-    } else if *id == "Instant" && is_path_call(trees, i, "now") {
-        "ambient clock `Instant::now` in a protocol crate".to_string()
-    } else {
-        return;
-    };
-    ctx.push("L1", id.span(), msg);
-}
-
-/// Matches `<ident> :: <method>` starting at `trees[i]`.
-pub(crate) fn is_path_call(trees: &[TokenTree], i: usize, method: &str) -> bool {
-    let colon = |k: usize| matches!(trees.get(k), Some(TokenTree::Punct(p)) if p.as_char() == ':');
-    colon(i + 1)
-        && colon(i + 2)
-        && matches!(trees.get(i + 3), Some(TokenTree::Ident(m)) if *m == method)
 }
 
 // ---------------------------------------------------------------------------
@@ -332,30 +188,6 @@ fn l2_ident(ctx: &mut Ctx<'_>, trees: &[TokenTree], i: usize) {
             "L2",
             id.span(),
             format!("`{id}!` in a panic-free recovery scope"),
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L5: no stray console output
-// ---------------------------------------------------------------------------
-
-const PRINT_MACROS: &[&str] = &["println", "eprintln", "print", "eprint", "dbg"];
-
-fn l5_ident(ctx: &mut Ctx<'_>, trees: &[TokenTree], i: usize) {
-    let TokenTree::Ident(id) = &trees[i] else {
-        return;
-    };
-    let next_bang =
-        matches!(trees.get(i + 1), Some(TokenTree::Punct(p)) if p.as_char() == '!');
-    if next_bang && PRINT_MACROS.iter().any(|m| *id == **m) {
-        ctx.push(
-            "L5",
-            id.span(),
-            format!(
-                "`{id}!` in a protocol crate (route output through the tracer/metrics, \
-                 or move it to a bin target)"
-            ),
         );
     }
 }
@@ -463,105 +295,6 @@ pub(crate) fn assignment_follows(trees: &[TokenTree], j: usize) -> bool {
     }
 }
 
-// ---------------------------------------------------------------------------
-// L4b: discarded verdicts
-// ---------------------------------------------------------------------------
-
-/// Splits a brace group into top-level `;`-terminated statements and
-/// flags any whose value is a bare `check_*`/`certify_*` call that
-/// nothing consumes. `#[must_use]` cannot catch `let _ = check(..);`,
-/// and this also polices the naming convention itself: a function with
-/// a verdict prefix must return a value worth consuming.
-fn flag_discarded_verdicts(ctx: &mut Ctx<'_>, body: &Group) {
-    let trees = body.stream().trees();
-    let mut start = 0;
-    for i in 0..=trees.len() {
-        match trees.get(i) {
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => {
-                // Only `;`-terminated statements discard; a tail
-                // expression is the block's value.
-                flag_discarded_statement(ctx, &trees[start..i]);
-                start = i + 1;
-            }
-            // A top-level brace group ends a block statement
-            // (`if .. { }`, `match .. { }`) with no `;`; reset so the
-            // next statement does not absorb it as a prefix.
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-}
-
-fn flag_discarded_statement(ctx: &mut Ctx<'_>, stmt: &[TokenTree]) {
-    let n = stmt.len();
-    if n < 2 {
-        return;
-    }
-    // The verdict call must be the statement's final expression:
-    // `... check_foo ( args )`.
-    let TokenTree::Group(gp) = &stmt[n - 1] else {
-        return;
-    };
-    if gp.delimiter() != Delimiter::Parenthesis {
-        return;
-    }
-    let TokenTree::Ident(name) = &stmt[n - 2] else {
-        return;
-    };
-    let name_s = name.to_string();
-    if !ctx
-        .cfg
-        .l4_consume_prefixes
-        .iter()
-        .any(|p| name_s.starts_with(p.as_str()))
-    {
-        return;
-    }
-    let is_kw = |k: usize, kw: &str| matches!(stmt.get(k), Some(TokenTree::Ident(i)) if *i == kw);
-    // `let _ = check(..);` discards despite the `=`.
-    let discard_binding = is_kw(0, "let") && is_kw(1, "_");
-    if !discard_binding {
-        if is_kw(0, "return") || is_kw(0, "break") {
-            return;
-        }
-        if has_top_level_assignment(stmt) {
-            return;
-        }
-    }
-    ctx.push(
-        "L4",
-        name.span(),
-        format!("result of `{name_s}(..)` discarded (verdicts must be consumed)"),
-    );
-}
-
-/// Whether the statement contains a top-level `=` that binds or assigns
-/// (as opposed to `==`, `=>`, `<=`, `>=`, `!=`).
-fn has_top_level_assignment(stmt: &[TokenTree]) -> bool {
-    for k in 0..stmt.len() {
-        let TokenTree::Punct(p) = &stmt[k] else {
-            continue;
-        };
-        if p.as_char() != '=' {
-            continue;
-        }
-        let ch = |t: Option<&TokenTree>| match t {
-            Some(TokenTree::Punct(q)) => Some(q.as_char()),
-            _ => None,
-        };
-        let prev = k.checked_sub(1).and_then(|j| ch(stmt.get(j)));
-        let next = ch(stmt.get(k + 1));
-        let comparison_prev = matches!(prev, Some('=' | '<' | '>' | '!'));
-        let comparison_next = matches!(next, Some('=' | '>'));
-        if !comparison_prev && !comparison_next {
-            return true;
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,34 +303,6 @@ mod tests {
     fn run(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
         let file = syn::parse_file(src).expect("fixture parses");
         scan_file(rel, &file, cfg)
-    }
-
-    fn l1_cfg() -> Config {
-        Config {
-            l1_crates: vec!["crates/core".into()],
-            ..Config::default()
-        }
-    }
-
-    #[test]
-    fn l1_flags_hash_collections_and_clocks() {
-        let cfg = l1_cfg();
-        let src = "use std::collections::HashMap;\n\
-                   fn f() { let t = Instant::now(); }\n\
-                   fn g(d: Duration) -> Instant { later(d) }\n";
-        let f = run("crates/core/src/state.rs", src, &cfg);
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert_eq!((f[0].rule.as_str(), f[0].line), ("L1", 1));
-        assert_eq!((f[1].rule.as_str(), f[1].line), ("L1", 2));
-        // `Instant` as a type (no `::now`) is fine; other crates untouched.
-        assert!(run("crates/kv/src/sim.rs", src, &cfg).is_empty());
-    }
-
-    #[test]
-    fn l1_skips_cfg_test_subtrees() {
-        let cfg = l1_cfg();
-        let src = "#[cfg(test)]\nmod tests { use std::collections::HashMap; }\n";
-        assert!(run("crates/core/src/lib.rs", src, &cfg).is_empty());
     }
 
     #[test]
@@ -709,76 +414,5 @@ fn observe(ev: &TraceEvent) -> u64 {
         assert_eq!(got, vec![("L3", 2), ("L3", 3)], "{f:?}");
         // The owner file constructs freely.
         assert!(run("crates/obs/src/event.rs", src, &cfg).is_empty());
-    }
-
-    #[test]
-    fn l4_requires_must_use_and_consumption() {
-        let cfg = Config {
-            l4_must_use_types: vec!["Violation".into()],
-            l4_consume_prefixes: vec!["check_".into(), "certify_".into()],
-            l4_paths: vec!["crates".into()],
-            ..Config::default()
-        };
-        let src = "\
-pub enum Violation { Bad }
-fn caller(s: &S) {
-    check_quorum(s);
-    let _ = certify_commit(s);
-    let v = check_quorum(s);
-    handle(v);
-    if check_quorum(s).is_none() { act(); }
-    return check_quorum(s);
-}
-";
-        let f = run("crates/core/src/x.rs", src, &cfg);
-        let got: Vec<(&str, usize)> = f.iter().map(|f| (f.rule.as_str(), f.line)).collect();
-        assert_eq!(got, vec![("L4", 1), ("L4", 3), ("L4", 4)], "{f:?}");
-        // Outside the configured paths nothing fires.
-        assert!(run("tools/x.rs", src, &cfg).is_empty());
-    }
-
-    #[test]
-    fn l5_flags_print_macros_outside_allowed_paths() {
-        let cfg = Config {
-            l5_crates: vec!["crates/kv".into(), "crates/obs".into()],
-            l5_allow: vec!["crates/obs/src/main.rs".into(), "crates/kv/src/bin".into()],
-            ..Config::default()
-        };
-        let src = "\
-fn f() {
-    println!(\"leader is {x}\");
-    eprintln!(\"oops\");
-    let v = dbg!(compute());
-    print(\"a plain function named print is fine\");
-}
-";
-        let f = run("crates/kv/src/sim.rs", src, &cfg);
-        let got: Vec<(&str, usize)> = f.iter().map(|f| (f.rule.as_str(), f.line)).collect();
-        assert_eq!(got, vec![("L5", 2), ("L5", 3), ("L5", 4)], "{f:?}");
-        // Allowed paths — a bin file and a bin directory — are exempt,
-        // as are crates not under the rule.
-        assert!(run("crates/obs/src/main.rs", src, &cfg).is_empty());
-        assert!(run("crates/kv/src/bin/tool.rs", src, &cfg).is_empty());
-        assert!(run("crates/bench/src/bin/fig16.rs", src, &cfg).is_empty());
-    }
-
-    #[test]
-    fn l5_skips_cfg_test_subtrees() {
-        let cfg = Config {
-            l5_crates: vec!["crates/kv".into()],
-            ..Config::default()
-        };
-        let src = "#[cfg(test)]\nmod tests { fn t() { println!(\"dbg\"); } }\n";
-        assert!(run("crates/kv/src/sim.rs", src, &cfg).is_empty());
-    }
-
-    #[test]
-    fn l4_must_use_attribute_satisfies() {
-        let cfg = Config {
-            l4_must_use_types: vec!["Violation".into()],
-            ..Config::default()
-        };
-        let src = "#[must_use]\npub enum Violation { Bad }\n";
-        assert!(run("crates/core/src/x.rs", src, &cfg).is_empty());
     }
 }

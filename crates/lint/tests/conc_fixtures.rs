@@ -33,7 +33,6 @@ fn conc_config() -> Config {
             functions: vec!["*".into()],
         }],
         l11_crates: vec!["crates/adored".into()],
-        l12_crates: vec!["crates/adored".into()],
         l12_scopes: vec![L2Scope {
             file: "crates/adored/src/l12_fixture.rs".into(),
             functions: vec!["*".into()],
@@ -92,8 +91,7 @@ fn l12_fixture_exact_positions() {
     let src = fixture("l12_channel.rs");
     let f = lint_source("crates/adored/src/l12_fixture.rs", &src, &conc_config());
     let expected = vec![
-        // Unbounded channel() on a protocol path.
-        ("L12".to_string(), 5, 27),
+        // (Line 5's unbounded channel() is clippy's to reject now.)
         // Blocking send on a hot path.
         ("L12".to_string(), 6, 7),
         // try_send with the shed outcome explicitly discarded...

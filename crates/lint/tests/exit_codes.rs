@@ -1,5 +1,5 @@
 //! End-to-end exit-status contract for the `adore-lint` binary:
-//! 0 = clean, 1 = ordinary findings (L1-L15), 2 = integrity errors
+//! 0 = clean, 1 = ordinary findings, 2 = integrity errors
 //! (malformed pragma P0, unparsable file E0, bad config, usage).
 //! ci.sh and external callers branch on these, so they are pinned
 //! against tiny throwaway workspaces under `CARGO_TARGET_TMPDIR`.
@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Builds a one-file workspace `crates/core/src/lib.rs` = `src` with a
-/// minimal L1-over-crates/core config, returning its root.
+/// minimal config holding that file to L2, returning its root.
 fn workspace(name: &str, src: &str) -> PathBuf {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     let dir = root.join("crates/core/src");
@@ -16,7 +16,8 @@ fn workspace(name: &str, src: &str) -> PathBuf {
     std::fs::write(dir.join("lib.rs"), src).expect("write source");
     std::fs::write(
         root.join("adore-lint.toml"),
-        "[scan]\nroots = [\"crates\"]\n\n[rules.L1]\ncrates = [\"crates/core\"]\n",
+        "[scan]\nroots = [\"crates\"]\n\n[[rules.L2.scopes]]\n\
+         file = \"crates/core/src/lib.rs\"\nfunctions = [\"*\"]\n",
     )
     .expect("write config");
     root
@@ -42,11 +43,11 @@ fn clean_workspace_exits_zero() {
 
 #[test]
 fn ordinary_findings_exit_one() {
-    let root = workspace("exit1", "fn f() {\n    let m = HashMap::new();\n}\n");
+    let root = workspace("exit1", "fn f(b: &[u8]) -> u8 {\n    first(b).unwrap()\n}\n");
     let out = lint(&root, &[]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("L1"), "{text}");
+    assert!(text.contains("L2: `.unwrap()`"), "{text}");
 }
 
 #[test]
@@ -54,7 +55,7 @@ fn malformed_pragma_exits_two() {
     // Assembled at runtime so this test's own source carries no live
     // pragma for the workspace self-scan.
     let src = format!(
-        "fn g() {{}} // {} allow(L1)\n",
+        "fn g() {{}} // {} allow(L2)\n",
         concat!("adore-", "lint:")
     );
     let root = workspace("exit2", &src);
@@ -75,9 +76,9 @@ fn unparsable_file_exits_two() {
 
 #[test]
 fn integrity_outranks_ordinary_findings() {
-    // Both a P0 and an L1 present: the binary must report 2, not 1.
+    // Both a P0 and an L2 present: the binary must report 2, not 1.
     let src = format!(
-        "fn f() {{\n    let m = HashMap::new();\n}} // {} allow(L1)\n",
+        "fn f(b: &[u8]) -> u8 {{\n    first(b).unwrap()\n}} // {} allow(L2)\n",
         concat!("adore-", "lint:")
     );
     let root = workspace("exit2_both", &src);
@@ -90,6 +91,7 @@ fn usage_errors_exit_two() {
     let root = workspace("exit2_usage", "pub fn ok() {}\n");
     for bad in [
         &["--format", "yaml"][..],
+        &["--format", "sarif"][..],
         &["--only", "L99"][..],
         &["--frobnicate"][..],
     ] {
@@ -100,9 +102,38 @@ fn usage_errors_exit_two() {
 
 #[test]
 fn only_filter_narrows_the_exit_status() {
-    // The L1 finding is outside the `--only` set, so the run is clean;
+    // The L2 finding is outside the `--only` set, so the run is clean;
     // P0/E0 would still count (covered above).
-    let root = workspace("exit_only", "fn f() {\n    let m = HashMap::new();\n}\n");
+    let root = workspace("exit_only", "fn f(b: &[u8]) -> u8 {\n    first(b).unwrap()\n}\n");
     let out = lint(&root, &["--only", "L13,L14,L15"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
+}
+
+#[test]
+fn a_stale_or_missing_ir_dump_exits_two() {
+    // With a conformance scope configured, a full run also vouches for
+    // results/gcir.json: absent or different from what this parse
+    // extracts is an integrity error; regenerated, the run is clean.
+    let root = workspace("exit2_ir", "pub fn finish() {}\n");
+    std::fs::write(
+        root.join("adore-lint.toml"),
+        "[scan]\nroots = [\"crates\"]\n\n[[rules.L15.scopes]]\n\
+         file = \"crates/core/src/lib.rs\"\nfunctions = [\"finish\"]\n",
+    )
+    .expect("write config");
+    let pinned = root.join("results/gcir.json");
+    let _ = std::fs::remove_file(&pinned);
+
+    let out = lint(&root, &[]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("results/gcir.json"), "{out:?}");
+
+    let dump = lint(&root, &["--dump-ir"]);
+    assert_eq!(dump.status.code(), Some(0), "{dump:?}");
+    std::fs::create_dir_all(root.join("results")).expect("mkdir");
+    std::fs::write(&pinned, &dump.stdout).expect("pin the dump");
+    assert_eq!(lint(&root, &[]).status.code(), Some(0));
+
+    std::fs::write(&pinned, "{}\n").expect("stale dump");
+    assert_eq!(lint(&root, &[]).status.code(), Some(2));
 }

@@ -1,17 +1,17 @@
 // Fixture for the suppression pragma: both placement forms, plus the
 // malformed variants that become P0 findings.
-pub fn timed() {
-    let start = Instant::now(); // adore-lint: allow(L1, reason = "timing display only")
-    // adore-lint: allow(L1, reason = "probe map is never iterated")
-    let m = HashMap::new();
-    let s = HashSet::new();
+pub fn recover(buf: &[u8]) {
+    let start = head(buf).unwrap(); // adore-lint: allow(L2, reason = "header length checked by the caller")
+    // adore-lint: allow(L2, reason = "body was CRC-verified above")
+    let m = body(buf).unwrap();
+    let s = tail(buf).unwrap();
     consume(start, m, s);
 }
 
-pub fn bad_pragmas() {
-    let a = HashMap::new(); // adore-lint: allow(L1)
+pub fn replay(buf: &[u8]) {
+    let a = head(buf).unwrap(); // adore-lint: allow(L2)
     // adore-lint: allow(reason = "no rules listed")
-    let b = HashMap::new();
-    let c = HashMap::new(); // adore-lint: allow(L1, reason = "")
+    let b = body(buf).unwrap();
+    let c = tail(buf).unwrap(); // adore-lint: allow(L2, reason = "")
     consume(a, b, c);
 }

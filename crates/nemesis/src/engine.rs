@@ -313,6 +313,7 @@ fn apply_fault(
 /// read-your-committed-writes obligation. When the cluster is tracing,
 /// every check's outcome is journaled as an invariant-evaluation event
 /// (the trace auditor cross-checks these against its own reconstruction).
+#[must_use]
 fn check_safety(cluster: &mut Cluster<SingleNode>, client: &RobustClient) -> Option<ViolationKind> {
     let log = cluster.verify().err();
     let storage = cluster.storage_violations().first().cloned();
@@ -517,6 +518,7 @@ fn run_campaign(
 /// Replays a schedule and returns the violation it produces, if any —
 /// the predicate behind minimization and the round-trip tests.
 #[must_use]
+#[deny(clippy::let_underscore_must_use)] // L8: recovery scope
 pub fn replay(schedule: &FaultSchedule, params: &EngineParams) -> Option<ViolationKind> {
     run_schedule(schedule, params).violation.map(|(v, _)| v)
 }
@@ -528,6 +530,7 @@ pub fn replay(schedule: &FaultSchedule, params: &EngineParams) -> Option<Violati
 /// committed-prefix divergence stays one, rather than drifting to
 /// whatever smaller violation some sub-schedule happens to produce.
 #[must_use]
+#[deny(clippy::let_underscore_must_use)] // L8: recovery scope
 pub fn hunt(schedule: &FaultSchedule, params: &EngineParams) -> Option<Counterexample> {
     let (original, _) = run_schedule(schedule, params).violation?;
     let kind = std::mem::discriminant(&original);

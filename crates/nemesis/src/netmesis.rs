@@ -15,8 +15,8 @@
 //! wall clock, no ambient randomness — so a timeline is as replayable
 //! as the schedule it came from. Wall-clock time enters only in the
 //! I/O shell that walks the timeline (see `adored`'s hunt driver),
-//! which is exactly the determinism boundary adore-lint's L1 rule
-//! enforces for this crate.
+//! which is exactly the determinism boundary this crate's root denies
+//! clippy's `disallowed_types` to enforce.
 //!
 //! The sim twin: every wire fault class maps back onto simulator
 //! primitives (see [`Fault`]'s wire-level variants and DESIGN §12), so

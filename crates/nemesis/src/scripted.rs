@@ -6,6 +6,8 @@
 //! paper's Fig. 4/Fig. 12 violations, expressed purely as composable
 //! faults against the simulated cluster.
 
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))] // L8: no `let _ =` on a result in a recovery scope
+
 use adore_core::{ReconfigGuard, Timestamp};
 use adore_kv::KvCommand;
 use adore_raft::{Command, Entry};

@@ -472,7 +472,8 @@ impl AuditEngine {
         // T7: acked sessions must survive, committed prefixes must
         // apply each at most once — evaluated over the final
         // reconstruction.
-        // adore-lint: allow(L4, reason = "returns unit; its verdicts accumulate into self.errors which T6 consumes below")
+        // Returns unit: its verdicts accumulate into self.errors, which
+        // T6 consumes below.
         self.certify_sessions();
 
         // T6: does the audit's independent verdict agree with the live

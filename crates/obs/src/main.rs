@@ -6,6 +6,8 @@
 //! (structurally sound and verdict-consistent — including reproducing a
 //! violation verdict), 1 when not, 2 on usage or IO errors.
 
+#![deny(clippy::disallowed_types)] // L1: as the library
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

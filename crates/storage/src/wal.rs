@@ -223,6 +223,7 @@ struct Frame<'a> {
 }
 
 /// Splits the frame starting at `off`, if one is fully present.
+#[must_use]
 fn split_frame(bytes: &[u8], off: usize) -> Option<Frame<'_>> {
     let rest = bytes.get(off..)?;
     if rest.len() < HEADER {
@@ -242,6 +243,7 @@ fn split_frame(bytes: &[u8], off: usize) -> Option<Frame<'_>> {
     })
 }
 
+#[must_use]
 fn parse_payload<C, M>(payload: &[u8]) -> Option<WalRecord<C, M>>
 where
     C: Serialize + de::DeserializeOwned,
