@@ -17,19 +17,23 @@ cargo test -q --workspace --offline
 echo "== cargo test -p adore-storage =="
 cargo test -q -p adore-storage --offline
 
+# The repository benchmark is a workspace of its own, so `--workspace`
+# above does not reach its unit tests (order statistics, the compare
+# verdicts, /proc parsing, the catalog matching BENCHMARK.json, the
+# checker discriminating on fig4).
+echo "== benchmark unit tests =="
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 # Source-level protocol discipline, adore-lint's share: panic-free
 # recovery (L2), mutation/construction encapsulation (L3),
-# guard-before-mutation (L6), lock order / no-panic locking / no guard
-# across blocking calls / hot-path sends that shed (L9-L12), and spec
-# conformance against the checker (L13-L15). -D semantics; every
-# suppression pragma carries a written reason. Config: adore-lint.toml.
-# This is the only adore-lint process CI launches: one parse gives the
-# findings, the per-rule table (findings, pragma debt, each rule's own
-# analysis ms) captured as results/lint_table.txt, and exit 2 if
-# results/gcir.json — the committed dump of the IR L13-L15 certified —
-# is stale (regenerate with `adore-lint --dump-ir`). `--only RULES` is
-# for bisecting a failure by hand, not a second gate.
-echo "== adore-lint (findings, results/lint_table.txt, results/gcir.json current) =="
+# guard-before-mutation (L6), and lock order / no-panic locking / no
+# guard across blocking calls / hot-path sends that shed (L9-L12). -D
+# semantics; every suppression pragma carries a written reason. Config:
+# adore-lint.toml. This is the only adore-lint process CI launches: one
+# parse gives the findings and the per-rule table (findings, pragma
+# debt, each rule's own analysis ms) captured as results/lint_table.txt.
+# `--only RULES` is for bisecting a failure by hand, not a second gate.
+echo "== adore-lint (findings, results/lint_table.txt) =="
 rm -f results/lint_table.txt
 cargo run -q -p adore-lint --release --offline | tee results/lint_table.txt
 test -s results/lint_table.txt || {

@@ -2,7 +2,7 @@
 //!
 //! The protocol itself lives in one place: the certified model,
 //! [`adore_raft::NetState`] — the transition system the checker
-//! explores, `refine.rs` replays and adore-lint's L13 certifies. The
+//! explores and `refine.rs` replays against ADORE. The
 //! engine owns one `NetState` in which its own node is the only live
 //! server and makes every protocol decision by calling it: `step` with
 //! `Elect`/`Invoke`/`Reconfig`/`Commit` for local moves, and for the
@@ -170,6 +170,13 @@ pub enum Output {
         /// The reply.
         reply: ClientReply,
     },
+}
+
+/// The write-ahead order of one step's outputs: no `Persist` or
+/// `Journal` after the first `Send` or `Reply`.
+fn durable_before_outbound(outs: &[Output]) -> bool {
+    let outbound = |o: &Output| matches!(o, Output::Send { .. } | Output::Reply { .. });
+    outs.iter().skip_while(|o| !outbound(o)).all(outbound)
 }
 
 /// A client request waiting for its log entry to commit.
@@ -708,6 +715,7 @@ impl Engine {
                 .into_iter()
                 .map(|(conn, reply)| Output::Reply { conn, reply }),
         );
+        debug_assert!(durable_before_outbound(&out), "durable after outbound: {out:?}");
         out
     }
 
@@ -1188,24 +1196,29 @@ mod tests {
         }
     }
 
+    /// `finish` asserts this order on every step of a debug build; here
+    /// the predicate itself is shown to reject a persist after a send.
+    #[test]
+    fn the_order_predicate_rejects_durable_after_outbound() {
+        let journal = || Output::Journal(EventKind::WalSync { nid: 1 });
+        let persist = || Output::Persist { bytes: vec![0] };
+        let send = || Output::Send {
+            to: NodeId(2),
+            msg: PeerMsg::ElectAck { from: 1, time: 1 },
+        };
+        let reply = || Output::Reply {
+            conn: 0,
+            reply: ClientReply::Overloaded,
+        };
+        assert!(!durable_before_outbound(&[send(), persist()]));
+        assert!(!durable_before_outbound(&[reply(), journal()]));
+        assert!(durable_before_outbound(&[journal(), persist(), journal(), send(), reply()]));
+        assert!(durable_before_outbound(&[]));
+    }
+
     /// Three engines beside one three-server reference model. Acks travel
     /// with their request (or are lost whole), so every engine move has
     /// an event of the reference to stand beside.
-    /// Nothing durable follows the first outbound output of one step:
-    /// what L15 proves of `finish`'s source, held on an executed path.
-    fn assert_durable_before_outbound(outs: &[Output]) {
-        let outbound = |o: &Output| matches!(o, Output::Send { .. } | Output::Reply { .. });
-        let durable = |o: &Output| {
-            matches!(
-                o,
-                Output::Persist { .. }
-                    | Output::Journal(EventKind::StateDelta { .. } | EventKind::WalSync { .. })
-            )
-        };
-        let first = outs.iter().position(outbound).unwrap_or(outs.len());
-        assert!(!outs[first..].iter().any(durable), "durable after outbound: {outs:?}");
-    }
-
     struct Beside {
         engines: BTreeMap<u32, Engine>,
         reference: NetState<Cfg, SessionCmd>,
@@ -1224,7 +1237,6 @@ mod tests {
             outs: &[Output],
             mut events: Vec<NetEvent<Cfg, SessionCmd>>,
         ) {
-            assert_durable_before_outbound(outs);
             let nid = NodeId(n);
             if was != Role::Leader && self.engines[&n].role() == Role::Leader {
                 let method = SessionCmd::noop();
@@ -1268,7 +1280,6 @@ mod tests {
                 .get_mut(&to)
                 .unwrap()
                 .step(Input::Peer(PeerMsg::Req(req)));
-            assert_durable_before_outbound(&outs);
             let answers: Vec<PeerMsg> = outs
                 .into_iter()
                 .filter_map(|o| match o {

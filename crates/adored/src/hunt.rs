@@ -50,11 +50,11 @@ const ELECTION_WAIT: Duration = Duration::from_secs(12);
 /// Budget for driving one reconfiguration through transient refusals.
 const RECONFIG_WAIT: Duration = Duration::from_secs(25);
 
-pub(crate) fn cmd_hunt(args: &[String]) -> i32 {
+pub(crate) fn cmd_hunt(args: &[String]) -> crate::CmdResult {
     let gate = arg_flag(args, "--gate");
     let ablate = arg_value(args, "--ablate");
-    let seeds = arg_u64(args, "--seeds", 25);
-    let base = arg_u64(args, "--seed", 0);
+    let seeds = arg_u64(args, "--seeds", 25)?;
+    let base = arg_u64(args, "--seed", 0)?;
     let dir = arg_value(args, "--dir")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(format!("target/hunt-{}", std::process::id())));
@@ -69,7 +69,7 @@ pub(crate) fn cmd_hunt(args: &[String]) -> i32 {
     });
 
     if let Some(cond) = ablate {
-        return match hunt_ablated(&cond, &dir) {
+        return Ok(match hunt_ablated(&cond, &dir) {
             Ok(artifact) => {
                 println!("hunt: counterexample artifact at {}", artifact.display());
                 0
@@ -78,7 +78,7 @@ pub(crate) fn cmd_hunt(args: &[String]) -> i32 {
                 eprintln!("hunt --ablate {cond}: FAIL: {e}");
                 1
             }
-        };
+        });
     }
 
     let schedules: Vec<FaultSchedule> = if gate {
@@ -86,7 +86,7 @@ pub(crate) fn cmd_hunt(args: &[String]) -> i32 {
     } else {
         (0..seeds).map(|i| netmesis_schedule(base + i)).collect()
     };
-    match campaign(&schedules, &dir, &out) {
+    Ok(match campaign(&schedules, &dir, &out) {
         Ok(()) => {
             println!("hunt: PASS");
             0
@@ -95,7 +95,7 @@ pub(crate) fn cmd_hunt(args: &[String]) -> i32 {
             eprintln!("hunt: FAIL: {e}");
             1
         }
-    }
+    })
 }
 
 // ---- campaign orchestration ---------------------------------------------

@@ -1,6 +1,6 @@
 //! `adored` — the networked ADORE cluster binary.
 //!
-//! Three subcommands:
+//! Four subcommands:
 //!
 //! - `adored node` runs one replica (the fault-hardened runtime in
 //!   [`adored::node`]).
@@ -10,8 +10,10 @@
 //!   a live 5→3→5 certified reconfiguration, then checks zero
 //!   acked-write loss and zero duplicate applies, merges every node's
 //!   journal, and audits the merged trace with `adore-obs`.
-//! - `adored bench` measures a closed-loop write baseline against a
-//!   3-node cluster and writes `results/BENCH_net.json`.
+//! - `adored bench --open-loop` drives a 3-node cluster at fixed
+//!   offered rates under the online auditor and writes
+//!   `results/BENCH_live.json`. (Closed-loop questions — throughput,
+//!   exact percentiles, per-layer cost — belong to `benchmark/run.sh`.)
 //! - `adored hunt` is the netmesis campaign driver: it compiles
 //!   serializable nemesis `FaultSchedule`s into live wire and process
 //!   faults (via the per-link proxies in [`adored::proxy`]), runs them
@@ -48,29 +50,32 @@ const CHILD_MAX_RUNTIME_MS: u64 = 180_000;
 /// Engine tick for harness-spawned nodes.
 const CHILD_TICK_MS: u64 = 20;
 
+const USAGE: &str = "usage: adored node --nid N --peers 1=host:port,2=... --data DIR \
+     [--seed S] [--tick-ms T] [--max-runtime-ms M] [--ablate-guard r1|r2|r3] \
+     [--peer-deadline-ms M] [--export host:port] [--metrics host:port]\n\
+     \x20      adored smoke [--nodes N] [--dir DIR] [--seed S] [--reconfig]\n\
+     \x20      adored bench --open-loop [RATES] [--secs-per-rate S] [--dir DIR] \
+     [--out FILE] [--seed S]\n\
+     \x20      adored hunt [--gate | --seeds N] [--nodes N] [--dir DIR] \
+     [--seed S] [--ablate r1] [--out FILE]";
+
+/// A subcommand returns its exit code, or `Err` with what is wrong
+/// with its arguments: that prints the usage line and exits 2.
+type CmdResult = Result<i32, String>;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
+    let ran = match args.first().map(String::as_str) {
         Some("node") => cmd_node(&args[1..]),
         Some("smoke") => cmd_smoke(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
         Some("hunt") => hunt::cmd_hunt(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: adored node --nid N --peers 1=host:port,2=... --data DIR \
-                 [--seed S] [--tick-ms T] [--max-runtime-ms M] [--ablate-guard r1|r2|r3] \
-                 [--peer-deadline-ms M] [--export host:port] [--metrics host:port]\n\
-                 \x20      adored smoke [--nodes N] [--dir DIR] [--seed S] [--reconfig]\n\
-                 \x20      adored bench [--writes N] [--dir DIR] [--out FILE] [--seed S]\n\
-                 \x20      adored bench --open-loop [RATES] [--secs-per-rate S] [--dir DIR] \
-                 [--out FILE] [--seed S]\n\
-                 \x20      adored hunt [--gate | --seeds N] [--nodes N] [--dir DIR] \
-                 [--seed S] [--ablate r1] [--out FILE]"
-            );
-            2
-        }
+        _ => Err("expected a subcommand: node, smoke, bench or hunt".to_string()),
     };
-    std::process::exit(code);
+    std::process::exit(ran.unwrap_or_else(|msg| {
+        eprintln!("adored: {msg}\n{USAGE}");
+        2
+    }));
 }
 
 // ---- argument plumbing --------------------------------------------------
@@ -82,10 +87,21 @@ fn arg_value(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-fn arg_u64(args: &[String], name: &str, default: u64) -> u64 {
-    arg_value(args, name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// `--name N`: `None` when the flag is absent; an error when its value
+/// is missing or does not parse, so a typo never runs with the default.
+fn arg_num<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let value = args.get(i + 1).map_or("", String::as_str);
+    match value.parse() {
+        Ok(n) => Ok(Some(n)),
+        Err(_) => Err(format!("{name} expects a number, got {value:?}")),
+    }
+}
+
+fn arg_u64(args: &[String], name: &str, default: u64) -> Result<u64, String> {
+    Ok(arg_num(args, name)?.unwrap_or(default))
 }
 
 fn arg_flag(args: &[String], name: &str) -> bool {
@@ -104,19 +120,15 @@ fn parse_peers(spec: &str) -> Option<Vec<(u32, String)>> {
 
 // ---- `adored node` ------------------------------------------------------
 
-fn cmd_node(args: &[String]) -> i32 {
-    let Some(nid) = arg_value(args, "--nid").and_then(|v| v.parse().ok()) else {
-        eprintln!("adored node: --nid is required");
-        return 2;
-    };
-    let Some(peers) = arg_value(args, "--peers").as_deref().and_then(parse_peers) else {
-        eprintln!("adored node: --peers 1=host:port,2=... is required");
-        return 2;
-    };
-    let Some(data_dir) = arg_value(args, "--data").map(PathBuf::from) else {
-        eprintln!("adored node: --data DIR is required");
-        return 2;
-    };
+fn cmd_node(args: &[String]) -> CmdResult {
+    let nid: u32 = arg_num(args, "--nid")?.ok_or("node: --nid is required")?;
+    let peers = arg_value(args, "--peers")
+        .as_deref()
+        .and_then(parse_peers)
+        .ok_or("node: --peers 1=host:port,2=... is required")?;
+    let data_dir = arg_value(args, "--data")
+        .map(PathBuf::from)
+        .ok_or("node: --data DIR is required")?;
     // `--ablate-guard r1,r3` drops the named conditions from the sound
     // guard — fault-harness use only, to manufacture counterexamples.
     let mut guard = adore_core::ReconfigGuard::all();
@@ -126,10 +138,7 @@ fn cmd_node(args: &[String]) -> i32 {
                 "r1" => guard.r1 = false,
                 "r2" => guard.r2 = false,
                 "r3" => guard.r3 = false,
-                other => {
-                    eprintln!("adored node: unknown guard condition {other:?}");
-                    return 2;
-                }
+                other => return Err(format!("node: unknown guard condition {other:?}")),
             }
         }
     }
@@ -137,26 +146,26 @@ fn cmd_node(args: &[String]) -> i32 {
         nid,
         peers,
         data_dir,
-        seed: arg_u64(args, "--seed", 1),
-        tick_ms: arg_u64(args, "--tick-ms", CHILD_TICK_MS),
-        max_runtime_ms: arg_value(args, "--max-runtime-ms").and_then(|v| v.parse().ok()),
+        seed: arg_u64(args, "--seed", 1)?,
+        tick_ms: arg_u64(args, "--tick-ms", CHILD_TICK_MS)?,
+        max_runtime_ms: arg_num(args, "--max-runtime-ms")?,
         params: EngineParams::default(),
         guard,
         peer_read_deadline_ms: arg_u64(
             args,
             "--peer-deadline-ms",
             adored::node::DEFAULT_PEER_READ_DEADLINE_MS,
-        ),
+        )?,
         export_addr: arg_value(args, "--export"),
         metrics_addr: arg_value(args, "--metrics"),
     };
-    match run(cfg) {
+    Ok(match run(cfg) {
         Ok(()) => 0,
         Err(e) => {
             eprintln!("adored node {nid}: {e}");
             1
         }
-    }
+    })
 }
 
 // ---- shared harness machinery -------------------------------------------
@@ -510,22 +519,20 @@ fn duplicate_applies(nodes: &BTreeMap<u32, (Vec<String>, usize)>) -> Vec<String>
 // ---- `adored smoke` ------------------------------------------------------
 
 #[allow(clippy::too_many_lines)]
-fn cmd_smoke(args: &[String]) -> i32 {
-    let nodes = arg_u64(args, "--nodes", 3) as u32;
-    let seed = arg_u64(args, "--seed", 42);
+fn cmd_smoke(args: &[String]) -> CmdResult {
+    let nodes: u32 = arg_num(args, "--nodes")?.unwrap_or(3);
+    let seed = arg_u64(args, "--seed", 42)?;
     let reconfig = arg_flag(args, "--reconfig");
     let dir = arg_value(args, "--dir")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(format!("target/smoke-{}", std::process::id())));
     if nodes < 3 {
-        eprintln!("smoke: need at least 3 nodes");
-        return 2;
+        return Err("smoke: need at least 3 nodes".to_string());
     }
     if reconfig && nodes < 5 {
-        eprintln!("smoke: --reconfig needs 5 nodes");
-        return 2;
+        return Err("smoke: --reconfig needs 5 nodes".to_string());
     }
-    match smoke(&dir, nodes, seed, reconfig) {
+    Ok(match smoke(&dir, nodes, seed, reconfig) {
         Ok(()) => {
             println!("smoke: PASS");
             0
@@ -534,7 +541,7 @@ fn cmd_smoke(args: &[String]) -> i32 {
             eprintln!("smoke: FAIL: {e}");
             1
         }
-    }
+    })
 }
 
 fn smoke(dir: &Path, nodes: u32, seed: u64, reconfig: bool) -> Result<(), String> {
@@ -715,63 +722,33 @@ fn smoke(dir: &Path, nodes: u32, seed: u64, reconfig: bool) -> Result<(), String
 
 // ---- `adored bench` ------------------------------------------------------
 
-fn cmd_bench(args: &[String]) -> i32 {
-    let writes = arg_u64(args, "--writes", 300);
-    let seed = arg_u64(args, "--seed", 42);
+fn cmd_bench(args: &[String]) -> CmdResult {
+    if !arg_flag(args, "--open-loop") {
+        return Err("bench: only --open-loop is left (closed loop: benchmark/run.sh)".to_string());
+    }
+    let seed = arg_u64(args, "--seed", 42)?;
     let dir = arg_value(args, "--dir")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(format!("target/bench-{}", std::process::id())));
-    if arg_flag(args, "--open-loop") {
-        let out = arg_value(args, "--out")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("results/BENCH_live.json"));
-        let rates: Vec<u64> = arg_value(args, "--open-loop")
-            .map(|spec| spec.split(',').filter_map(|r| r.trim().parse().ok()).collect())
-            .filter(|v: &Vec<u64>| !v.is_empty())
-            .unwrap_or_else(|| vec![60, 120, 240]);
-        let secs = arg_u64(args, "--secs-per-rate", 3).max(1);
-        return match bench_open_loop(&dir, &rates, secs, seed, &out) {
-            Ok(()) => 0,
-            Err(e) => {
-                eprintln!("bench --open-loop: FAIL: {e}");
-                1
-            }
-        };
-    }
     let out = arg_value(args, "--out")
         .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results/BENCH_net.json"));
-    match bench(&dir, writes, seed, &out) {
+        .unwrap_or_else(|| PathBuf::from("results/BENCH_live.json"));
+    let rates: Vec<u64> = match arg_value(args, "--open-loop").filter(|v| !v.starts_with("--")) {
+        None => vec![60, 120, 240],
+        Some(spec) => spec
+            .split(',')
+            .map(|r| r.trim().parse())
+            .collect::<Result<_, _>>()
+            .map_err(|_| format!("--open-loop expects comma-separated rates, got {spec:?}"))?,
+    };
+    let secs = arg_u64(args, "--secs-per-rate", 3)?.max(1);
+    Ok(match bench_open_loop(&dir, &rates, secs, seed, &out) {
         Ok(()) => 0,
         Err(e) => {
-            eprintln!("bench: FAIL: {e}");
+            eprintln!("bench --open-loop: FAIL: {e}");
             1
         }
-    }
-}
-
-/// The serialized shape of `results/BENCH_net.json`.
-#[derive(serde::Serialize)]
-struct BenchReport {
-    name: &'static str,
-    nodes: u32,
-    /// `"closed-loop"`: the next write is issued only after the
-    /// previous ack, so the measured latency folds queue wait into
-    /// service time under overload — compare against the open-loop
-    /// numbers in `BENCH_live.json`, which separate the two.
-    mode: &'static str,
-    writes: u64,
-    seed: u64,
-    elapsed_us: u64,
-    /// The rate the loop *offered*. Closed-loop self-throttles, so
-    /// offered equals achieved by construction; reported so the two
-    /// bench modes share a comparable schema.
-    offered_per_s: u64,
-    /// The rate the cluster *achieved* (acked writes per second).
-    achieved_per_s: u64,
-    throughput_per_s: u64,
-    latency_us: BenchLatency,
-    histogram: adore_obs::HistogramSnapshot,
+    })
 }
 
 /// Summary latency quantiles of a bench run, in microseconds.
@@ -784,64 +761,6 @@ struct BenchLatency {
     p99: u64,
     max: u64,
 }
-
-fn bench(dir: &Path, writes: u64, seed: u64, out: &Path) -> Result<(), String> {
-    let harness = Harness::start(dir, 3, seed).map_err(|e| e.to_string())?;
-    let mut probe = harness.client(999);
-    let leader = harness.wait_for_leader(&mut probe)?;
-    println!("bench: leader is node {leader}; {writes} closed-loop writes");
-    let mut client = harness.client(11);
-    let mut hist = Histogram::default();
-    let started = Instant::now();
-    for i in 0..writes {
-        let t0 = Instant::now();
-        client
-            .put(&format!("bk{i}"), &format!("bv{i}"))
-            .map_err(|e| format!("put bk{i}: {e}"))?;
-        hist.observe(u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX));
-    }
-    let elapsed = started.elapsed();
-    drop(probe);
-    drop(harness);
-
-    let elapsed_us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-    let throughput_per_s = writes
-        .saturating_mul(1_000_000)
-        .checked_div(elapsed_us)
-        .unwrap_or(0);
-    let snap = hist.snapshot();
-    let report = BenchReport {
-        name: "BENCH_net",
-        nodes: 3,
-        mode: "closed-loop",
-        writes,
-        seed,
-        elapsed_us,
-        offered_per_s: throughput_per_s,
-        achieved_per_s: throughput_per_s,
-        throughput_per_s,
-        latency_us: BenchLatency {
-            mean: snap.mean(),
-            min: snap.min,
-            p50: snap.quantile(0.50),
-            p95: snap.quantile(0.95),
-            p99: snap.quantile(0.99),
-            max: snap.max,
-        },
-        histogram: snap.clone(),
-    };
-    adore_obs::write_json_report(out, &report).map_err(|e| e.to_string())?;
-    println!(
-        "bench: {throughput_per_s}/s, p50={}us p95={}us p99={}us -> {}",
-        snap.quantile(0.50),
-        snap.quantile(0.95),
-        snap.quantile(0.99),
-        out.display()
-    );
-    Ok(())
-}
-
-// ---- `adored bench --open-loop` ------------------------------------------
 
 /// Worker threads sharing one offered-rate schedule. Eight keeps the
 /// per-worker issue rate low enough that one slow ack rarely delays
@@ -1143,4 +1062,30 @@ fn bench_open_loop(
         return Err("batch audit disagrees with the certified online verdict".to_string());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(ToString::to_string).collect()
+    }
+
+    #[test]
+    fn a_numeric_flag_is_the_default_a_number_or_a_usage_error() {
+        assert_eq!(arg_u64(&args(&["--dir", "d"]), "--seed", 42), Ok(42));
+        assert_eq!(arg_u64(&args(&["--seed", "12"]), "--seed", 42), Ok(12));
+        let err = arg_u64(&args(&["--seed", "4x"]), "--seed", 42).unwrap_err();
+        assert!(err.contains("--seed") && err.contains("4x"), "{err}");
+        // A flag with its value missing is no more valid than a typo.
+        assert!(arg_u64(&args(&["--seed"]), "--seed", 42).is_err());
+        assert!(arg_num::<u32>(&args(&["--nodes", "three"]), "--nodes").is_err());
+    }
+
+    #[test]
+    fn closed_loop_bench_and_bad_rates_are_usage_errors() {
+        assert!(cmd_bench(&args(&["--seed", "1"])).is_err());
+        assert!(cmd_bench(&args(&["--open-loop", "40,8x"])).is_err());
+    }
 }

@@ -38,7 +38,6 @@
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro))] // L5
 #![cfg_attr(not(test), deny(clippy::let_underscore_must_use))] // L4/L8: no `let _ =` on a verdict or a recovery result
 
-pub mod conform;
 pub mod explore;
 mod net_explore;
 mod op;
@@ -47,10 +46,6 @@ mod scenario;
 mod shrink;
 mod walker;
 
-pub use conform::{
-    conform_corpus, mirror_state, replay_trace, to_net_event, CCmd, CEntry, CEvent, CMsg, CRole,
-    CServer, CState, ConformCorpus, ConformParams, ConformSample,
-};
 pub use explore::{explore, ExploreParams, ExploreReport, InvariantSuite, CANONICAL_METHOD};
 pub use net_explore::{explore_net, NetExploreParams, NetExploreReport};
 pub use profile::ExploreProfile;

@@ -1,4 +1,4 @@
-//! Call-graph summaries: one-level same-file, and workspace fixpoint.
+//! Call-graph summaries: one-level same-file, and cross-file fixpoint.
 //!
 //! L6 needs to see through helper functions: a `self.check_r3(...)`
 //! delegation must count as a guard call.
@@ -7,12 +7,13 @@
 //! produces a **one-level, same-file** [`FnSummary`] per function name —
 //! the single-file entry point (`lint_source`) uses it.
 //! [`summarize_workspace`] instead computes the summaries as a
-//! **fixpoint over the whole workspace's call graph**: a helper that
-//! delegates to a second helper in another file is seen through, and
-//! guards established on all paths propagate transitively. `run_lint`
-//! feeds the workspace summaries to L6, so it does not stop at file
-//! boundaries (resolution stays name-based and conservative: same-named
-//! functions merge to what holds for all of them).
+//! **fixpoint over the call graph of the files it is given**: a helper
+//! that delegates to a second helper in another file is seen through,
+//! and guards established on all paths propagate transitively.
+//! `run_lint` gives it the crates that own an L6-protected type, so L6
+//! does not stop at file boundaries inside them (resolution stays
+//! name-based and conservative: same-named functions merge to what
+//! holds for all of them).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -110,15 +111,15 @@ struct FnFacts {
     calls_per_node: Vec<Vec<String>>,
 }
 
-/// Summarizes every non-test function across the whole parsed
-/// workspace, iterating to a fixpoint over the cross-file call graph:
+/// Summarizes every non-test function across `files`, iterating to a
+/// fixpoint over their cross-file call graph:
 ///
 /// `guards_on_all_paths` propagates transitively — a wrapper whose
 /// every path calls a helper that itself guards on every path counts
 /// as guarding.
 ///
-/// Resolution is by bare name and therefore ambiguous across the
-/// workspace, so the fact is merged with **AND across same-named
+/// Resolution is by bare name and therefore ambiguous across files,
+/// so the fact is merged with **AND across same-named
 /// definitions**: a name's entry claims only what holds for *every*
 /// function the call could resolve to — no false guard credit for L6
 /// from an unrelated `push`/`apply`/`default` in another crate.
@@ -128,12 +129,12 @@ struct FnFacts {
 /// The propagated fact grows monotonically from the direct seed, so
 /// the iteration terminates; a depth cap bounds pathological graphs.
 #[must_use]
-pub fn summarize_workspace(
-    parsed: &[(String, syn::File)],
+pub fn summarize_workspace<'f>(
+    files: impl IntoIterator<Item = &'f syn::File>,
     guard_names: &BTreeSet<String>,
 ) -> BTreeMap<String, FnSummary> {
     let mut facts: Vec<FnFacts> = Vec::new();
-    for (_, file) in parsed {
+    for file in files {
         let mut fns = Vec::new();
         collect_fns(&file.items, false, &mut fns);
         for f in fns {
@@ -305,9 +306,8 @@ impl S {
              fn partial(&self, c: bool) { if c { self.level2(); } }\n",
         )
         .expect("b");
-        let parsed = vec![("a.rs".to_string(), a), ("b.rs".to_string(), b)];
         let guards: BTreeSet<String> = std::iter::once("is_quorum".to_string()).collect();
-        let s = summarize_workspace(&parsed, &guards);
+        let s = summarize_workspace([&a, &b], &guards);
         // Three-deep, cross-file: level2 -> level1 -> check_quorum -> guard.
         assert!(s["level2"].guards_on_all_paths.contains("is_quorum"));
         assert!(s["level1"].guards_on_all_paths.contains("is_quorum"));
@@ -322,9 +322,8 @@ impl S {
         )
         .expect("a");
         let b = syn::parse_file("impl B { fn helper(&self) { noop(); } }").expect("b");
-        let parsed = vec![("a.rs".to_string(), a), ("b.rs".to_string(), b)];
         let guards: BTreeSet<String> = std::iter::once("is_quorum".to_string()).collect();
-        let s = summarize_workspace(&parsed, &guards);
+        let s = summarize_workspace([&a, &b], &guards);
         // Two types share the method name; only what holds for both
         // survives, so the guard claim is dropped.
         assert!(s["helper"].guards_on_all_paths.is_empty());
@@ -336,8 +335,7 @@ impl S {
             "fn ping() -> u64 { pong() }\nfn pong() -> u64 { ping() }\n",
         )
         .expect("a");
-        let parsed = vec![("a.rs".to_string(), a)];
-        let s = summarize_workspace(&parsed, &BTreeSet::new());
+        let s = summarize_workspace([&a], &BTreeSet::new());
         assert!(s["ping"].guards_on_all_paths.is_empty());
         assert!(s["pong"].guards_on_all_paths.is_empty());
     }

@@ -44,37 +44,11 @@ pub enum NodeKind {
     Cond,
 }
 
-/// Which construct a [`NodeKind::Cond`] node heads. Statement nodes
-/// carry [`BranchRole::None`]. The guarded-command extractor
-/// (`crate::gcir`) uses this to give branch polarity a meaning:
-/// an `If`/`While` cond's first successor is its true branch, a
-/// `MatchScrutinee`'s successors are its arm patterns, and taking a
-/// `MatchArm` edge means that pattern matched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BranchRole {
-    /// Not a branch header.
-    None,
-    /// An `if`/`else if` condition.
-    If,
-    /// A `while`/`while let` condition.
-    While,
-    /// A `for` loop header.
-    For,
-    /// The synthetic head of a `loop`.
-    LoopHead,
-    /// A `match` scrutinee.
-    MatchScrutinee,
-    /// One `match` arm's pattern (plus any `if` guard).
-    MatchArm,
-}
-
 /// One CFG node: a statement or branch header with its tokens.
 #[derive(Debug, Clone)]
 pub struct Node {
     /// What the node represents.
     pub kind: NodeKind,
-    /// Which construct a `Cond` node heads.
-    pub role: BranchRole,
     /// The node's tokens (empty for entry/exit and `loop` headers).
     pub tokens: Vec<TokenTree>,
     /// Span of the first token, if any.
@@ -114,7 +88,6 @@ pub fn build(body: &Group) -> Cfg {
         nodes: vec![
             Node {
                 kind: NodeKind::Entry,
-                role: BranchRole::None,
                 tokens: Vec::new(),
                 span: None,
                 succs: Vec::new(),
@@ -122,7 +95,6 @@ pub fn build(body: &Group) -> Cfg {
             },
             Node {
                 kind: NodeKind::Exit,
-                role: BranchRole::None,
                 tokens: Vec::new(),
                 span: None,
                 succs: Vec::new(),
@@ -461,17 +433,11 @@ impl Builder {
         }
     }
 
-    fn node(
-        &mut self,
-        kind: NodeKind,
-        role: BranchRole,
-        tokens: Vec<TokenTree>,
-    ) -> usize {
+    fn node(&mut self, kind: NodeKind, tokens: Vec<TokenTree>) -> usize {
         let span = tokens.first().map(TokenTree::span);
         let is_return = matches!(leading_term(&tokens), Term::Return);
         self.nodes.push(Node {
             kind,
-            role,
             tokens,
             span,
             succs: Vec::new(),
@@ -489,7 +455,7 @@ impl Builder {
     /// Lowers a statement's tokens into one node and wires its early
     /// exits; returns the fall-through frontier.
     fn lower_simple(&mut self, tokens: &[TokenTree], preds: &[usize]) -> Vec<usize> {
-        let n = self.node(NodeKind::Stmt, BranchRole::None, tokens.to_vec());
+        let n = self.node(NodeKind::Stmt, tokens.to_vec());
         self.connect(preds, n);
         if contains_question(tokens) {
             self.edge(n, EXIT);
@@ -518,8 +484,8 @@ impl Builder {
         }
     }
 
-    fn cond_node(&mut self, tokens: &[TokenTree], role: BranchRole, preds: &[usize]) -> usize {
-        let c = self.node(NodeKind::Cond, role, tokens.to_vec());
+    fn cond_node(&mut self, tokens: &[TokenTree], preds: &[usize]) -> usize {
+        let c = self.node(NodeKind::Cond, tokens.to_vec());
         self.connect(preds, c);
         if contains_question(tokens) {
             self.edge(c, EXIT);
@@ -550,7 +516,7 @@ impl Builder {
                 let mut merged = Vec::new();
                 let mut cur = frontier;
                 for (cond, then) in chain {
-                    let c = self.cond_node(cond, BranchRole::If, &cur);
+                    let c = self.cond_node(cond, &cur);
                     merged.extend(self.lower_group(then, vec![c]));
                     cur = vec![c];
                 }
@@ -561,10 +527,10 @@ impl Builder {
                 merged
             }
             Stmt::Match { scrutinee, arms } => {
-                let s = self.cond_node(scrutinee, BranchRole::MatchScrutinee, &frontier);
+                let s = self.cond_node(scrutinee, &frontier);
                 let mut merged = Vec::new();
                 for arm in arms {
-                    let p = self.cond_node(arm.pattern, BranchRole::MatchArm, &[s]);
+                    let p = self.cond_node(arm.pattern, &[s]);
                     match &arm.body {
                         ArmBody::Block(g) => merged.extend(self.lower_group(g, vec![p])),
                         ArmBody::Expr(tokens) => {
@@ -578,7 +544,7 @@ impl Builder {
                 merged
             }
             Stmt::While { cond, body } => {
-                let c = self.cond_node(cond, BranchRole::While, &frontier);
+                let c = self.cond_node(cond, &frontier);
                 self.loops.push(LoopCtx {
                     head: c,
                     breaks: Vec::new(),
@@ -593,7 +559,7 @@ impl Builder {
                 out
             }
             Stmt::For { header, body } => {
-                let h = self.cond_node(header, BranchRole::For, &frontier);
+                let h = self.cond_node(header, &frontier);
                 self.loops.push(LoopCtx {
                     head: h,
                     breaks: Vec::new(),
@@ -608,7 +574,7 @@ impl Builder {
                 out
             }
             Stmt::Loop { body } => {
-                let h = self.node(NodeKind::Cond, BranchRole::LoopHead, Vec::new());
+                let h = self.node(NodeKind::Cond, Vec::new());
                 self.connect(&frontier, h);
                 self.loops.push(LoopCtx {
                     head: h,

@@ -106,38 +106,6 @@ pub struct L6Protected {
     pub guards: Vec<String>,
 }
 
-/// One L13 differential-conformance scope: a protocol-handler file,
-/// the handlers to certify, and the corpus bounds for the checker's
-/// bounded explorer.
-#[derive(Debug, Clone)]
-pub struct L13Conform {
-    /// Workspace-relative handler file (forward slashes).
-    pub file: String,
-    /// Handler function names, one per schedulable event kind.
-    pub handlers: Vec<String>,
-    /// Bounded-exploration depth for the (state, event) corpus.
-    pub depth: usize,
-    /// Sample cap; the corpus truncates beyond it.
-    pub max_samples: usize,
-}
-
-/// One L14 semantic guard-sufficiency entry: protected fields whose
-/// every IR-level assignment must be dominated, on the same path, by a
-/// guard atom of one of the required semantic kinds.
-#[derive(Debug, Clone)]
-pub struct L14Protected {
-    /// Workspace-relative file the protected type's mutations live in.
-    pub file: String,
-    /// Type name (diagnostic label only; matching is field-based).
-    pub type_name: String,
-    /// Protected field names.
-    pub fields: Vec<String>,
-    /// Accepted guard kinds: `quorum`, `log-consistency`, `r1`, `r2`,
-    /// `r3`, `member` — any one dominating the assignment satisfies
-    /// the rule (with `r2` counted in its protective, negated form).
-    pub kinds: Vec<String>,
-}
-
 /// The full lint configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
@@ -171,14 +139,6 @@ pub struct Config {
     /// L12: hot-path scopes where channel sends must be `try_send`
     /// with the shed outcome explicitly handled.
     pub l12_scopes: Vec<L2Scope>,
-    /// L13: differential-conformance scopes (extracted IR vs the
-    /// checker's transition system).
-    pub l13_conform: Vec<L13Conform>,
-    /// L14: semantic guard-sufficiency entries.
-    pub l14_protected: Vec<L14Protected>,
-    /// L15: scopes whose IR paths must never emit a durable effect
-    /// (persist/journal) after an outbound one (send/reply).
-    pub l15_scopes: Vec<L2Scope>,
 }
 
 /// The blocking-callee names L11 assumes when the config does not
@@ -214,9 +174,6 @@ impl Default for Config {
             l11_crates: Vec::new(),
             l11_blocking: DEFAULT_BLOCKING.iter().map(|s| (*s).into()).collect(),
             l12_scopes: Vec::new(),
-            l13_conform: Vec::new(),
-            l14_protected: Vec::new(),
-            l15_scopes: Vec::new(),
         }
     }
 }
@@ -297,40 +254,6 @@ impl Config {
             }
         }
         cfg.l12_scopes = scopes_of(&rules, "L12");
-        if let Some(Value::Table(l13)) = rules.get("L13") {
-            if let Some(Value::Array(entries)) = l13.get("conform") {
-                for s in entries {
-                    let Value::Table(t) = s else { continue };
-                    let int_or = |key: &str, dflt: usize| match t.get(key) {
-                        Some(Value::Int(n)) if *n >= 0 => *n as usize,
-                        _ => dflt,
-                    };
-                    cfg.l13_conform.push(L13Conform {
-                        file: t.get("file").and_then(Value::as_str).unwrap_or("").into(),
-                        handlers: t
-                            .get("handlers")
-                            .map(Value::string_array)
-                            .unwrap_or_default(),
-                        depth: int_or("depth", 4),
-                        max_samples: int_or("max_samples", 60_000),
-                    });
-                }
-            }
-        }
-        if let Some(Value::Table(l14)) = rules.get("L14") {
-            if let Some(Value::Array(entries)) = l14.get("protected") {
-                for s in entries {
-                    let Value::Table(t) = s else { continue };
-                    cfg.l14_protected.push(L14Protected {
-                        file: t.get("file").and_then(Value::as_str).unwrap_or("").into(),
-                        type_name: t.get("type").and_then(Value::as_str).unwrap_or("").into(),
-                        fields: t.get("fields").map(Value::string_array).unwrap_or_default(),
-                        kinds: t.get("kinds").map(Value::string_array).unwrap_or_default(),
-                    });
-                }
-            }
-        }
-        cfg.l15_scopes = scopes_of(&rules, "L15");
         Ok(cfg)
     }
 }

@@ -150,68 +150,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
                  tx.send(ev).unwrap();             // L12: blocking send\n\
                  tx.try_send(ev);                  // L12: shed outcome dropped\n"
         }
-        "L13" => {
-            "L13 — spec drift (differential conformance)\n\
-             \n\
-             Each configured protocol handler is lowered to a guarded-command\n\
-             IR (guards, state mutations, emitted messages) and executed by a\n\
-             micro-interpreter on every (state, event) pair the checker's\n\
-             bounded explorer visits. Any divergence — a guard verdict the\n\
-             checker disagrees with, or a differing post-state — is reported\n\
-             at the handler line whose write diverged, with a replayable\n\
-             `trace ⊢ event` witness. A configured handler the extractor\n\
-             cannot fully model is itself an L13 finding: drift must not\n\
-             hide behind opacity.\n\
-             \n\
-             Paper invariant: the checker certifies the *model*; L13 certifies\n\
-             that the shipped handlers still *are* the model. It is the static\n\
-             bridge between Adore's mechanized transition system and the\n\
-             executable Rust that claims to implement it.\n\
-             \n\
-             Violating example (quorum conjunct deleted from commit advance):\n\
-             \n\
-                 if len > s.commit_len {       // L13: IR advances commit_len\n\
-                     s.commit_len = len;       // where the checker does not;\n\
-                 }                             // witness [Elect(1), ..] ⊢ ..\n"
-        }
-        "L14" => {
-            "L14 — semantic guard sufficiency (IR-path dominance)\n\
-             \n\
-             Every IR-level assignment to a configured protected field must be\n\
-             dominated, on its own guarded-command path, by a guard atom of a\n\
-             required semantic *kind* (quorum, log-consistency, R1+/R2/R3) in\n\
-             the protective polarity. This upgrades L6's syntactic guard-call\n\
-             check: a guard that is called but on a different branch, negated,\n\
-             or sequenced after the write no longer counts.\n\
-             \n\
-             Paper invariant: R1+/R2/R3 necessity as *dominance* on the\n\
-             extracted transition paths, not mere presence in the source.\n\
-             \n\
-             Violating example:\n\
-             \n\
-                 if c.is_quorum(a) { audit(); }\n\
-                 s.commit_len = len;    // L14: quorum checked, but not on\n\
-                                        // this path's way to the write\n"
-        }
-        "L15" => {
-            "L15 — durable-before-outbound emission order (IR paths)\n\
-             \n\
-             On every IR path of a configured scope, no durable emission\n\
-             (Output::Persist, Output::Journal) may follow an outbound one\n\
-             (Output::Send, Output::Reply). State must reach its durable\n\
-             basis before any of it leaves the node.\n\
-             \n\
-             Paper invariant: certified recovery replays the WAL to the exact\n\
-             pre-crash state; a reply or peer message emitted before the\n\
-             corresponding persist means a crash between the two leaves the\n\
-             world believing state the log cannot reconstruct.\n\
-             \n\
-             Violating example:\n\
-             \n\
-                 out.push(Output::Send { to, msg });\n\
-                 out.push(Output::Persist { bytes });   // L15: durable after\n\
-                                                        // outbound\n"
-        }
         // The example lines assemble the pragma marker with concat! so
         // this file's own source never contains the live marker the
         // pragma scanner looks for.
@@ -245,11 +183,11 @@ pub fn explain(rule: &str) -> Option<&'static str> {
 /// Every rule id `--explain` accepts, in display order.
 ///
 /// The gaps are deliberate: L1, L4, L5, L7 and L8 were retired to
-/// rustc/clippy (DESIGN.md's static-discipline table says which lint
-/// carries each), and the surviving ids were not renumbered.
-pub const RULE_IDS: &[&str] = &[
-    "L2", "L3", "L6", "L9", "L10", "L11", "L12", "L13", "L14", "L15", "P0", "E0",
-];
+/// rustc/clippy, L13 to the checker and `refine.rs`, L14 to L6 and L15
+/// to a `debug_assert!` in the engine (DESIGN.md's static-discipline
+/// table says what carries each), and the surviving ids were not
+/// renumbered.
+pub const RULE_IDS: &[&str] = &["L2", "L3", "L6", "L9", "L10", "L11", "L12", "P0", "E0"];
 
 #[cfg(test)]
 mod tests {
@@ -276,12 +214,5 @@ mod tests {
         assert!(explain("L10").expect("L10").contains("Poisoning"));
         assert!(explain("L11").expect("L11").contains("blocking"));
         assert!(explain("L12").expect("L12").contains("backpressure"));
-    }
-
-    #[test]
-    fn conformance_rules_cite_the_transition_system() {
-        assert!(explain("L13").expect("L13").contains("witness"));
-        assert!(explain("L14").expect("L14").contains("dominated"));
-        assert!(explain("L15").expect("L15").contains("durable"));
     }
 }

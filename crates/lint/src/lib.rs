@@ -24,16 +24,18 @@
 //! crate, so [`run_lint`] scans it globally over every parsed file
 //! rather than file-by-file.
 //!
-//! A fourth, spec-conformance layer ([`gcir`] → [`conform`]) lowers the
-//! protocol handlers to a guarded-command IR and certifies it against
-//! the checker (L13–L15).
-//!
 //! What is *not* here any more: determinism (L1), consumed verdicts
 //! (L4), console output (L5), nondeterminism taint (L7) and discarded
 //! recovery results (L8) are bans on names, paths and `#[must_use]`
 //! values — obligations rustc and clippy discharge with real name
 //! resolution and types. They live in `clippy.toml` and the crate-root
-//! `deny` attributes; the ids were not reused.
+//! `deny` attributes. Spec drift (L13), semantic guard sufficiency
+//! (L14) and emission order (L15) were a guarded-command IR of
+//! `raft/src/net.rs` replayed against the checker; since the daemon
+//! executes that file and the checker explores its compiled self, they
+//! are held by the checker's pinned counts and `refine.rs`, by L6 over
+//! raft's `Server`, and by a `debug_assert!` in `Engine::finish`
+//! (DESIGN.md §15). None of the ids were reused.
 //!
 //! Findings are deterministic (files walked in sorted order, findings
 //! sorted by position) so CI output is stable.
@@ -42,11 +44,9 @@ pub mod callgraph;
 pub mod cfg;
 pub mod conc_rules;
 pub mod config;
-pub mod conform;
 pub mod dataflow;
 pub mod explain;
 pub mod flow_rules;
-pub mod gcir;
 pub mod pragma;
 pub mod rules;
 
@@ -125,8 +125,9 @@ impl Report {
 }
 
 /// The rules this linter runs, in report order, with what each
-/// certifies. Ids are stable: the gaps are rules since retired to
-/// rustc/clippy, and survivors were not renumbered.
+/// certifies. Ids are stable: the gaps are rules since retired (to
+/// rustc/clippy, the checker, or a runtime assertion), and survivors
+/// were not renumbered.
 pub const RULES: &[(&str, &str)] = &[
     ("L2", "panic-free recovery (no unwrap / panic! / indexing)"),
     ("L3", "mutation encapsulation (owner-only field assignment)"),
@@ -135,9 +136,6 @@ pub const RULES: &[(&str, &str)] = &[
     ("L10", "no-panic lock acquisition in long-lived threads"),
     ("L11", "no lock guard held across blocking calls"),
     ("L12", "hot-path sends are try_send with the shed outcome consumed"),
-    ("L13", "spec drift (IR replayed on the checker's corpus)"),
-    ("L14", "semantic guard sufficiency on protected fields"),
-    ("L15", "emission order (durable-before-outbound on IR paths)"),
 ];
 
 /// Pragma errors (`P0`) plus the parse, or `E0` when the file does not
@@ -209,7 +207,6 @@ pub fn lint_source(rel: &str, source: &str, cfg: &Config) -> Vec<Finding> {
         findings.extend(flow_rules::scan_flow(rel, &file, cfg));
         let files = vec![(rel.to_string(), file)];
         findings.extend(conc_rules::scan_conc(&files, cfg));
-        findings.extend(conform::scan_conform(&files, cfg));
     }
     finish_file(&mut findings, &pragmas);
     findings
@@ -266,10 +263,9 @@ fn walk_dir(dir: &Path, root: &Path, out: &mut Vec<String>) -> io::Result<()> {
     Ok(())
 }
 
-/// The workspace read and parsed once. Both things a run produces —
-/// the lint [`Report`] and the guarded-command IR dump — are derived
-/// from this one parse.
-pub struct Workspace {
+/// The workspace read and parsed once; every rule runs over this one
+/// parse.
+struct Workspace {
     /// Per scanned path: the `P0`/`E0` findings loading it produced,
     /// and its pragmas.
     loaded: BTreeMap<String, (Vec<Finding>, pragma::PragmaSet)>,
@@ -283,7 +279,7 @@ impl Workspace {
     /// # Errors
     ///
     /// Propagates filesystem errors reading the tree.
-    pub fn load(root: &Path, cfg: &Config) -> io::Result<Workspace> {
+    fn load(root: &Path, cfg: &Config) -> io::Result<Workspace> {
         let rels = collect_files(root, cfg)?;
         // Fanned out across threads in contiguous chunks and
         // re-assembled in path order, so the result is identical to the
@@ -330,8 +326,7 @@ impl Workspace {
     /// — so the time recorded for it in [`Report::analysis_ms`] is what
     /// enabling that rule alone costs, and no second pass is needed to
     /// measure it.
-    #[must_use]
-    pub fn lint(&self, cfg: &Config) -> Report {
+    fn lint(&self, cfg: &Config) -> Report {
         let mut per_file: BTreeMap<&str, Vec<Finding>> = self
             .loaded
             .iter()
@@ -347,26 +342,37 @@ impl Workspace {
                     .iter()
                     .flat_map(|(rel, file)| rules::scan_file(rel, file, &only))
                     .collect(),
-                // Against the workspace-wide call-graph fixpoint, so
-                // guard delegation is seen through helpers in *other*
-                // files.
+                // Against a call-graph fixpoint over the crates that
+                // own a protected type, so guard delegation is seen
+                // through helpers in *other* files of those crates. A
+                // guard helper outside them earns no credit.
                 "L6" => {
                     let guard_names: std::collections::BTreeSet<String> = only
                         .l6_protected
                         .iter()
                         .flat_map(|e| e.guards.iter().cloned())
                         .collect();
-                    let workspace = callgraph::summarize_workspace(&self.parsed, &guard_names);
+                    let owned: Vec<&(String, syn::File)> = self
+                        .parsed
+                        .iter()
+                        .filter(|(rel, _)| {
+                            only.l6_protected.iter().any(|e| rules::in_dir(rel, &e.crate_dir))
+                        })
+                        .collect();
+                    let fixpoint = callgraph::summarize_workspace(
+                        owned.iter().map(|(_, file)| file),
+                        &guard_names,
+                    );
                     let mut found = Vec::new();
-                    for (rel, file) in &self.parsed {
+                    for (rel, file) in owned {
                         let local = callgraph::summarize(file, &guard_names);
-                        let summaries = callgraph::overlay(local, &workspace);
+                        let summaries = callgraph::overlay(local, &fixpoint);
                         found.extend(flow_rules::scan_flow_with(rel, file, &only, &summaries));
                     }
                     found
                 }
-                "L9" | "L10" | "L11" | "L12" => conc_rules::scan_conc(&self.parsed, &only),
-                _ => conform::scan_conform(&self.parsed, &only),
+                // L9-L12.
+                _ => conc_rules::scan_conc(&self.parsed, &only),
             };
             analysis_ms.insert(*rule, start.elapsed().as_secs_f64() * 1e3);
             for f in found {
@@ -386,48 +392,6 @@ impl Workspace {
             report.findings.extend(findings);
         }
         report
-    }
-
-    /// Renders the guarded-command IR for every file the conformance
-    /// layer certifies: L13 handler scopes and L15 emission scopes, in
-    /// config order with duplicates merged. The output is deterministic
-    /// and pinned under `results/gcir.json`, which the CLI compares
-    /// against on every full run. A configured file that is missing or
-    /// did not parse is skipped (the lint run itself reports it).
-    #[must_use]
-    pub fn ir_dump(&self, cfg: &Config) -> String {
-        // scope -> wanted fn names, in first-seen config order.
-        let mut scopes: Vec<(String, Vec<String>)> = Vec::new();
-        let mut add = |file: &str, fns: &[String]| {
-            if let Some((_, wanted)) = scopes.iter_mut().find(|(f, _)| f == file) {
-                for f in fns {
-                    if !wanted.contains(f) {
-                        wanted.push(f.clone());
-                    }
-                }
-            } else {
-                scopes.push((file.to_string(), fns.to_vec()));
-            }
-        };
-        for c in &cfg.l13_conform {
-            add(&c.file, &c.handlers);
-        }
-        for s in &cfg.l15_scopes {
-            add(&s.file, &s.functions);
-        }
-        let mut dumped: Vec<(String, Vec<gcir::HandlerIr>)> = Vec::new();
-        for (rel, mut wanted) in scopes {
-            let Some((_, file)) = self.parsed.iter().find(|(r, _)| *r == rel) else {
-                continue;
-            };
-            if wanted.iter().any(|f| f == "*") {
-                let mut fns = Vec::new();
-                callgraph::collect_fns(&file.items, false, &mut fns);
-                wanted = fns.iter().map(|f| f.ident.clone()).collect();
-            }
-            dumped.push((rel, gcir::extract(file, &wanted)));
-        }
-        gcir::render_json_dump(&dumped)
     }
 }
 
@@ -449,9 +413,6 @@ fn only_rule(rule: &str, full: &Config) -> Config {
             cfg.l11_blocking = full.l11_blocking.clone();
         }
         "L12" => cfg.l12_scopes = full.l12_scopes.clone(),
-        "L13" => cfg.l13_conform = full.l13_conform.clone(),
-        "L14" => cfg.l14_protected = full.l14_protected.clone(),
-        "L15" => cfg.l15_scopes = full.l15_scopes.clone(),
         other => unreachable!("`{other}` is not in RULES"),
     }
     cfg

@@ -10,7 +10,6 @@ use adore_lint::config::Config;
 
 fn main() -> ExitCode {
     let mut format = "text".to_string();
-    let mut dump_ir = false;
     let mut root: Option<PathBuf> = None;
     let mut config_path: Option<PathBuf> = None;
     let mut only: Option<Vec<String>> = None;
@@ -51,7 +50,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--dump-ir" => dump_ir = true,
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => {
@@ -92,36 +90,30 @@ fn main() -> ExitCode {
                      USAGE: adore-lint [--format text|json] [--root DIR]\n\
                      \n                  [--config FILE] [--only RULE[,RULE...]]\n\
                      \n       adore-lint --explain RULE\n\
-                     \n       adore-lint --dump-ir\n\
                      \n\
                      Scans the workspace for violations of rules L2 (panic-free\n\
                      recovery), L3 (mutation/construction encapsulation), the\n\
                      flow-sensitive rule L6 (guard-before-mutation), the\n\
                      concurrency-discipline rules L9 (lock-order cycles), L10\n\
                      (no-panic lock acquisition), L11 (no lock held across blocking\n\
-                     calls), and L12 (hot-path sends shed explicitly), and the\n\
-                     spec-conformance rules L13 (differential drift against the\n\
-                     checker's transition system), L14 (semantic guard sufficiency\n\
-                     on IR paths), and L15 (durable-before-outbound emission\n\
-                     order). The ids L1, L4, L5, L7 and L8 are retired: rustc and\n\
-                     clippy discharge those obligations (see clippy.toml).\n\
+                     calls), and L12 (hot-path sends shed explicitly). The other\n\
+                     ids are retired: rustc and clippy discharge L1, L4, L5, L7\n\
+                     and L8 (see clippy.toml); the model checker and refine.rs\n\
+                     hold L13, L6 over raft's Server holds L14, and a debug_assert\n\
+                     in the engine holds L15 (DESIGN.md sections 8 and 15).\n\
                      The text report ends with a per-rule table: findings, pragma\n\
-                     debt, and each rule's own analysis time. A full run also\n\
-                     checks that results/gcir.json, the committed dump of the IR\n\
-                     it certified, is current. `--only L9,L10` narrows the report\n\
-                     (and the exit status) to the listed rules; P0/E0 always\n\
-                     count. `--explain RULE` prints a rule's rationale, the paper\n\
-                     invariant it guards, and a minimal violating example.\n\
-                     `--dump-ir` prints the guarded-command IR extracted from the\n\
-                     configured conformance scopes and exits.\n\
+                     debt, and each rule's own analysis time. `--only L9,L10`\n\
+                     narrows the report (and the exit status) to the listed rules;\n\
+                     P0/E0 always count. `--explain RULE` prints a rule's\n\
+                     rationale, the paper invariant it guards, and a minimal\n\
+                     violating example.\n\
                      Configuration: adore-lint.toml at the workspace root.\n\
                      \n\
                      EXIT STATUS:\n\
                      \n  0  clean (no unsuppressed findings)\n\
                      \n  1  ordinary unsuppressed findings\n\
                      \n  2  integrity errors: malformed pragma (P0), unparsable\n\
-                     \n     file (E0), stale results/gcir.json, bad configuration,\n\
-                     \n     IO failure, or usage"
+                     \n     file (E0), bad configuration, IO failure, or usage"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -157,20 +149,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let workspace = match adore_lint::Workspace::load(&root, &cfg) {
-        Ok(w) => w,
+    let mut report = match adore_lint::run_lint(&root, &cfg) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("adore-lint: scan failed: {e}");
             return ExitCode::from(2);
         }
     };
-
-    if dump_ir {
-        print!("{}", workspace.ir_dump(&cfg));
-        return ExitCode::SUCCESS;
-    }
-
-    let mut report = workspace.lint(&cfg);
 
     // `--only` narrows the report to the listed rules, for bisecting a
     // failure by hand. P0/E0 stay: a malformed pragma or an unparsable
@@ -186,29 +171,14 @@ fn main() -> ExitCode {
         _ => print!("{}", adore_lint::render_text(&report)),
     }
 
-    // A full run also vouches for the committed IR dump: reviewers read
-    // results/gcir.json as the model L13-L15 just certified, so it must
-    // be what this parse extracts.
-    let ir_stale = only.is_none()
-        && !(cfg.l13_conform.is_empty() && cfg.l15_scopes.is_empty())
-        && std::fs::read_to_string(root.join("results/gcir.json")).ok().as_deref()
-            != Some(workspace.ir_dump(&cfg).as_str());
-    if ir_stale {
-        eprintln!(
-            "adore-lint: results/gcir.json is missing or stale — regenerate with \
-             `adore-lint --dump-ir > results/gcir.json`"
-        );
-    }
-
     // Three-way exit: 2 = the lint's own inputs are compromised (a
     // malformed pragma can silently waive anything; an unparsable file
-    // was not checked at all; a stale IR dump shows reviewers a model
-    // that was not the one certified), 1 = ordinary findings, 0 = clean.
+    // was not checked at all), 1 = ordinary findings, 0 = clean.
     let integrity = report
         .findings
         .iter()
         .any(|f| !f.suppressed && (f.rule == "P0" || f.rule == "E0"));
-    if integrity || ir_stale {
+    if integrity {
         ExitCode::from(2)
     } else if report.active_count() > 0 {
         ExitCode::FAILURE

@@ -190,9 +190,9 @@ mod tests {
 
     #[test]
     fn unknown_rule_id_is_an_error() {
-        // Retired ids (L1, L4, L5, L7, L8) are rejected like any unknown
-        // one, so a stale pragma cannot linger as a silent no-op.
-        for bad in ["L1", "L8", "L16", "L99", "P1", "E2", "LX"] {
+        // Retired ids (L1, L4, L5, L7, L8, L13-L15) are rejected like any
+        // unknown one, so a stale pragma cannot linger as a silent no-op.
+        for bad in ["L1", "L8", "L13", "L14", "L15", "L16", "L99", "P1", "E2", "LX"] {
             let set = scan(&pragma(&format!(r#"allow({bad}, reason = "x")"#)));
             assert_eq!(set.errors.len(), 1, "{bad} must be rejected");
             assert!(set.errors[0].msg.contains("unknown rule id"), "{bad}");

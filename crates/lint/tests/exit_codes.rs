@@ -93,6 +93,7 @@ fn usage_errors_exit_two() {
         &["--format", "yaml"][..],
         &["--format", "sarif"][..],
         &["--only", "L99"][..],
+        &["--only", "L13,L14,L15"][..],
         &["--frobnicate"][..],
     ] {
         let out = lint(&root, bad);
@@ -105,35 +106,6 @@ fn only_filter_narrows_the_exit_status() {
     // The L2 finding is outside the `--only` set, so the run is clean;
     // P0/E0 would still count (covered above).
     let root = workspace("exit_only", "fn f(b: &[u8]) -> u8 {\n    first(b).unwrap()\n}\n");
-    let out = lint(&root, &["--only", "L13,L14,L15"]);
+    let out = lint(&root, &["--only", "L9,L10"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
-}
-
-#[test]
-fn a_stale_or_missing_ir_dump_exits_two() {
-    // With a conformance scope configured, a full run also vouches for
-    // results/gcir.json: absent or different from what this parse
-    // extracts is an integrity error; regenerated, the run is clean.
-    let root = workspace("exit2_ir", "pub fn finish() {}\n");
-    std::fs::write(
-        root.join("adore-lint.toml"),
-        "[scan]\nroots = [\"crates\"]\n\n[[rules.L15.scopes]]\n\
-         file = \"crates/core/src/lib.rs\"\nfunctions = [\"finish\"]\n",
-    )
-    .expect("write config");
-    let pinned = root.join("results/gcir.json");
-    let _ = std::fs::remove_file(&pinned);
-
-    let out = lint(&root, &[]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("results/gcir.json"), "{out:?}");
-
-    let dump = lint(&root, &["--dump-ir"]);
-    assert_eq!(dump.status.code(), Some(0), "{dump:?}");
-    std::fs::create_dir_all(root.join("results")).expect("mkdir");
-    std::fs::write(&pinned, &dump.stdout).expect("pin the dump");
-    assert_eq!(lint(&root, &[]).status.code(), Some(0));
-
-    std::fs::write(&pinned, "{}\n").expect("stale dump");
-    assert_eq!(lint(&root, &[]).status.code(), Some(2));
 }

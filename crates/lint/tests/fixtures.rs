@@ -2,6 +2,7 @@
 //! and asserted down to exact rule ids and line numbers, plus the
 //! workspace self-check that keeps the real tree clean.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use adore_lint::config::{Config, L2Scope, L3Type};
@@ -100,15 +101,20 @@ fn parse_error_fixture_is_e0() {
     assert_eq!(f[0].line, 3, "{f:#?}");
 }
 
+/// The real tree under the shipped adore-lint.toml.
+fn shipped_report() -> adore_lint::Report {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let cfg_text = std::fs::read_to_string(root.join("adore-lint.toml")).expect("shipped config");
+    let cfg = Config::from_toml(&cfg_text).expect("shipped config parses");
+    adore_lint::run_lint(&root, &cfg).expect("workspace scans")
+}
+
 /// The workspace itself must be lint-clean: zero unsuppressed findings
 /// under the shipped adore-lint.toml, and every suppression must carry
 /// a non-empty reason. This is the same invariant ci.sh gates on.
 #[test]
 fn workspace_self_check_is_clean() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let cfg_text = std::fs::read_to_string(root.join("adore-lint.toml")).expect("shipped config");
-    let cfg = Config::from_toml(&cfg_text).expect("shipped config parses");
-    let report = adore_lint::run_lint(&root, &cfg).expect("workspace scans");
+    let report = shipped_report();
 
     assert!(
         report.files_scanned > 80,
@@ -132,4 +138,24 @@ fn workspace_self_check_is_clean() {
     assert!(Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures/l2_recovery.rs")
         .exists());
+}
+
+/// The workspace pragma debt, per rule. This is the same total the
+/// report's table prints; pinning it here means a new suppression (or a
+/// silently vanished one) shows up as a deliberate diff.
+#[test]
+fn workspace_pragma_debt_is_pinned() {
+    let report = shipped_report();
+    let suppressed: BTreeMap<String, usize> = report
+        .tally()
+        .into_iter()
+        .filter(|(_, (_, s))| *s > 0)
+        .map(|(rule, (_, s))| (rule, s))
+        .collect();
+    let expected: BTreeMap<String, usize> = [("L2", 3), ("L3", 2), ("L6", 6)]
+        .into_iter()
+        .map(|(r, n)| (r.to_string(), n))
+        .collect();
+    assert_eq!(suppressed, expected, "pragma debt changed — audit the new/removed suppression");
+    assert_eq!(report.suppressed_count(), 11);
 }

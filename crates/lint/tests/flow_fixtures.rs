@@ -91,19 +91,21 @@ fn l3_obs_fixture_exact_positions() {
 }
 
 // ---------------------------------------------------------------------------
-// Self-ablation: run L6 against the *real* transition code, with and
-// without its guards.
+// Self-ablation: run L6 against the *real* transition code under the
+// shipped configuration, with and without its guards.
 // ---------------------------------------------------------------------------
 
-/// The shipped configuration leaves `Server` to L14, so this suite runs
-/// L6 over net.rs under its own `flow_config()` entry; the two
-/// WAL-certified installs in `install_recovery` that the file waives
-/// for L14 are waived for L6 here the same way.
 fn real_net_rs() -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../raft/src/net.rs");
-    let src = std::fs::read_to_string(&path).expect("read crates/raft/src/net.rs");
-    assert_eq!(src.matches("allow(L14, ").count(), 2, "install_recovery's waivers moved");
-    src.replace("allow(L14, ", "allow(L6, L14, ")
+    std::fs::read_to_string(&path).expect("read crates/raft/src/net.rs")
+}
+
+/// The shipped `adore-lint.toml`: the self-ablations must be caught by
+/// the `Server` entry CI actually runs, not by a test-local one.
+fn shipped_config() -> Config {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../adore-lint.toml");
+    let text = std::fs::read_to_string(&path).expect("read adore-lint.toml");
+    Config::from_toml(&text).expect("shipped config parses")
 }
 
 /// 1-based lines whose text contains `needle`.
@@ -116,7 +118,7 @@ fn lines_containing(src: &str, needle: &str) -> Vec<usize> {
 }
 
 fn unsuppressed_l6(src: &str) -> Vec<(usize, usize)> {
-    lint_source("crates/raft/src/net.rs", src, &flow_config())
+    lint_source("crates/raft/src/net.rs", src, &shipped_config())
         .iter()
         .filter(|f| f.rule == "L6" && !f.suppressed)
         .map(|f| (f.line, f.col))

@@ -2,12 +2,14 @@
 //! artifact the benches and fault campaigns leave behind.
 //!
 //! Every writer in the workspace that persists a results file
-//! (`results/BENCH_net.json`, `results/BENCH_netmesis.json`,
+//! (`results/BENCH_live.json`, `results/BENCH_netmesis.json`,
 //! counterexample artifacts) goes through [`write_json_report`], so the
 //! repo-root trajectory files share one format: pretty-printed JSON
 //! with a trailing newline, parent directories created on demand. A
 //! tool that trends the perf/robustness numbers can parse every file
-//! the same way.
+//! the same way. (Closed-loop throughput and exact percentiles are not
+//! written here: `benchmark/run.sh` measures them and keeps its own
+//! result sets under `benchmark/results/`.)
 
 use serde::Serialize;
 use std::path::Path;
