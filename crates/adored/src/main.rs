@@ -762,6 +762,25 @@ struct BenchLatency {
     max: u64,
 }
 
+impl BenchLatency {
+    /// Exact order statistics of the raw samples, which must be sorted:
+    /// every percentile is the nearest-rank sample, so it is a latency
+    /// some request had and never exceeds `max`. All zero when empty.
+    fn from_sorted(sorted: &[u64]) -> BenchLatency {
+        let n = sorted.len();
+        let at = |idx: usize| sorted.get(idx).copied().unwrap_or(0);
+        let rank = |pct: usize| at((pct * n).div_ceil(100).saturating_sub(1));
+        BenchLatency {
+            mean: sorted.iter().sum::<u64>().checked_div(n as u64).unwrap_or(0),
+            min: at(0),
+            p50: rank(50),
+            p95: rank(95),
+            p99: rank(99),
+            max: at(n.saturating_sub(1)),
+        }
+    }
+}
+
 /// Worker threads sharing one offered-rate schedule. Eight keeps the
 /// per-worker issue rate low enough that one slow ack rarely delays
 /// the next intended start (and when it does, the latency is charged
@@ -832,9 +851,9 @@ fn scrape_series(addr: &str) -> Option<u64> {
     )
 }
 
-/// What one open-loop worker measured: its latency histogram, the
-/// `(seq, dup)` of every acked write, and its error count.
-type WorkerTake = (adore_obs::HistogramSnapshot, Vec<(u64, bool)>, u64);
+/// What one open-loop worker measured: the `(latency_us, seq, dup)` of
+/// every acked write, and its error count.
+type WorkerTake = (Vec<(u64, u64, bool)>, u64);
 
 /// Issues `total` writes on a fixed schedule shared across workers
 /// (worker `w` owns indices `w, w+W, w+2W, ...`). Latency is charged
@@ -849,7 +868,6 @@ fn open_loop_worker(
     w: u64,
     label: usize,
 ) -> WorkerTake {
-    let mut hist = Histogram::default();
     let mut acks = Vec::new();
     let mut errors = 0u64;
     let mut i = w;
@@ -861,15 +879,12 @@ fn open_loop_worker(
         }
         let key = format!("ol{label}-{w}-{i}");
         match client.put(&key, "x") {
-            Ok(acked) => {
-                hist.observe(dur_us(intended.elapsed()));
-                acks.push((acked.seq, acked.duplicate));
-            }
+            Ok(acked) => acks.push((dur_us(intended.elapsed()), acked.seq, acked.duplicate)),
             Err(_) => errors += 1,
         }
         i += OPEN_LOOP_WORKERS;
     }
-    (hist.snapshot(), acks, errors)
+    (acks, errors)
 }
 
 /// The open-loop campaign: a 3-node cluster with the online auditor
@@ -929,18 +944,18 @@ fn bench_open_loop(
                 open_loop_worker(client, start, rate, total, w, ri)
             }));
         }
-        let mut merged = Histogram::default().snapshot();
-        let mut acked = 0u64;
+        let mut hist = Histogram::default();
+        let mut latencies = Vec::new();
         let mut errors = 0u64;
         for (w, handle) in workers.into_iter().enumerate() {
-            let (snap, acks, errs) = handle
+            let (acks, errs) = handle
                 .join()
                 .map_err(|_| format!("open-loop worker {w} panicked"))?;
-            merged.merge(&snap);
             errors += errs;
             let client_id = 100 + (ri as u64) * OPEN_LOOP_WORKERS + w as u64;
-            for (seq, dup) in acks {
-                acked += 1;
+            for (latency_us, seq, dup) in acks {
+                hist.observe(latency_us);
+                latencies.push(latency_us);
                 record(
                     &mut driver,
                     &mut pushed,
@@ -953,6 +968,9 @@ fn bench_open_loop(
             }
         }
         let elapsed_us = dur_us(start.elapsed());
+        let acked = latencies.len() as u64;
+        latencies.sort_unstable();
+        let latency_us = BenchLatency::from_sorted(&latencies);
         let achieved_per_s = acked
             .saturating_mul(1_000_000)
             .checked_div(elapsed_us)
@@ -965,9 +983,7 @@ fn bench_open_loop(
         println!(
             "bench: offered {rate}/s -> achieved {achieved_per_s}/s \
              (p50={}us p95={}us p99={}us, {errors} errors)",
-            merged.quantile(0.50),
-            merged.quantile(0.95),
-            merged.quantile(0.99)
+            latency_us.p50, latency_us.p95, latency_us.p99
         );
         points.push(RatePoint {
             offered_per_s: rate,
@@ -977,15 +993,8 @@ fn bench_open_loop(
             errors,
             elapsed_us,
             scraped_series,
-            latency_us: BenchLatency {
-                mean: merged.mean(),
-                min: merged.min,
-                p50: merged.quantile(0.50),
-                p95: merged.quantile(0.95),
-                p99: merged.quantile(0.99),
-                max: merged.max,
-            },
-            histogram: merged,
+            latency_us,
+            histogram: hist.snapshot(),
         });
     }
 
@@ -1081,6 +1090,20 @@ mod tests {
         // A flag with its value missing is no more valid than a typo.
         assert!(arg_u64(&args(&["--seed"]), "--seed", 42).is_err());
         assert!(arg_num::<u32>(&args(&["--nodes", "three"]), "--nodes").is_err());
+    }
+
+    #[test]
+    fn bench_latency_is_exact_nearest_rank_order_statistics() {
+        let upto100: Vec<u64> = (1..=100).collect();
+        let l = BenchLatency::from_sorted(&upto100);
+        assert_eq!((l.min, l.p50, l.p95, l.p99, l.max, l.mean), (1, 50, 95, 99, 100, 50));
+        // The shape the doubling buckets misreported (p95 = p99 = 1600 over
+        // a max of 1493): every percentile is a sample, none above max.
+        let skewed = [310, 480, 520, 700, 1493];
+        let l = BenchLatency::from_sorted(&skewed);
+        assert!(l.min <= l.p50 && l.p50 <= l.p95 && l.p95 <= l.p99 && l.p99 <= l.max);
+        assert_eq!((l.p50, l.p95, l.p99, l.max), (520, 1493, 1493, 1493));
+        assert_eq!(BenchLatency::from_sorted(&[]).max, 0);
     }
 
     #[test]

@@ -257,6 +257,38 @@ mod tests {
         assert!(profile.quorum_checks() > 0);
     }
 
+    /// The exact size of both state spaces at `certify`'s warm-up
+    /// shapes (two nodes, reconfiguration on, one spare). The benchmark
+    /// pins the deeper pair, but no `ci.sh` step runs it as a workload;
+    /// this is the pin the workspace suite holds. A change to `net.rs`
+    /// or `core::state` that alters what is reachable moves a pair
+    /// (EXPERIMENTS E12 has the mutations that do).
+    #[test]
+    fn certify_shapes_keep_their_pinned_counts() {
+        use crate::explore::{explore, ExploreParams};
+        let conf0 = SingleNode::new([1, 2]);
+        let adore = explore(
+            &conf0,
+            &ExploreParams {
+                max_depth: 5,
+                max_states: usize::MAX,
+                ..ExploreParams::default()
+            },
+        );
+        assert!(adore.is_safe() && !adore.truncated);
+        assert_eq!((adore.states, adore.transitions), (1_301, 1_666));
+        let net = explore_net(
+            &conf0,
+            &NetExploreParams {
+                max_depth: 7,
+                max_states: usize::MAX,
+                ..NetExploreParams::default()
+            },
+        );
+        assert!(!net.log_safety_violated && !net.truncated);
+        assert_eq!((net.states, net.transitions), (4_099, 7_916));
+    }
+
     #[test]
     fn network_state_space_dominates_at_equal_protocol_progress() {
         use crate::explore::{explore, ExploreParams};

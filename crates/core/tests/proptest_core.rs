@@ -2,6 +2,10 @@
 //! operation sequences preserve the invariant suite; the cache order is a
 //! total order on reachable caches; states serialize losslessly.
 
+#![deny(clippy::disallowed_types)] // L1: no hash order, no ambient clock
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)] // L5
+#![deny(clippy::let_underscore_must_use)] // L4/L8: no `let _ =` on a verdict or a recovery result
+
 use adore_core::enumerate::{pull_decisions, push_decisions};
 use adore_core::extensions::invoke_windowed;
 use adore_core::majority::Majority;

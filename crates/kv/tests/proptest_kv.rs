@@ -2,6 +2,10 @@
 //! of client commands and guarded reconfigurations keep the store
 //! consistent, deterministic, and loss-tolerant.
 
+#![deny(clippy::disallowed_types)] // L1: no hash order, no ambient clock
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)] // L5
+#![deny(clippy::let_underscore_must_use)] // L4/L8: no `let _ =` on a verdict or a recovery result
+
 use adore_core::NodeId;
 use adore_kv::{Cluster, KvCommand, KvStore, LatencyModel};
 use adore_schemes::SingleNode;

@@ -1,9 +1,9 @@
 //! The concurrency-discipline rules: L9 lock-order, L10 no-panic lock
 //! acquisition, L11 lock-across-blocking, L12 channel discipline.
 //!
-//! Where L2, L3 and L6 certify the deterministic protocol, these four
-//! certify the *threaded shell around it* — the node event loops, proxy
-//! pumps, and monitor threads that `crates/adored` added:
+//! Where L2 covers the deterministic protocol's recovery paths, these
+//! four certify the *threaded shell around it* — the node event loops,
+//! proxy pumps, and monitor threads that `crates/adored` added:
 //!
 //! * **L9** — per-crate lock-acquisition graph. Every `lock()` while
 //!   another guard is held adds an order edge; any cycle (including a
@@ -42,8 +42,7 @@
 //!
 //! # Cross-file summaries
 //!
-//! Unlike the one-level, same-file [`crate::callgraph`] summaries,
-//! these rules summarize **every function of a crate together** and
+//! These rules summarize **every function of a crate together** and
 //! iterate to a fixpoint, so a helper that blocks or acquires a lock
 //! taints its callers across files. A helper whose `lock()` receiver
 //! is one of its own parameters is marked parameter-acquiring, and the
@@ -163,7 +162,7 @@ fn scan_crate(
             continue;
         }
         let mut fns = Vec::new();
-        crate::callgraph::collect_fns(&file.items, false, &mut fns);
+        collect_fns(&file.items, false, &mut fns);
         for f in &fns {
             let Some(body) = &f.body else { continue };
             let mut ctx = WalkCtx {
@@ -183,6 +182,27 @@ fn scan_crate(
     }
 
     report_order_violations(&edges, &config.l9_locks, findings);
+}
+
+/// Collects every function item, impl/trait/mod bodies included,
+/// skipping `#[cfg(test)]` subtrees.
+fn collect_fns<'f>(items: &'f [syn::Item], in_test: bool, out: &mut Vec<&'f syn::ItemFn>) {
+    for item in items {
+        let in_test = in_test || item.attrs().iter().any(syn::Attribute::is_cfg_test);
+        if in_test {
+            continue;
+        }
+        match item {
+            syn::Item::Fn(f) => out.push(f),
+            syn::Item::Mod(m) | syn::Item::Trait(m) => {
+                if let Some(content) = &m.content {
+                    collect_fns(content, in_test, out);
+                }
+            }
+            syn::Item::Impl(i) => collect_fns(&i.items, in_test, out),
+            _ => {}
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -206,7 +226,7 @@ pub fn summarize_crate(
     let mut infos = Vec::new();
     for (_, file) in group {
         let mut fns = Vec::new();
-        crate::callgraph::collect_fns(&file.items, false, &mut fns);
+        collect_fns(&file.items, false, &mut fns);
         for f in fns {
             let Some(body) = &f.body else { continue };
             let sig = f.signature.to_string();

@@ -2,9 +2,9 @@
 //! TOML subset it uses.
 //!
 //! The subset: `#` comments, `[table.path]` headers, `[[array.of.tables]]`
-//! headers, and `key = value` pairs where a value is a string, integer,
-//! boolean, or (possibly multi-line) array of strings. That is everything
-//! the shipped configuration needs, and keeping the parser in-tree keeps
+//! headers, and `key = value` pairs where a value is a string or a
+//! (possibly multi-line) array of strings. That is everything the
+//! shipped configuration needs, and keeping the parser in-tree keeps
 //! the lint dependency-free (the container has no registry access).
 
 use std::collections::BTreeMap;
@@ -15,10 +15,6 @@ use std::fmt;
 pub enum Value {
     /// A quoted string.
     Str(String),
-    /// An integer.
-    Int(i64),
-    /// A boolean.
-    Bool(bool),
     /// An array of values.
     Array(Vec<Value>),
     /// A nested table.
@@ -71,41 +67,6 @@ pub struct L2Scope {
     pub functions: Vec<String>,
 }
 
-/// One L3 protected type: its fields may only be assigned inside the
-/// owner files. The check runs within `crate_dir` — across crates the
-/// fields are private, so rustc's privacy already enforces the boundary.
-#[derive(Debug, Clone)]
-pub struct L3Type {
-    /// Type name (diagnostic label only; matching is field-based).
-    pub type_name: String,
-    /// Crate directory the fields live in, e.g. `crates/core`.
-    pub crate_dir: String,
-    /// Protected field names.
-    pub fields: Vec<String>,
-    /// Files allowed to assign those fields.
-    pub owners: Vec<String>,
-    /// When set, `Type { .. }` literals outside the owner files are also
-    /// flagged (construction protection, e.g. journal event types).
-    pub construct: bool,
-}
-
-/// One L6 entry: fields whose assignment must be dominated by a guard
-/// call on every control-flow path (the static analogue of consulting
-/// R1⁺/R2/R3 before a commit/reconfig transition).
-#[derive(Debug, Clone)]
-pub struct L6Protected {
-    /// Type name (diagnostic label only; matching is field-based).
-    pub type_name: String,
-    /// Crate directory the check runs in, e.g. `crates/raft`.
-    pub crate_dir: String,
-    /// Guarded field names.
-    pub fields: Vec<String>,
-    /// Guard predicate names; a call to *any* of them dominating the
-    /// assignment satisfies the rule. Helpers that call a guard on all
-    /// their paths count via the one-level call graph.
-    pub guards: Vec<String>,
-}
-
 /// The full lint configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
@@ -115,10 +76,6 @@ pub struct Config {
     pub exclude: Vec<String>,
     /// L2: panic-free scopes.
     pub l2_scopes: Vec<L2Scope>,
-    /// L3: mutation-encapsulated types.
-    pub l3_types: Vec<L3Type>,
-    /// L6: guard-before-mutation entries.
-    pub l6_protected: Vec<L6Protected>,
     /// L9: crate directories whose lock-acquisition graph must be
     /// acyclic (each crate gets its own graph; helpers are summarized
     /// cross-file within the crate).
@@ -166,8 +123,6 @@ impl Default for Config {
             roots: vec!["crates".into(), "src".into()],
             exclude: Vec::new(),
             l2_scopes: Vec::new(),
-            l3_types: Vec::new(),
-            l6_protected: Vec::new(),
             l9_crates: Vec::new(),
             l9_locks: Vec::new(),
             l10_scopes: Vec::new(),
@@ -201,41 +156,6 @@ impl Config {
             _ => BTreeMap::new(),
         };
         cfg.l2_scopes = scopes_of(&rules, "L2");
-        if let Some(Value::Table(l3)) = rules.get("L3") {
-            if let Some(Value::Array(types)) = l3.get("types") {
-                for s in types {
-                    let Value::Table(t) = s else { continue };
-                    cfg.l3_types.push(L3Type {
-                        type_name: t.get("type").and_then(Value::as_str).unwrap_or("").into(),
-                        crate_dir: t
-                            .get("crate_dir")
-                            .and_then(Value::as_str)
-                            .unwrap_or("")
-                            .into(),
-                        fields: t.get("fields").map(Value::string_array).unwrap_or_default(),
-                        owners: t.get("owners").map(Value::string_array).unwrap_or_default(),
-                        construct: matches!(t.get("construct"), Some(Value::Bool(true))),
-                    });
-                }
-            }
-        }
-        if let Some(Value::Table(l6)) = rules.get("L6") {
-            if let Some(Value::Array(entries)) = l6.get("protected") {
-                for s in entries {
-                    let Value::Table(t) = s else { continue };
-                    cfg.l6_protected.push(L6Protected {
-                        type_name: t.get("type").and_then(Value::as_str).unwrap_or("").into(),
-                        crate_dir: t
-                            .get("crate_dir")
-                            .and_then(Value::as_str)
-                            .unwrap_or("")
-                            .into(),
-                        fields: t.get("fields").map(Value::string_array).unwrap_or_default(),
-                        guards: t.get("guards").map(Value::string_array).unwrap_or_default(),
-                    });
-                }
-            }
-        }
         if let Some(Value::Table(l9)) = rules.get("L9") {
             if let Some(v) = l9.get("crates") {
                 cfg.l9_crates = v.string_array();
@@ -395,12 +315,6 @@ fn parse_value(text: &str, lineno: usize) -> Result<Value, ConfigError> {
             msg: "unterminated string".into(),
         });
     }
-    if text == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if text == "false" {
-        return Ok(Value::Bool(false));
-    }
     if let Some(inner) = text.strip_prefix('[').and_then(|t| t.strip_suffix(']')) {
         let mut items = Vec::new();
         for part in split_top_level(inner) {
@@ -411,9 +325,9 @@ fn parse_value(text: &str, lineno: usize) -> Result<Value, ConfigError> {
         }
         return Ok(Value::Array(items));
     }
-    text.parse::<i64>().map(Value::Int).map_err(|_| ConfigError {
+    Err(ConfigError {
         line: lineno,
-        msg: format!("unsupported value `{text}`"),
+        msg: format!("unsupported value `{text}` (expected a string or an array of strings)"),
     })
 }
 
@@ -553,25 +467,6 @@ functions = [
 file = "crates/raft/src/net.rs"
 functions = ["*"]
 
-[[rules.L3.types]]
-type = "AdoreState"
-crate_dir = "crates/core"
-fields = ["tree", "times"]
-owners = ["crates/core/src/state.rs"]
-
-[[rules.L3.types]]
-type = "TraceEvent"
-crate_dir = "crates"
-fields = []
-owners = ["crates/obs/src/event.rs"]
-construct = true
-
-[[rules.L6.protected]]
-type = "Server"
-crate_dir = "crates/raft"
-fields = ["commit_len", "log"]
-guards = ["is_quorum", "log_up_to_date"]
-
 [rules.L9]
 crates = ["crates/adored"]
 locks = ["clients", "state"]
@@ -594,12 +489,6 @@ functions = ["run"]
         assert_eq!(cfg.l2_scopes.len(), 2);
         assert_eq!(cfg.l2_scopes[0].functions, vec!["recover", "advance_mirror"]);
         assert_eq!(cfg.l2_scopes[1].functions, vec!["*"]);
-        assert_eq!(cfg.l3_types[0].fields, vec!["tree", "times"]);
-        assert!(!cfg.l3_types[0].construct);
-        assert!(cfg.l3_types[1].construct);
-        assert_eq!(cfg.l3_types[1].type_name, "TraceEvent");
-        assert_eq!(cfg.l6_protected.len(), 1);
-        assert_eq!(cfg.l6_protected[0].guards, vec!["is_quorum", "log_up_to_date"]);
         assert_eq!(cfg.l9_crates, vec!["crates/adored"]);
         assert_eq!(cfg.l9_locks, vec!["clients", "state"]);
         assert_eq!(cfg.l10_scopes.len(), 1);
@@ -623,6 +512,15 @@ functions = ["run"]
         assert_eq!(err.line, 2);
         let err = Config::from_toml("[scan]\nroots = [\"a\"").unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn numbers_and_bare_words_are_config_errors() {
+        for text in ["[scan]\nroots = 3", "[scan]\nroots = [\"a\", 3]", "[rules.L9]\nlocks = true"] {
+            let err = Config::from_toml(text).unwrap_err();
+            assert_eq!(err.line, 2, "{text}");
+            assert!(err.msg.contains("unsupported value"), "{err}");
+        }
     }
 
     #[test]

@@ -23,47 +23,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
                  let frame = parse(bytes).unwrap();   // L2\n\
                  let first = bytes[0];                // L2\n"
         }
-        "L3" => {
-            "L3 — mutation encapsulation\n\
-             \n\
-             Protected protocol-state fields may only be assigned inside their\n\
-             owning transition module, and construct-protected types (journal\n\
-             events) may only be built by their owner's constructors.\n\
-             \n\
-             Paper invariant: Adore's state only satisfies the transition\n\
-             relation if *every* mutation of tree/log/commit state goes through\n\
-             the certified transition functions; rustc privacy cannot police\n\
-             same-crate siblings, so the lint does.\n\
-             \n\
-             Violating example (outside the owner file):\n\
-             \n\
-                 s.commit_len = 0;                    // L3\n\
-                 let ev = TraceEvent { .. };          // L3 (construct-protected)\n"
-        }
-        "L6" => {
-            "L6 — guard-before-mutation (flow-sensitive)\n\
-             \n\
-             Every control-flow path to an assignment of a protected protocol-\n\
-             state field must contain a call to one of the field's configured\n\
-             guard predicates — directly, or through a same-file helper that\n\
-             calls the guard on all of its own paths (one-level call graph).\n\
-             \n\
-             Paper invariant: the static analogue of R1+/R2/R3 necessity. Adore's\n\
-             reconfiguration safety proof requires the transition function to\n\
-             consult the guards before committing or reconfiguring; a guard that\n\
-             an `else` branch skips is exactly the bug class Schultz et al. found\n\
-             in MongoDB's reconfiguration. L6 checks the *source* consults the\n\
-             guard on every path, complementing the nemesis guard-ablation hunts\n\
-             that show what happens when it does not.\n\
-             \n\
-             Violating example (commit_len guarded by is_quorum):\n\
-             \n\
-                 if fast_path(s) {\n\
-                     s.commit_len = n;        // L6: this path skipped is_quorum\n\
-                 } else if c.is_quorum(a) {\n\
-                     s.commit_len = n;        // ok: dominated by the guard\n\
-                 }\n"
-        }
         "L9" => {
             "L9 — lock-order cycles (concurrency-discipline)\n\
              \n\
@@ -182,12 +141,12 @@ pub fn explain(rule: &str) -> Option<&'static str> {
 
 /// Every rule id `--explain` accepts, in display order.
 ///
-/// The gaps are deliberate: L1, L4, L5, L7 and L8 were retired to
-/// rustc/clippy, L13 to the checker and `refine.rs`, L14 to L6 and L15
-/// to a `debug_assert!` in the engine (DESIGN.md's static-discipline
-/// table says what carries each), and the surviving ids were not
-/// renumbered.
-pub const RULE_IDS: &[&str] = &["L2", "L3", "L6", "L9", "L10", "L11", "L12", "P0", "E0"];
+/// The gaps are deliberate: L1, L3, L4, L5, L7 and L8 were retired to
+/// rustc/clippy, L6, L13 and L14 to the checker, `refine.rs` and the
+/// unit suites, and L15 to a `debug_assert!` in the engine (DESIGN.md's
+/// static-discipline table says what carries each), and the surviving
+/// ids were not renumbered. A pragma naming a retired id is `P0`.
+pub const RULE_IDS: &[&str] = &["L2", "L9", "L10", "L11", "L12", "P0", "E0"];
 
 #[cfg(test)]
 mod tests {
@@ -199,13 +158,9 @@ mod tests {
             let text = explain(id).unwrap_or_else(|| panic!("no explanation for {id}"));
             assert!(text.contains(id), "{id} text names itself");
         }
-        assert!(explain("l6").is_some(), "case-insensitive");
+        assert!(explain("l9").is_some(), "case-insensitive");
         assert!(explain("L99").is_none());
-    }
-
-    #[test]
-    fn flow_rule_cites_the_paper_invariants() {
-        assert!(explain("L6").expect("L6").contains("R1+/R2/R3"));
+        assert!(explain("L3").is_none() && explain("L6").is_none(), "retired ids");
     }
 
     #[test]

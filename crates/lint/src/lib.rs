@@ -2,21 +2,13 @@
 //! protocol discipline at the source level.
 //!
 //! The model checker, the nemesis, and the replay tooling all assume
-//! properties of the *source* that neither rustc nor clippy can be
-//! asked to enforce: recovery paths only report faults if they cannot
-//! panic on corrupted input (L2), and the protocol state only obeys the
-//! paper's transition rules if nothing else assigns its fields (L3).
-//! This crate walks every `.rs` file in the workspace and enforces
-//! those as token-pattern rules; see [`rules`] for the exact patterns
-//! and [`pragma`] for the `allow(...)`-with-reason escape hatch.
+//! properties of the *source* that no other backend can state. Recovery
+//! paths only report faults if they cannot panic on corrupted input
+//! (L2): a token-pattern rule over configured scopes, see [`rules`] for
+//! the exact patterns and [`pragma`] for the `allow(...)`-with-reason
+//! escape hatch.
 //!
-//! On top of the token-pattern rules sits a flow-sensitive layer
-//! ([`cfg`] → [`dataflow`] → [`callgraph`] → [`flow_rules`]): per-
-//! function control-flow graphs with a must-reach guard analysis (L6
-//! guard-before-mutation, the static analogue of consulting R1⁺/R2/R3
-//! on every path).
-//!
-//! A third, concurrency-discipline layer ([`conc_rules`]) certifies the
+//! The concurrency-discipline layer ([`conc_rules`]) certifies the
 //! threaded runtime around the deterministic engine: lock-order cycles
 //! (L9), panic-free lock acquisition in long-lived threads (L10),
 //! guards held across blocking calls (L11), and hot-path sends that
@@ -24,29 +16,24 @@
 //! crate, so [`run_lint`] scans it globally over every parsed file
 //! rather than file-by-file.
 //!
-//! What is *not* here any more: determinism (L1), consumed verdicts
-//! (L4), console output (L5), nondeterminism taint (L7) and discarded
-//! recovery results (L8) are bans on names, paths and `#[must_use]`
-//! values — obligations rustc and clippy discharge with real name
-//! resolution and types. They live in `clippy.toml` and the crate-root
-//! `deny` attributes. Spec drift (L13), semantic guard sufficiency
-//! (L14) and emission order (L15) were a guarded-command IR of
-//! `raft/src/net.rs` replayed against the checker; since the daemon
-//! executes that file and the checker explores its compiled self, they
-//! are held by the checker's pinned counts and `refine.rs`, by L6 over
-//! raft's `Server`, and by a `debug_assert!` in `Engine::finish`
-//! (DESIGN.md §15). None of the ids were reused.
+//! What is *not* here any more, each with the cheaper backend that
+//! holds it (DESIGN.md §8 has the audit): determinism (L1), consumed
+//! verdicts (L4), console output (L5), nondeterminism taint (L7) and
+//! discarded recovery results (L8) are bans on names, paths and
+//! `#[must_use]` values, in `clippy.toml` and the crate-root `deny`
+//! attributes. Mutation encapsulation (L3) is rustc's privacy plus
+//! `#[non_exhaustive]` on `TraceEvent`. Guard-before-mutation (L6) and
+//! spec drift (L13/L14) are what the model checker's pinned counts,
+//! `refine.rs` and the unit suites of `core` and `raft` fail on when a
+//! guard is weakened (EXPERIMENTS E12, E16); emission order (L15) is a
+//! `debug_assert!` in `Engine::finish`. None of the ids were reused.
 //!
 //! Findings are deterministic (files walked in sorted order, findings
 //! sorted by position) so CI output is stable.
 
-pub mod callgraph;
-pub mod cfg;
 pub mod conc_rules;
 pub mod config;
-pub mod dataflow;
 pub mod explain;
-pub mod flow_rules;
 pub mod pragma;
 pub mod rules;
 
@@ -126,12 +113,10 @@ impl Report {
 
 /// The rules this linter runs, in report order, with what each
 /// certifies. Ids are stable: the gaps are rules since retired (to
-/// rustc/clippy, the checker, or a runtime assertion), and survivors
-/// were not renumbered.
+/// rustc/clippy, the checker and the unit suites, or a runtime
+/// assertion), and survivors were not renumbered.
 pub const RULES: &[(&str, &str)] = &[
     ("L2", "panic-free recovery (no unwrap / panic! / indexing)"),
-    ("L3", "mutation encapsulation (owner-only field assignment)"),
-    ("L6", "guard-before-mutation (must-reach, R1+/R2/R3 analogue)"),
     ("L9", "lock-order cycles (crate-wide acquisition graph)"),
     ("L10", "no-panic lock acquisition in long-lived threads"),
     ("L11", "no lock guard held across blocking calls"),
@@ -204,7 +189,6 @@ pub fn lint_source(rel: &str, source: &str, cfg: &Config) -> Vec<Finding> {
     let (mut findings, parsed) = load_findings(rel, source, &pragmas);
     if let Some(file) = parsed {
         findings.extend(rules::scan_file(rel, &file, cfg));
-        findings.extend(flow_rules::scan_flow(rel, &file, cfg));
         let files = vec![(rel.to_string(), file)];
         findings.extend(conc_rules::scan_conc(&files, cfg));
     }
@@ -337,40 +321,11 @@ impl Workspace {
             let only = only_rule(rule, cfg);
             let start = std::time::Instant::now();
             let found = match *rule {
-                "L2" | "L3" => self
+                "L2" => self
                     .parsed
                     .iter()
                     .flat_map(|(rel, file)| rules::scan_file(rel, file, &only))
                     .collect(),
-                // Against a call-graph fixpoint over the crates that
-                // own a protected type, so guard delegation is seen
-                // through helpers in *other* files of those crates. A
-                // guard helper outside them earns no credit.
-                "L6" => {
-                    let guard_names: std::collections::BTreeSet<String> = only
-                        .l6_protected
-                        .iter()
-                        .flat_map(|e| e.guards.iter().cloned())
-                        .collect();
-                    let owned: Vec<&(String, syn::File)> = self
-                        .parsed
-                        .iter()
-                        .filter(|(rel, _)| {
-                            only.l6_protected.iter().any(|e| rules::in_dir(rel, &e.crate_dir))
-                        })
-                        .collect();
-                    let fixpoint = callgraph::summarize_workspace(
-                        owned.iter().map(|(_, file)| file),
-                        &guard_names,
-                    );
-                    let mut found = Vec::new();
-                    for (rel, file) in owned {
-                        let local = callgraph::summarize(file, &guard_names);
-                        let summaries = callgraph::overlay(local, &fixpoint);
-                        found.extend(flow_rules::scan_flow_with(rel, file, &only, &summaries));
-                    }
-                    found
-                }
                 // L9-L12.
                 _ => conc_rules::scan_conc(&self.parsed, &only),
             };
@@ -401,8 +356,6 @@ fn only_rule(rule: &str, full: &Config) -> Config {
     let mut cfg = Config::default();
     match rule {
         "L2" => cfg.l2_scopes = full.l2_scopes.clone(),
-        "L3" => cfg.l3_types = full.l3_types.clone(),
-        "L6" => cfg.l6_protected = full.l6_protected.clone(),
         "L9" => {
             cfg.l9_crates = full.l9_crates.clone();
             cfg.l9_locks = full.l9_locks.clone();

@@ -79,7 +79,7 @@ fn main() -> ExitCode {
                     }
                 },
                 None => {
-                    eprintln!("adore-lint: --explain expects a rule id (e.g. L6)");
+                    eprintln!("adore-lint: --explain expects a rule id (e.g. L9)");
                     return ExitCode::from(2);
                 }
             },
@@ -92,15 +92,14 @@ fn main() -> ExitCode {
                      \n       adore-lint --explain RULE\n\
                      \n\
                      Scans the workspace for violations of rules L2 (panic-free\n\
-                     recovery), L3 (mutation/construction encapsulation), the\n\
-                     flow-sensitive rule L6 (guard-before-mutation), the\n\
-                     concurrency-discipline rules L9 (lock-order cycles), L10\n\
-                     (no-panic lock acquisition), L11 (no lock held across blocking\n\
-                     calls), and L12 (hot-path sends shed explicitly). The other\n\
-                     ids are retired: rustc and clippy discharge L1, L4, L5, L7\n\
-                     and L8 (see clippy.toml); the model checker and refine.rs\n\
-                     hold L13, L6 over raft's Server holds L14, and a debug_assert\n\
-                     in the engine holds L15 (DESIGN.md sections 8 and 15).\n\
+                     recovery) and the concurrency-discipline rules L9 (lock-order\n\
+                     cycles), L10 (no-panic lock acquisition), L11 (no lock held\n\
+                     across blocking calls), and L12 (hot-path sends shed\n\
+                     explicitly). The other ids are retired: rustc and clippy\n\
+                     discharge L1, L3, L4, L5, L7 and L8 (privacy, non_exhaustive,\n\
+                     clippy.toml); the model checker, refine.rs and the unit suites\n\
+                     hold L6, L13 and L14; a debug_assert in the engine holds L15\n\
+                     (DESIGN.md sections 8, 10 and 15).\n\
                      The text report ends with a per-rule table: findings, pragma\n\
                      debt, and each rule's own analysis time. `--only L9,L10`\n\
                      narrows the report (and the exit status) to the listed rules;\n\

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use adore_lint::config::{Config, L2Scope, L3Type};
+use adore_lint::config::{Config, L2Scope};
 use adore_lint::{lint_source, Finding};
 
 fn fixture(name: &str) -> String {
@@ -30,13 +30,6 @@ fn fixture_config() -> Config {
             file: "crates/storage/src/wal.rs".into(),
             functions: vec!["recover".into(), "replay".into()],
         }],
-        l3_types: vec![L3Type {
-            type_name: "Server".into(),
-            crate_dir: "crates/raft".into(),
-            fields: vec!["role".into(), "commit_len".into()],
-            owners: vec!["crates/raft/src/net.rs".into()],
-            construct: false,
-        }],
         ..Config::default()
     }
 }
@@ -53,20 +46,6 @@ fn l2_fixture_exact_lines() {
     // The same source outside the configured scope is clean.
     let clean = lint_source("crates/storage/src/lib.rs", &src, &fixture_config());
     assert!(clean.is_empty(), "{clean:#?}");
-}
-
-#[test]
-fn l3_fixture_exact_lines() {
-    let src = fixture("l3_mutation.rs");
-    let f = lint_source("crates/raft/src/refine.rs", &src, &fixture_config());
-    let expected: Vec<(String, usize, bool)> = [6, 7]
-        .iter()
-        .map(|&l| ("L3".to_string(), l, false))
-        .collect();
-    assert_eq!(rule_lines(&f), expected, "{f:#?}");
-    // The owner file may assign the protected fields.
-    let owner = lint_source("crates/raft/src/net.rs", &src, &fixture_config());
-    assert!(owner.is_empty(), "{owner:#?}");
 }
 
 #[test]
@@ -152,10 +131,7 @@ fn workspace_pragma_debt_is_pinned() {
         .filter(|(_, (_, s))| *s > 0)
         .map(|(rule, (_, s))| (rule, s))
         .collect();
-    let expected: BTreeMap<String, usize> = [("L2", 3), ("L3", 2), ("L6", 6)]
-        .into_iter()
-        .map(|(r, n)| (r.to_string(), n))
-        .collect();
+    let expected: BTreeMap<String, usize> = [("L2".to_string(), 3)].into_iter().collect();
     assert_eq!(suppressed, expected, "pragma debt changed — audit the new/removed suppression");
-    assert_eq!(report.suppressed_count(), 11);
+    assert_eq!(report.suppressed_count(), 3);
 }

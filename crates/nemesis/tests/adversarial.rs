@@ -3,6 +3,10 @@
 //! caught and minimized into portable witnesses, and availability
 //! degrades and recovers the way a partition says it should.
 
+#![deny(clippy::disallowed_types)] // L1: no hash order, no ambient clock
+#![deny(clippy::disallowed_methods)] // L12a: no unbounded channel()
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)] // L5
+
 use proptest::prelude::*;
 
 use adore_core::ReconfigGuard;

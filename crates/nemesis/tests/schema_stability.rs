@@ -10,6 +10,10 @@
 //! counterexample in the wild. Add a new variant with a new pinned form
 //! instead of changing an existing one.
 
+#![deny(clippy::disallowed_types)] // L1: no hash order, no ambient clock
+#![deny(clippy::disallowed_methods)] // L12a: no unbounded channel()
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)] // L5
+
 use adore_core::ReconfigGuard;
 use adore_nemesis::{
     replay, Counterexample, DiskFault, DurabilityPolicy, EngineParams, Fault, FaultSchedule,

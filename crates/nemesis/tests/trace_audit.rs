@@ -8,6 +8,10 @@
 //! the *same* committed-prefix divergence without ever touching the
 //! simulation, and a sound-guard campaign's trace must certify clean.
 
+#![deny(clippy::disallowed_types)] // L1: no hash order, no ambient clock
+#![deny(clippy::disallowed_methods)] // L12a: no unbounded channel()
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)] // L5
+
 use adore_core::ReconfigGuard;
 use adore_nemesis::{
     ablation_suite, hunt, r3_ablation_schedule, random_schedule, run_schedule,

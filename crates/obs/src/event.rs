@@ -21,6 +21,7 @@ use serde::{Deserialize, Serialize};
 /// (a receive points at its send, a state delta at the delivery that
 /// caused it); `None` for roots.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[non_exhaustive]
 pub struct TraceEvent {
     /// Dense journal position, starting at 0.
     pub seq: u64,

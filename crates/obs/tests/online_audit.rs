@@ -14,6 +14,9 @@
 //! Together these mean a live online verdict *is* the post-mortem
 //! verdict, just earlier.
 
+#![deny(clippy::disallowed_types)] // L1: no hash order, no ambient clock
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)] // L5
+
 use proptest::prelude::*;
 
 use adore_obs::{

@@ -9,6 +9,9 @@
 //! trace journal in the wild. Add a new variant with a new pinned form
 //! instead of changing an existing one.
 
+#![deny(clippy::disallowed_types)] // L1: no hash order, no ambient clock
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)] // L5
+
 use adore_obs::{
     audit_events, parse_jsonl, to_jsonl, EventKind, HistogramSnapshot, MetricsSnapshot,
     TraceEvent, Tracer,
@@ -214,35 +217,32 @@ fn every_event_kind_round_trips_from_its_pinned_form() {
 
 #[test]
 fn the_trace_event_envelope_is_pinned() {
-    // adore-lint: allow(L3, reason = "schema pin must build raw envelopes to detect wire-format drift")
-    let root = TraceEvent {
-        seq: 0,
-        at_us: 0,
-        parent: None,
-        kind: EventKind::Heal,
+    // Raw envelopes are decoded from the pinned text, the way a reader
+    // of an old journal meets them: `TraceEvent` is `#[non_exhaustive]`,
+    // so only `obs` itself can build one field by field.
+    let root_text = r#"{"seq":0,"at_us":0,"parent":null,"kind":"Heal"}"#;
+    let root: TraceEvent = serde_json::from_str(root_text).unwrap();
+    assert_eq!(
+        (root.seq, root.at_us, root.parent, &root.kind),
+        (0, 0, None, &EventKind::Heal)
+    );
+    assert_eq!(serde_json::to_string(&root).unwrap(), root_text);
+
+    let linked_text = concat!(
+        r#"{"seq":1,"at_us":250,"parent":0,"#,
+        r#""kind":{"MsgRecv":{"msg":7,"to":3,"applied":true}}}"#
+    );
+    let linked: TraceEvent = serde_json::from_str(linked_text).unwrap();
+    let kind = EventKind::MsgRecv {
+        msg: 7,
+        to: 3,
+        applied: true,
     };
     assert_eq!(
-        serde_json::to_string(&root).unwrap(),
-        r#"{"seq":0,"at_us":0,"parent":null,"kind":"Heal"}"#
+        (linked.seq, linked.at_us, linked.parent, &linked.kind),
+        (1, 250, Some(0), &kind)
     );
-    // adore-lint: allow(L3, reason = "schema pin must build raw envelopes to detect wire-format drift")
-    let linked = TraceEvent {
-        seq: 1,
-        at_us: 250,
-        parent: Some(0),
-        kind: EventKind::MsgRecv {
-            msg: 7,
-            to: 3,
-            applied: true,
-        },
-    };
-    assert_eq!(
-        serde_json::to_string(&linked).unwrap(),
-        concat!(
-            r#"{"seq":1,"at_us":250,"parent":0,"#,
-            r#""kind":{"MsgRecv":{"msg":7,"to":3,"applied":true}}}"#
-        )
-    );
+    assert_eq!(serde_json::to_string(&linked).unwrap(), linked_text);
 }
 
 #[test]

@@ -298,9 +298,7 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
         // Recovery installs the watermark Wal::recover already certified
         // by frame replay — the guard lives in another crate (storage),
         // outside the call-graph reach L6 has from raft.
-        // adore-lint: allow(L6, reason = "installs the WAL-certified watermark; guarded by Wal::recover's replay one call level up")
         s.commit_len = commit_len.min(log.len());
-        // adore-lint: allow(L6, reason = "installs the WAL-certified log; guarded by Wal::recover's replay one call level up")
         s.log = log;
         s.role = Role::Follower;
         s.votes.clear();

@@ -3,6 +3,10 @@
 //! stages preserve `ℝ_net`, and sound-guard runs keep log safety and the
 //! refinement relation.
 
+#![deny(clippy::disallowed_types)] // L1: no hash order, no ambient clock
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)] // L5
+#![deny(clippy::let_underscore_must_use)] // L4/L8: no `let _ =` on a verdict or a recovery result
+
 use adore_core::{NodeId, ReconfigGuard};
 use adore_raft::{
     atomicize, check_refinement, filter_invalid, globally_order, normalize, segment_counts, MsgId,

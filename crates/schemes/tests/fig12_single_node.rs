@@ -6,6 +6,8 @@
 //! [`SingleNode`] scheme, so `R1⁺` is genuinely enforced throughout — only
 //! R3 is toggled, exactly matching the history of the bug.
 
+#![deny(clippy::disallowed_types)] // L1, closing the cone under the replayable crates
+
 use adore_core::{
     invariants, node_set, AdoreState, LocalOutcome, NoOpReason, NodeId, PullDecision, PullOutcome,
     PushDecision, PushOutcome, ReconfigGuard, Timestamp,

@@ -155,17 +155,13 @@ impl<C: Clone, M: Clone> DurableState<C, M> {
         // The guard (split_frame's CRC walk) sits one call level up in
         // Wal::recover, outside L6's one-level same-file summary reach.
         match rec {
-            // adore-lint: allow(L6, reason = "apply folds records already CRC-certified by the caller's split_frame walk")
             WalRecord::Boot { .. } => self.booted = true,
             WalRecord::Term { time } => self.time = Timestamp(*time),
             WalRecord::Truncate { len } => self.log.truncate(*len as usize),
             WalRecord::Append { entry } => self.log.push(entry.clone()),
-            // adore-lint: allow(L6, reason = "apply folds records already CRC-certified by the caller's split_frame walk")
             WalRecord::CommitLen { len } => self.commit_len = *len as usize,
             WalRecord::Snapshot { time, commit_len, log } => {
-                // adore-lint: allow(L6, reason = "apply folds records already CRC-certified by the caller's split_frame walk")
                 self.commit_len = *commit_len as usize;
-                // adore-lint: allow(L6, reason = "apply folds records already CRC-certified by the caller's split_frame walk")
                 self.log = log.clone();
                 self.time = Timestamp(*time);
             }

@@ -2,6 +2,10 @@
 //! every injected disk fault, at the storage layer in isolation (the
 //! cluster-level consequences are exercised by `adore-nemesis`).
 
+#![deny(clippy::disallowed_types)] // L1: no hash order, no ambient clock
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)] // L5
+#![deny(clippy::let_underscore_must_use)] // L4/L8: no `let _ =` on a verdict or a recovery result
+
 use adore_core::{NodeId, Timestamp};
 use adore_raft::{Command, Entry};
 use adore_schemes::SingleNode;

@@ -5,6 +5,8 @@
 //! preserve the structural invariants, and the derived queries (ancestry,
 //! nearest common ancestor, path interiors) satisfy their algebraic laws.
 
+#![deny(clippy::disallowed_types)] // L1, closing the cone under the replayable crates
+
 use adore_tree::{CacheId, Tree};
 use proptest::prelude::*;
 
