@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate for the workspace: build, test, lint, and a fixed-seed
+# Tier-1 gate for the workspace: build, test, clippy, and a fixed-seed
 # nemesis smoke run. Fully offline — all dependencies are vendored
 # in-tree under vendor/.
 set -euo pipefail
@@ -18,35 +18,35 @@ cargo test -q --workspace --offline
 echo "== benchmark unit tests =="
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-# Source-level protocol discipline, adore-lint's share: panic-free
-# recovery (L2), and lock order / no-panic locking / no guard across
-# blocking calls / hot-path sends that shed (L9-L12): the five
-# obligations no other backend can state. -D semantics; every
-# suppression pragma carries a written reason. Config: adore-lint.toml.
-# This is the only adore-lint process CI launches: one parse gives the
-# findings and the per-rule table (findings, pragma debt, each rule's
-# own analysis ms) captured as results/lint_table.txt. `--only RULES`
-# is for bisecting a failure by hand, not a second gate.
-echo "== adore-lint L2, L9-L12 (findings, results/lint_table.txt) =="
-rm -f results/lint_table.txt
-cargo run -q -p adore-lint --release --offline | tee results/lint_table.txt
-test -s results/lint_table.txt || {
-    echo "ci: results/lint_table.txt was not regenerated" >&2
-    exit 1
-}
-
-# rustc/clippy's share, and the gate for the obligations adore-lint
-# retired (clippy.toml names the banned items; a `deny` attribute at
-# each covered crate, module or integration-test root sets the
-# perimeter; DESIGN.md §8). L3 is rustc alone (field privacy and
-# #[non_exhaustive]), so the build above is already its gate.
+# Source-level protocol discipline is rustc's and clippy's alone:
+# clippy.toml names the banned items, a `deny` attribute at each covered
+# crate, module, function or integration-test root sets the perimeter
+# (DESIGN.md §8); the workspace's own linter is retired. Every rule id
+# it issued and the backend that holds it now:
 #   L1  determinism        clippy::disallowed_types
+#   L2  panic-free scopes  clippy::unwrap_used/expect_used/panic/
+#                            unreachable/todo/unimplemented/
+#                            indexing_slicing/disallowed_macros, denied
+#                            on each recovery function; a waiver is an
+#                            #[expect(.., reason)], stale ones warn
+#   L3  owner-only state   rustc: field privacy and #[non_exhaustive]
+#                            (the build above is already its gate)
 #   L4  consumed verdicts  rustc unused_must_use +
 #   L8  recovery results     clippy::let_underscore_must_use
 #   L5  no console output  clippy::print_stdout/print_stderr/dbg_macro
+#   L6  guard-before-mutation, L13/L14 spec drift and guard sufficiency:
+#                          the checker's pinned counts, refine.rs and
+#                          the unit suites in the test step above
 #   L7  taint              subsumed by L1 (same sources, same perimeter)
+#   L9  lock order         nothing to check: the runtime shares no lock.
+#   L10 no lock().unwrap()   Kept so by clippy::disallowed_methods on
+#   L11 no guard across      Mutex/RwLock/Condvar::new and lock/try_lock/
+#       a blocking call      read/write (adored, nemesis, checker)
 #   L12 no channel()       clippy::disallowed_methods
-echo "== cargo clippy -- -D warnings (incl. retired L1/L4/L5/L7/L8/L12a) =="
+#       sends that shed    the engine loop's outbox type: try_send only,
+#                            #[must_use], let_underscore_must_use denied
+#   L15 emission order     debug_assert! in adored's Engine::finish
+echo "== cargo clippy -- -D warnings (all of L1-L12's static discipline) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # The nemesis campaigns are seeded (scripted ablations plus random

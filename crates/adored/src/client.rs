@@ -180,6 +180,7 @@ impl NetClient {
 
     /// The node to try next: the leader hint if any, else rotate
     /// through the address book.
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     fn pick_target(&mut self, attempt: u32) -> u32 {
         if let Some(l) = self.leader {
             return l;
@@ -194,6 +195,7 @@ impl NetClient {
 
     /// Follows (or, past the hop cap, discards) a leader hint from a
     /// `Redirect` reply. Returns the updated hop count.
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     fn follow_redirect(&mut self, leader: Option<u32>, target: u32, hops: u32) -> u32 {
         let hops = hops.saturating_add(1);
         if hops > self.params.max_redirect_hops {
@@ -255,6 +257,7 @@ impl NetClient {
         self.retry_write(seq, &msg)
     }
 
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     fn retry_write(&mut self, seq: u64, msg: &ClientMsg) -> Result<Acked, ClientError> {
         let mut last_err: Option<io::Error> = None;
         let mut hops = 0u32;
@@ -305,6 +308,7 @@ impl NetClient {
     /// # Errors
     ///
     /// [`ClientError::Exhausted`] when no leader answers in time.
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     pub fn get(&mut self, key: &str) -> Result<Option<String>, ClientError> {
         let msg = ClientMsg::Get {
             key: key.to_string(),

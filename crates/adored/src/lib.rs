@@ -33,8 +33,8 @@
 //! - [`scrape`] — the read-only `/metrics` endpoint serving the node's
 //!   metrics registry as Prometheus text.
 
-// Discharged by clippy, not adore-lint (clippy.toml; audit in DESIGN.md §8):
-#![cfg_attr(not(test), deny(clippy::disallowed_methods))] // L12a: no unbounded channel()
+// Static discipline, discharged by clippy (clippy.toml; audit in DESIGN.md §8):
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))] // L12a: no unbounded channel(); L9-L11: no lock
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro))] // L5
 
 pub mod client;

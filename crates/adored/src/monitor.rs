@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -93,26 +93,10 @@ pub struct MonitorReport {
 /// report.
 pub struct MonitorHandle {
     stop: Arc<AtomicBool>,
-    metrics: Arc<Mutex<Metrics>>,
     join: JoinHandle<MonitorReport>,
 }
 
-/// Locks the monitor's registry, adopting a poisoned value: every
-/// critical section is a single registry operation, so a panicking
-/// holder cannot leave it torn.
-fn lock_registry(metrics: &Mutex<Metrics>) -> MutexGuard<'_, Metrics> {
-    metrics.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl MonitorHandle {
-    /// A live snapshot of the monitor's registry — counters plus the
-    /// `monitor.acked_per_s` gauge — while the monitor is still
-    /// running.
-    #[must_use]
-    pub fn metrics(&self) -> MetricsSnapshot {
-        lock_registry(&self.metrics).snapshot()
-    }
-
     /// Signals the monitor to finish its current op and joins it.
     #[must_use]
     pub fn stop(self) -> MonitorReport {
@@ -168,8 +152,7 @@ struct Totals {
 }
 
 /// One registry read: the four `monitor.*` counters.
-fn totals(metrics: &Mutex<Metrics>) -> Totals {
-    let m = lock_registry(metrics);
+fn totals(m: &Metrics) -> Totals {
     Totals {
         attempted: m.counter("monitor.attempted"),
         acked: m.counter("monitor.acked"),
@@ -183,7 +166,7 @@ fn totals(metrics: &Mutex<Metrics>) -> Totals {
 /// gauge from the same delta, journals the window, and returns the new
 /// baseline.
 fn roll_window(
-    metrics: &Mutex<Metrics>,
+    metrics: &mut Metrics,
     journal: &mut Journal,
     windows: &mut Vec<WindowStat>,
     index: u32,
@@ -205,7 +188,7 @@ fn roll_window(
         .saturating_mul(1_000)
         .checked_div(window_ms.max(1))
         .unwrap_or(0);
-    lock_registry(metrics).set_gauge("monitor.acked_per_s", i64::try_from(per_s).unwrap_or(i64::MAX));
+    metrics.set_gauge("monitor.acked_per_s", i64::try_from(per_s).unwrap_or(i64::MAX));
     journal.record(EventKind::AvailabilityWindow {
         index: stat.index,
         attempted: stat.attempted,
@@ -237,9 +220,10 @@ pub fn start(
     }
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
-    let metrics: Arc<Mutex<Metrics>> = Arc::new(Mutex::new(Metrics::new()));
-    let registry = Arc::clone(&metrics);
     let join = thread::spawn(move || {
+        // The registry lives and dies on this thread; the report
+        // carries its final snapshot out.
+        let mut registry = Metrics::new();
         let mut client = NetClient::new(addrs, cfg.client_id, cfg.params.clone());
         let started = Instant::now();
         let window = Duration::from_millis(cfg.window_ms.max(1));
@@ -255,7 +239,7 @@ pub fn start(
             let now_index =
                 (started.elapsed().as_millis() / window.as_millis().max(1)) as u32;
             while index < now_index {
-                prev = roll_window(&registry, &mut journal, &mut windows, index, prev, cfg.window_ms);
+                prev = roll_window(&mut registry, &mut journal, &mut windows, index, prev, cfg.window_ms);
                 index += 1;
             }
             if stop_flag.load(Ordering::SeqCst) {
@@ -264,10 +248,10 @@ pub fn start(
             op += 1;
             let key = format!("mon-{}-{op}", cfg.client_id);
             let value = format!("v{op}");
-            lock_registry(&registry).inc("monitor.attempted");
+            registry.inc("monitor.attempted");
             match client.put(&key, &value) {
                 Ok(ack) => {
-                    lock_registry(&registry).inc("monitor.acked");
+                    registry.inc("monitor.acked");
                     journal.record(EventKind::SessionAck {
                         client: cfg.client_id,
                         seq: ack.seq,
@@ -281,17 +265,17 @@ pub fn start(
                     });
                 }
                 Err(ClientError::Rejected { .. } | ClientError::SessionStale { .. }) => {
-                    lock_registry(&registry).inc("monitor.refused");
+                    registry.inc("monitor.refused");
                 }
                 Err(ClientError::Exhausted { .. }) => {
-                    lock_registry(&registry).inc("monitor.lost");
+                    registry.inc("monitor.lost");
                 }
             }
             thread::sleep(Duration::from_millis(cfg.op_gap_ms));
         }
         // Flush the final, partial window.
-        let _ = roll_window(&registry, &mut journal, &mut windows, index, prev, cfg.window_ms);
-        let snap = lock_registry(&registry).snapshot();
+        let _ = roll_window(&mut registry, &mut journal, &mut windows, index, prev, cfg.window_ms);
+        let snap = registry.snapshot();
         MonitorReport {
             windows,
             acked,
@@ -301,9 +285,5 @@ pub fn start(
             metrics: snap,
         }
     });
-    Ok(MonitorHandle {
-        stop,
-        metrics,
-        join,
-    })
+    Ok(MonitorHandle { stop, join })
 }

@@ -34,13 +34,13 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use adore_core::NodeId;
-use adore_obs::{EventKind, Metrics, Tracer};
+use adore_obs::{series_count, EventKind, Metrics, MetricsSnapshot, Tracer};
 use adore_schemes::SingleNode;
 use adore_storage::{DurabilityPolicy, Recovery, Wal};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -109,10 +109,16 @@ pub struct NodeConfig {
     pub metrics_addr: Option<String>,
 }
 
-/// Events flowing into the engine loop from the IO threads.
+/// Events flowing into the engine loop from the IO threads. The inbox
+/// is the only way state reaches the loop: it owns the client write
+/// halves and the metrics registry outright, so a thread hands the one
+/// over and asks for the other here, and nothing is locked.
 pub(crate) enum Event {
     Tick,
     Peer(PeerMsg),
+    /// A client session introduced itself: the loop takes the write
+    /// half and answers `conn`'s requests on it until `ClientGone`.
+    ClientOpen { conn: u64, writer: TcpStream },
     Client { conn: u64, msg: ClientMsg },
     ClientGone { conn: u64 },
     /// A frame the wire layer rejected (`corrupt`, `oversized`) or a
@@ -120,48 +126,39 @@ pub(crate) enum Event {
     /// (`bad-payload`, i.e. protocol-version confusion). Journaled so
     /// the auditor can certify the rejection path actually fired.
     BadFrame { reason: String },
-    /// A thread found a mutex poisoned and adopted the value instead
-    /// of panicking (see [`lock_clients`]). Journaled so the adoption
-    /// is auditable rather than silent.
-    LockPoisoned { lock: &'static str },
-    /// The `/metrics` endpoint served a scrape; journaled as a
-    /// `MetricsScrape` event by the single journal writer.
-    Scraped { series: u32 },
+    /// The `/metrics` endpoint wants a snapshot of the registry. The
+    /// loop fills the gauges, journals a `MetricsScrape` and offers the
+    /// snapshot on `reply` (depth 1, `try_send`: a scraper that gave up
+    /// costs the loop nothing).
+    Scrape { reply: SyncSender<MetricsSnapshot> },
     Shutdown,
 }
 
-/// Locks the client map, adopting a poisoned value instead of
-/// panicking the thread. Safe because the map's invariant is
-/// per-entry — each value is an independent writer handle, inserted or
-/// removed in a single map operation — so a thread that panicked while
-/// holding the lock cannot have left it torn. The adoption is reported
-/// through the engine inbox and journaled, never silent; `try_send`
-/// keeps this path non-blocking (a full inbox drops the report, and
-/// the next adoption re-reports).
-fn lock_clients<'m>(
-    clients: &'m Mutex<BTreeMap<u64, TcpStream>>,
-    tx: &SyncSender<Event>,
-) -> MutexGuard<'m, BTreeMap<u64, TcpStream>> {
-    clients.lock().unwrap_or_else(|poisoned| {
-        let _ = tx.try_send(Event::LockPoisoned { lock: "clients" });
-        poisoned.into_inner()
-    })
-}
+/// A per-peer outbox as the engine loop holds it. The sender is
+/// private to this module, so the loop cannot reach a blocking `send`:
+/// the only way to queue a frame is [`Outbox::try_send`], whose outcome
+/// must be consumed (DESIGN §11: overflow sheds, heartbeats repair).
+mod outbox {
+    use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 
-/// Locks the shared metrics registry with the same poison-adoption
-/// discipline as [`lock_clients`]: registry mutations are single-map
-/// operations, so a panicking holder cannot leave it torn, and the
-/// adoption is journaled, never silent. Shared with the scrape
-/// endpoint — the only other reader.
-pub(crate) fn lock_metrics<'m>(
-    metrics: &'m Mutex<Metrics>,
-    tx: &SyncSender<Event>,
-) -> MutexGuard<'m, Metrics> {
-    metrics.lock().unwrap_or_else(|poisoned| {
-        let _ = tx.try_send(Event::LockPoisoned { lock: "metrics" });
-        poisoned.into_inner()
-    })
+    use crate::det::msg::PeerMsg;
+
+    pub(super) struct Outbox(SyncSender<PeerMsg>);
+
+    impl Outbox {
+        /// A bounded outbox and the connector's end of it.
+        pub(super) fn bounded(depth: usize) -> (Outbox, Receiver<PeerMsg>) {
+            let (tx, rx) = mpsc::sync_channel(depth);
+            (Outbox(tx), rx)
+        }
+
+        #[must_use = "a full or dead outbox sheds the frame: say so by matching on it"]
+        pub(super) fn try_send(&self, msg: PeerMsg) -> Result<(), TrySendError<PeerMsg>> {
+            self.0.try_send(msg)
+        }
+    }
 }
+use outbox::Outbox;
 
 /// Microseconds since the UNIX epoch; journal stamps must be
 /// comparable across the processes of one host-local cluster.
@@ -361,7 +358,7 @@ pub fn run(cfg: NodeConfig) -> io::Result<()> {
     };
     let wal_path = cfg.data_dir.join("wal.bin");
     let (wal, state, abstaining) = load_wal(nid, &wal_path, &mut journal)?;
-    let mut wal_file = fs::OpenOptions::new().append(true).open(&wal_path)?;
+    let wal_file = fs::OpenOptions::new().append(true).open(&wal_path)?;
 
     let members: Vec<u32> = cfg.peers.iter().map(|(n, _)| *n).collect();
     let engine_cfg = EngineConfig {
@@ -372,17 +369,11 @@ pub fn run(cfg: NodeConfig) -> io::Result<()> {
         params: cfg.params.clone(),
         seed: cfg.seed,
     };
-    let mut engine = Engine::new(engine_cfg, wal, state, abstaining);
+    let engine = Engine::new(engine_cfg, wal, state, abstaining);
 
     let (inbox_tx, inbox_rx) = mpsc::sync_channel::<Event>(INBOX_DEPTH);
-    let clients: Arc<Mutex<BTreeMap<u64, TcpStream>>> = Arc::new(Mutex::new(BTreeMap::new()));
-
-    // The metrics registry: written by the engine loop, snapshotted by
-    // the scrape endpoint. Never held together with the clients lock
-    // (L9) and never across a blocking call (L11).
-    let metrics: Arc<Mutex<Metrics>> = Arc::new(Mutex::new(Metrics::new()));
     if let Some(addr) = &cfg.metrics_addr {
-        scrape::serve(addr, Arc::clone(&metrics), inbox_tx.clone())?;
+        scrape::serve(addr, inbox_tx.clone())?;
     }
 
     // Tick timer + watchdog.
@@ -406,10 +397,10 @@ pub fn run(cfg: NodeConfig) -> io::Result<()> {
     }
 
     // Outbound peer links: one supervised connector thread per peer.
-    let mut peer_tx: BTreeMap<u32, SyncSender<PeerMsg>> = BTreeMap::new();
+    let mut outboxes: BTreeMap<u32, Outbox> = BTreeMap::new();
     for (pid, addr) in cfg.peers.iter().filter(|(n, _)| *n != cfg.nid) {
-        let (tx, rx) = mpsc::sync_channel::<PeerMsg>(PEER_OUTBOX_DEPTH);
-        peer_tx.insert(*pid, tx);
+        let (outbox, rx) = Outbox::bounded(PEER_OUTBOX_DEPTH);
+        outboxes.insert(*pid, outbox);
         let addr = addr.clone();
         let my_nid = cfg.nid;
         let seed = cfg.seed ^ (u64::from(cfg.nid) << 32) ^ u64::from(*pid);
@@ -427,34 +418,61 @@ pub fn run(cfg: NodeConfig) -> io::Result<()> {
         })?;
     let listener = TcpListener::bind(&listen_addr)?;
     {
-        let tx = inbox_tx.clone();
-        let clients = Arc::clone(&clients);
+        let tx = inbox_tx;
         let peer_deadline = Duration::from_millis(cfg.peer_read_deadline_ms.max(1));
         thread::spawn(move || {
             let next_conn = Arc::new(AtomicU64::new(1));
             for stream in listener.incoming() {
                 let Ok(stream) = stream else { continue };
                 let tx = tx.clone();
-                let clients = Arc::clone(&clients);
                 let next_conn = Arc::clone(&next_conn);
                 thread::spawn(move || {
-                    serve_connection(stream, &tx, &clients, &next_conn, peer_deadline);
+                    serve_connection(stream, &tx, &next_conn, peer_deadline);
                 });
             }
         });
     }
 
-    // The engine loop: the single deterministic thread.
-    //
+    engine_loop(
+        cfg.nid,
+        engine,
+        &inbox_rx,
+        &outboxes,
+        journal,
+        wal_file,
+        export_stats.as_ref(),
+    )
+}
+
+/// The engine loop: the single deterministic thread, and the owner of
+/// everything the IO threads talk to — the client write halves, the
+/// request timers and the metrics registry. Peer frames leave only
+/// through [`Outbox::try_send`], outcome consumed.
+#[deny(clippy::let_underscore_must_use)] // L12b: a shed send is matched on, never dropped
+fn engine_loop(
+    nid: u32,
+    mut engine: Engine,
+    inbox: &Receiver<Event>,
+    outboxes: &BTreeMap<u32, Outbox>,
+    mut journal: Journal,
+    mut wal_file: fs::File,
+    export_stats: Option<&ExportStats>,
+) -> io::Result<()> {
+    let mut clients: BTreeMap<u64, TcpStream> = BTreeMap::new();
+    let mut metrics = Metrics::new();
     // `in_flight` times acked requests for the `request_latency_us`
     // histogram: one pending (seq, start) per client connection —
     // sessions are serial per client, and a retry overwrite restarts
     // the clock, which only biases the measurement pessimistically.
     let mut in_flight: BTreeMap<u64, (u64, Instant)> = BTreeMap::new();
-    while let Ok(event) = inbox_rx.recv() {
+    while let Ok(event) = inbox.recv() {
         let input = match event {
             Event::Tick => Input::Tick,
             Event::Peer(msg) => Input::Peer(msg),
+            Event::ClientOpen { conn, writer } => {
+                clients.insert(conn, writer);
+                continue;
+            }
             Event::Client { conn, msg } => {
                 match &msg {
                     ClientMsg::Put { seq, .. } | ClientMsg::Reconfigure { seq, .. } => {
@@ -465,6 +483,7 @@ pub fn run(cfg: NodeConfig) -> io::Result<()> {
                 Input::Client { conn, msg }
             }
             Event::ClientGone { conn } => {
+                clients.remove(&conn);
                 in_flight.remove(&conn);
                 Input::ClientGone { conn }
             }
@@ -472,24 +491,18 @@ pub fn run(cfg: NodeConfig) -> io::Result<()> {
                 // Rejected frames never reach the engine; journal the
                 // rejection so `adore-obs --audit` can certify the
                 // crc/length/protocol checks actually fired.
-                journal.record(EventKind::BadFrame {
-                    nid: cfg.nid,
-                    reason,
-                });
+                journal.record(EventKind::BadFrame { nid, reason });
                 continue;
             }
-            Event::LockPoisoned { lock } => {
-                journal.record(EventKind::LockPoisoned {
-                    nid: cfg.nid,
-                    lock: lock.to_string(),
-                });
-                continue;
-            }
-            Event::Scraped { series } => {
-                journal.record(EventKind::MetricsScrape {
-                    nid: cfg.nid,
-                    series,
-                });
+            Event::Scrape { reply } => {
+                // The gauges are filled here and nowhere else: a step
+                // that nobody scrapes pays nothing for them.
+                fill_gauges(&mut metrics, &engine, export_stats);
+                let snap = metrics.snapshot();
+                let series = series_count(&snap);
+                if reply.try_send(snap).is_ok() {
+                    journal.record(EventKind::MetricsScrape { nid, series });
+                }
                 continue;
             }
             Event::Shutdown => break,
@@ -505,8 +518,8 @@ pub fn run(cfg: NodeConfig) -> io::Result<()> {
                 }
                 Output::Journal(kind) => journal.record(kind),
                 Output::Send { to, msg } => {
-                    if let Some(tx) = peer_tx.get(&to.0) {
-                        match tx.try_send(msg) {
+                    if let Some(outbox) = outboxes.get(&to.0) {
+                        match outbox.try_send(msg) {
                             Ok(()) | Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
                             }
                         }
@@ -520,8 +533,7 @@ pub fn run(cfg: NodeConfig) -> io::Result<()> {
                                     in_flight.remove(&conn);
                                     let us = u64::try_from(started.elapsed().as_micros())
                                         .unwrap_or(u64::MAX);
-                                    lock_metrics(&metrics, &inbox_tx)
-                                        .observe("request_latency_us", us);
+                                    metrics.observe("request_latency_us", us);
                                 }
                             }
                         }
@@ -535,20 +547,13 @@ pub fn run(cfg: NodeConfig) -> io::Result<()> {
                         }
                         ClientReply::Value { .. } | ClientReply::Status { .. } => {}
                     }
-                    // Clone the writer handle under the lock, write
-                    // outside it: the socket write carries a deadline,
-                    // and a slow client must not stall every thread
-                    // that needs the map while it drains.
-                    let writer = lock_clients(&clients, &inbox_tx)
-                        .get(&conn)
-                        .map(TcpStream::try_clone);
-                    let gone = match writer {
-                        Some(Ok(mut stream)) => write_frame(&mut stream, &reply).is_err(),
-                        Some(Err(_)) => true,
-                        None => false,
-                    };
+                    // The socket write carries a deadline, so a slow
+                    // client costs the loop at most that.
+                    let gone = clients
+                        .get_mut(&conn)
+                        .is_some_and(|writer| write_frame(writer, &reply).is_err());
                     if gone {
-                        lock_clients(&clients, &inbox_tx).remove(&conn);
+                        clients.remove(&conn);
                         dead_conns.push(conn);
                     }
                 }
@@ -558,25 +563,23 @@ pub fn run(cfg: NodeConfig) -> io::Result<()> {
             // A reply we could not deliver: drop the connection's
             // remaining waiters too.
             in_flight.remove(&conn);
-            let _ = engine.step(Input::ClientGone { conn });
-        }
-        // Refresh the scrapeable gauges once per engine step. The
-        // guard's scope is exactly these registry writes (L11), and it
-        // never overlaps the clients lock (L9).
-        {
-            let gauge = |v: usize| i64::try_from(v).unwrap_or(i64::MAX);
-            let mut m = lock_metrics(&metrics, &inbox_tx);
-            m.set_gauge("node.commit_index", gauge(engine.commit_len()));
-            m.set_gauge("node.config_epoch", gauge(engine.config_epoch()));
-            m.set_gauge("node.session_occupancy", gauge(engine.session_occupancy()));
-            if let Some(stats) = &export_stats {
-                let wide = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-                m.set_gauge("export.queue_depth", wide(stats.depth()));
-                m.set_gauge("export.dropped_total", wide(stats.dropped()));
-            }
+            drop(engine.step(Input::ClientGone { conn }));
         }
     }
     Ok(())
+}
+
+/// Fills the scrapeable gauges from the engine and the export queue.
+fn fill_gauges(metrics: &mut Metrics, engine: &Engine, export_stats: Option<&ExportStats>) {
+    let gauge = |v: usize| i64::try_from(v).unwrap_or(i64::MAX);
+    metrics.set_gauge("node.commit_index", gauge(engine.commit_len()));
+    metrics.set_gauge("node.config_epoch", gauge(engine.config_epoch()));
+    metrics.set_gauge("node.session_occupancy", gauge(engine.session_occupancy()));
+    if let Some(stats) = export_stats {
+        let wide = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
+        metrics.set_gauge("export.queue_depth", wide(stats.depth()));
+        metrics.set_gauge("export.dropped_total", wide(stats.dropped()));
+    }
 }
 
 /// Milliseconds to wait before redialling after `failures` consecutive
@@ -655,7 +658,6 @@ fn report_frame_error(tx: &SyncSender<Event>, e: &io::Error) {
 fn serve_connection(
     mut stream: TcpStream,
     tx: &SyncSender<Event>,
-    clients: &Arc<Mutex<BTreeMap<u64, TcpStream>>>,
     next_conn: &AtomicU64,
     peer_read_deadline: Duration,
 ) {
@@ -712,7 +714,9 @@ fn serve_connection(
             let Ok(writer) = stream.try_clone() else {
                 return;
             };
-            lock_clients(clients, tx).insert(conn, writer);
+            if tx.send(Event::ClientOpen { conn, writer }).is_err() {
+                return;
+            }
             let _ = stream.set_read_timeout(None);
             loop {
                 match read_frame(&mut stream) {
@@ -745,7 +749,6 @@ fn serve_connection(
                     }
                 }
             }
-            lock_clients(clients, tx).remove(&conn);
             let _ = tx.send(Event::ClientGone { conn });
         }
     }
@@ -771,6 +774,81 @@ mod tests {
         // past the cap.
         assert!(backoff_ms(1, &mut rng) <= 2 * BACKOFF_BASE_MS + 1);
         assert!(backoff_ms(u32::MAX, &mut rng) <= BACKOFF_CAP_MS + 1);
+    }
+
+    /// Two free localhost ports: bind, note, release.
+    fn free_addrs() -> (String, String) {
+        let bind = || TcpListener::bind("127.0.0.1:0").expect("bind");
+        let (a, b) = (bind(), bind());
+        let addr = |l: &TcpListener| l.local_addr().expect("addr").to_string();
+        (addr(&a), addr(&b))
+    }
+
+    #[test]
+    fn one_node_serves_clients_and_scrapes_from_state_the_loop_owns() {
+        use crate::client::{ClientParams, NetClient};
+
+        let dir = std::env::temp_dir().join(format!("adored-own-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let (listen, metrics_addr) = free_addrs();
+        let cfg = NodeConfig {
+            nid: 1,
+            peers: vec![(1, listen.clone())],
+            data_dir: dir.clone(),
+            seed: 3,
+            tick_ms: 5,
+            max_runtime_ms: Some(3_000),
+            params: EngineParams::default(),
+            guard: adore_core::ReconfigGuard::all(),
+            peer_read_deadline_ms: DEFAULT_PEER_READ_DEADLINE_MS,
+            export_addr: None,
+            metrics_addr: Some(metrics_addr.clone()),
+        };
+        let node = thread::spawn(move || run(cfg));
+
+        // The first client rides its retry path through boot and the
+        // self-election, then holds one acked write.
+        let addrs = BTreeMap::from([(1, listen.clone())]);
+        let mut first = NetClient::new(addrs, 7, ClientParams::default());
+        let ack = first.put("k", "v").expect("the lone member acks");
+        assert!(!ack.duplicate);
+
+        // A second client hangs up mid-request: growing the membership
+        // to an absent node parks its waiter for good (no reply inside
+        // the first deadline). On `ClientGone` the loop drops the write
+        // half and the waiter; with the reader thread's half gone too,
+        // the client reads EOF instead of running into its deadline.
+        let mut second = TcpStream::connect(&listen).expect("dial");
+        write_frame(&mut second, &Hello::Client { client: 8 }).expect("hello");
+        let grow = ClientMsg::Reconfigure { client: 8, seq: 1, members: vec![1, 2] };
+        write_frame(&mut second, &grow).expect("request");
+        second.set_read_timeout(Some(Duration::from_millis(300))).expect("deadline");
+        assert!(second.read(&mut [0u8; 8]).is_err(), "the request must still be waiting");
+        second.shutdown(std::net::Shutdown::Write).expect("hang up");
+        second.set_read_timeout(Some(Duration::from_secs(3))).expect("deadline");
+        assert_eq!(second.read(&mut [0u8; 8]).expect("EOF, not a deadline"), 0);
+        // ... and the first client is still answered on its own writer.
+        assert_eq!(first.get("k").expect("read"), Some("v".to_string()));
+
+        let mut scrape = TcpStream::connect(&metrics_addr).expect("dial /metrics");
+        scrape.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").expect("request");
+        let mut text = String::new();
+        scrape.read_to_string(&mut text).expect("exposition");
+        assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
+        assert!(text.contains("request_latency_us_count 1\n"), "{text}");
+        for gauge in ["node_commit_index", "node_config_epoch", "node_session_occupancy"] {
+            assert!(text.contains(&format!("# TYPE {gauge} gauge")), "{gauge}: {text}");
+        }
+
+        node.join().expect("no panic").expect("the watchdog ends the run cleanly");
+        let journal = fs::read_dir(&dir)
+            .expect("data dir")
+            .filter_map(Result::ok)
+            .find(|e| e.file_name().to_string_lossy().starts_with("journal-"))
+            .expect("one boot, one journal");
+        let lines = fs::read_to_string(journal.path()).expect("journal");
+        assert_eq!(lines.matches("\"MetricsScrape\"").count(), 1, "{lines}");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

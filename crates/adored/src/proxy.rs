@@ -34,15 +34,16 @@
 //!
 //! Everything here is fault *enactment* on the hot path, so the module
 //! is written panic-free (no unwraps, no indexing) and is held to that
-//! by `adore-lint`'s L2 rule.
+//! by the clippy restriction lints denied on `accept_loop`, `pump` and
+//! `write_faulted` (L2).
 
 #![cfg_attr(not(test), deny(clippy::let_underscore_must_use))] // L8: no `let _ =` on a result in a recovery scope
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -61,27 +62,30 @@ const SLOW_STALL: Duration = Duration::from_millis(400);
 /// Read chunk size.
 const CHUNK: usize = 64 * 1024;
 
-/// The live fault prescription for one directed link.
-#[derive(Debug, Clone, Default)]
+/// The live fault prescription for one directed link: independent
+/// knobs the campaign driver stores and the pumps load per frame, so
+/// each is an atomic and nothing is locked (`Relaxed` throughout: no
+/// knob publishes other data).
+#[derive(Debug, Default)]
 pub struct LinkState {
     /// Black-hole every frame (silent partition).
-    pub cut: bool,
+    pub cut: AtomicBool,
     /// Drop each frame with this percent probability.
-    pub drop_pct: u32,
+    pub drop_pct: AtomicU32,
     /// Corrupt each frame (bit-flip after framing) with this percent
     /// probability.
-    pub corrupt_pct: u32,
+    pub corrupt_pct: AtomicU32,
     /// Base forwarding delay per frame, milliseconds.
-    pub delay_ms: u64,
+    pub delay_ms: AtomicU64,
     /// Uniform jitter on top of the base delay, milliseconds.
-    pub jitter_ms: u64,
+    pub jitter_ms: AtomicU64,
     /// Hold a frame back past its successor with this percent
     /// probability (bounded reorder, window 1).
-    pub reorder_pct: u32,
+    pub reorder_pct: AtomicU32,
     /// Stall mid-frame on every write (slow-loris half-frames).
-    pub slow: bool,
+    pub slow: AtomicBool,
     /// Bumped to tear down every connection on the link.
-    pub generation: u64,
+    pub generation: AtomicU64,
 }
 
 /// Monotonic per-link tallies, shared with the campaign driver.
@@ -113,12 +117,8 @@ pub struct LinkTally {
 
 struct Link {
     proxy_addr: String,
-    state: Arc<Mutex<LinkState>>,
+    state: Arc<LinkState>,
     counters: Arc<LinkCounters>,
-}
-
-fn lock_state(state: &Arc<Mutex<LinkState>>) -> std::sync::MutexGuard<'_, LinkState> {
-    state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The mesh of per-directed-link proxies for one cluster.
@@ -146,7 +146,7 @@ impl ProxyNet {
                 let listener = TcpListener::bind("127.0.0.1:0")?;
                 listener.set_nonblocking(true)?;
                 let proxy_addr = listener.local_addr()?.to_string();
-                let state: Arc<Mutex<LinkState>> = Arc::new(Mutex::new(LinkState::default()));
+                let state = Arc::new(LinkState::default());
                 let counters = Arc::new(LinkCounters::default());
                 let link_seed =
                     seed ^ (u64::from(from) << 40) ^ (u64::from(to) << 20) ^ 0x70_72_6f_78;
@@ -203,15 +203,15 @@ impl ProxyNet {
         self.real_addrs.clone()
     }
 
-    fn with_state(&self, from: u32, to: u32, f: impl FnOnce(&mut LinkState)) {
+    fn with_state(&self, from: u32, to: u32, f: impl FnOnce(&LinkState)) {
         if let Some(link) = self.links.get(&(from, to)) {
-            f(&mut lock_state(&link.state));
+            f(&link.state);
         }
     }
 
     /// Black-holes the directed link.
     pub fn cut_one_way(&self, from: u32, to: u32) {
-        self.with_state(from, to, |s| s.cut = true);
+        self.with_state(from, to, |s| s.cut.store(true, Ordering::Relaxed));
     }
 
     /// Black-holes both directions between two nodes.
@@ -222,7 +222,7 @@ impl ProxyNet {
 
     /// Heals the directed link (leaves loss/corruption settings alone).
     pub fn heal_one_way(&self, from: u32, to: u32) {
-        self.with_state(from, to, |s| s.cut = false);
+        self.with_state(from, to, |s| s.cut.store(false, Ordering::Relaxed));
     }
 
     /// Cuts every cross-group link of the partition described by
@@ -234,7 +234,7 @@ impl ProxyNet {
                 (Some(a), Some(b)) => a != b,
                 _ => false,
             };
-            self.with_state(from, to, |s| s.cut = severed);
+            self.with_state(from, to, |s| s.cut.store(severed, Ordering::Relaxed));
         }
     }
 
@@ -242,48 +242,52 @@ impl ProxyNet {
     /// and slow settings (generations are preserved).
     pub fn heal_all(&self) {
         for link in self.links.values() {
-            let mut s = lock_state(&link.state);
-            let generation = s.generation;
-            *s = LinkState {
-                generation,
-                ..LinkState::default()
-            };
+            let s = &link.state;
+            s.cut.store(false, Ordering::Relaxed);
+            s.drop_pct.store(0, Ordering::Relaxed);
+            s.corrupt_pct.store(0, Ordering::Relaxed);
+            s.delay_ms.store(0, Ordering::Relaxed);
+            s.jitter_ms.store(0, Ordering::Relaxed);
+            s.reorder_pct.store(0, Ordering::Relaxed);
+            s.slow.store(false, Ordering::Relaxed);
         }
     }
 
     /// Sets probabilistic loss on the directed link.
     pub fn set_loss(&self, from: u32, to: u32, pct: u32) {
-        self.with_state(from, to, |s| s.drop_pct = pct.min(100));
+        self.with_state(from, to, |s| s.drop_pct.store(pct.min(100), Ordering::Relaxed));
     }
 
     /// Sets probabilistic CRC-preserving corruption on the directed
     /// link.
     pub fn set_corrupt(&self, from: u32, to: u32, pct: u32) {
-        self.with_state(from, to, |s| s.corrupt_pct = pct.min(100));
+        self.with_state(from, to, |s| s.corrupt_pct.store(pct.min(100), Ordering::Relaxed));
     }
 
     /// Sets per-frame delay and jitter on the directed link.
     pub fn set_delay(&self, from: u32, to: u32, delay_ms: u64, jitter_ms: u64) {
         self.with_state(from, to, |s| {
-            s.delay_ms = delay_ms;
-            s.jitter_ms = jitter_ms;
+            s.delay_ms.store(delay_ms, Ordering::Relaxed);
+            s.jitter_ms.store(jitter_ms, Ordering::Relaxed);
         });
     }
 
     /// Sets bounded reordering on the directed link.
     pub fn set_reorder(&self, from: u32, to: u32, pct: u32) {
-        self.with_state(from, to, |s| s.reorder_pct = pct.min(100));
+        self.with_state(from, to, |s| s.reorder_pct.store(pct.min(100), Ordering::Relaxed));
     }
 
     /// Turns slow-loris half-frame stalls on or off.
     pub fn set_slow(&self, from: u32, to: u32, on: bool) {
-        self.with_state(from, to, |s| s.slow = on);
+        self.with_state(from, to, |s| s.slow.store(on, Ordering::Relaxed));
     }
 
     /// Tears down every connection on the directed link (the node's
     /// connector redials).
     pub fn reset(&self, from: u32, to: u32) {
-        self.with_state(from, to, |s| s.generation = s.generation.wrapping_add(1));
+        self.with_state(from, to, |s| {
+            s.generation.fetch_add(1, Ordering::Relaxed);
+        });
     }
 
     /// A snapshot of one link's counters.
@@ -327,10 +331,11 @@ impl Drop for ProxyNet {
     }
 }
 
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
 fn accept_loop(
     listener: &TcpListener,
     target: &str,
-    state: &Arc<Mutex<LinkState>>,
+    state: &Arc<LinkState>,
     counters: &Arc<LinkCounters>,
     shutdown: &Arc<AtomicBool>,
     seed: u64,
@@ -363,15 +368,16 @@ fn accept_loop(
 
 /// Forwards frames from `inbound` to a fresh connection to `target`,
 /// enacting the link's current fault prescription per frame.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
 fn pump(
     inbound: &TcpStream,
     target: &str,
-    state: &Arc<Mutex<LinkState>>,
+    state: &Arc<LinkState>,
     counters: &Arc<LinkCounters>,
     shutdown: &Arc<AtomicBool>,
     seed: u64,
 ) {
-    let born_gen = lock_state(state).generation;
+    let born_gen = state.generation.load(Ordering::Relaxed);
     let mut inbound = match inbound.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -397,14 +403,11 @@ fn pump(
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
-        {
-            let s = lock_state(state);
-            if s.generation != born_gen {
-                // A reset: tear the sockets down so the node's
-                // connector exercises its redial path.
-                counters.resets.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
+        if state.generation.load(Ordering::Relaxed) != born_gen {
+            // A reset: tear the sockets down so the node's connector
+            // exercises its redial path.
+            counters.resets.fetch_add(1, Ordering::Relaxed);
+            return;
         }
         let n = match inbound.read(&mut chunk) {
             Ok(0) => return,
@@ -432,8 +435,10 @@ fn pump(
             };
             buf.drain(..consumed);
 
-            let s = lock_state(state).clone();
-            if s.cut || (s.drop_pct > 0 && rng.gen_range(0..100) < s.drop_pct) {
+            let drop_pct = state.drop_pct.load(Ordering::Relaxed);
+            if state.cut.load(Ordering::Relaxed)
+                || (drop_pct > 0 && rng.gen_range(0..100) < drop_pct)
+            {
                 counters.dropped.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
@@ -441,7 +446,8 @@ fn pump(
                 Ok(f) => f,
                 Err(_) => return,
             };
-            let corrupt = s.corrupt_pct > 0 && rng.gen_range(0..100) < s.corrupt_pct;
+            let corrupt_pct = state.corrupt_pct.load(Ordering::Relaxed);
+            let corrupt = corrupt_pct > 0 && rng.gen_range(0..100) < corrupt_pct;
             if corrupt {
                 // Flip one payload bit *under the original CRC*: the
                 // receiver must detect this via its checksum, not us.
@@ -453,16 +459,19 @@ fn pump(
             } else {
                 counters.forwarded.fetch_add(1, Ordering::Relaxed);
             }
-            if s.delay_ms > 0 || s.jitter_ms > 0 {
-                let jitter = if s.jitter_ms > 0 {
-                    rng.gen_range(0..=s.jitter_ms)
+            let delay_ms = state.delay_ms.load(Ordering::Relaxed);
+            let jitter_ms = state.jitter_ms.load(Ordering::Relaxed);
+            if delay_ms > 0 || jitter_ms > 0 {
+                let jitter = if jitter_ms > 0 {
+                    rng.gen_range(0..=jitter_ms)
                 } else {
                     0
                 };
-                thread::sleep(Duration::from_millis(s.delay_ms + jitter));
+                thread::sleep(Duration::from_millis(delay_ms + jitter));
             }
 
-            let reorder = s.reorder_pct > 0 && rng.gen_range(0..100) < s.reorder_pct;
+            let reorder_pct = state.reorder_pct.load(Ordering::Relaxed);
+            let reorder = reorder_pct > 0 && rng.gen_range(0..100) < reorder_pct;
             let to_send: Vec<Vec<u8>> = if reorder && held.is_none() {
                 held = Some(framed);
                 Vec::new()
@@ -474,7 +483,8 @@ fn pump(
                 vec![framed]
             };
             for frame in to_send {
-                if write_faulted(&mut outbound, &frame, s.slow).is_err() {
+                let slow = state.slow.load(Ordering::Relaxed);
+                if write_faulted(&mut outbound, &frame, slow).is_err() {
                     return;
                 }
             }
@@ -484,6 +494,7 @@ fn pump(
 
 /// Writes one already-framed message, optionally stalling mid-frame
 /// (slow-loris): header and half the payload, a pause, then the rest.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
 fn write_faulted(out: &mut TcpStream, frame: &[u8], slow: bool) -> io::Result<()> {
     if !slow || frame.len() <= wire::HEADER + 1 {
         return out.write_all(frame);
@@ -641,8 +652,7 @@ mod tests {
         let cut = |from, to| {
             net.links
                 .get(&(from, to))
-                .map(|l| lock_state(&l.state).cut)
-                .unwrap_or(false)
+                .is_some_and(|l| l.state.cut.load(Ordering::Relaxed))
         };
         assert!(!cut(1, 2) && !cut(2, 1));
         assert!(cut(1, 3) && cut(3, 1) && cut(2, 3) && cut(3, 2));

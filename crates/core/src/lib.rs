@@ -66,7 +66,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Discharged by clippy, not adore-lint (clippy.toml; audit in DESIGN.md §8):
+// Static discipline, discharged by clippy (clippy.toml; audit in DESIGN.md §8):
 #![cfg_attr(not(test), deny(clippy::disallowed_types))] // L1: no hash order, no ambient clock
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro))] // L5
 #![cfg_attr(not(test), deny(clippy::let_underscore_must_use))] // L4/L8: no `let _ =` on a verdict or a recovery result

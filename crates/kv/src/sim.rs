@@ -842,6 +842,7 @@ where
     /// When the recovery invariant is being certified, the installed
     /// state is checked against the strict replay of the synced WAL; a
     /// mismatch is recorded as [`StorageViolation::UnfaithfulRecovery`].
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     pub fn recover(&mut self, nid: NodeId) {
         if self.storage.wrecked.contains(&nid) {
             return; // fail-stopped on corruption: stays down

@@ -519,6 +519,7 @@ fn run_campaign(
 /// the predicate behind minimization and the round-trip tests.
 #[must_use]
 #[deny(clippy::let_underscore_must_use)] // L8: recovery scope
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
 pub fn replay(schedule: &FaultSchedule, params: &EngineParams) -> Option<ViolationKind> {
     run_schedule(schedule, params).violation.map(|(v, _)| v)
 }
@@ -531,6 +532,7 @@ pub fn replay(schedule: &FaultSchedule, params: &EngineParams) -> Option<Violati
 /// whatever smaller violation some sub-schedule happens to produce.
 #[must_use]
 #[deny(clippy::let_underscore_must_use)] // L8: recovery scope
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
 pub fn hunt(schedule: &FaultSchedule, params: &EngineParams) -> Option<Counterexample> {
     let (original, _) = run_schedule(schedule, params).violation?;
     let kind = std::mem::discriminant(&original);

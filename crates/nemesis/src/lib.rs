@@ -44,9 +44,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Discharged by clippy, not adore-lint (clippy.toml; audit in DESIGN.md §8):
+// Static discipline, discharged by clippy (clippy.toml; audit in DESIGN.md §8):
 #![cfg_attr(not(test), deny(clippy::disallowed_types))] // L1: no hash order, no ambient clock
-#![cfg_attr(not(test), deny(clippy::disallowed_methods))] // L12a: no unbounded channel()
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))] // L12a: no unbounded channel(); L9-L11: no lock
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro))] // L5
 
 mod client;

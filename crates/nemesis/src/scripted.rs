@@ -7,6 +7,7 @@
 //! faults against the simulated cluster.
 
 #![cfg_attr(not(test), deny(clippy::let_underscore_must_use))] // L8: no `let _ =` on a result in a recovery scope
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros))] // L2: panic-free recovery scope, every function
 
 use adore_core::{ReconfigGuard, Timestamp};
 use adore_kv::KvCommand;
@@ -211,11 +212,11 @@ fn first_write_value_bit() -> u32 {
             cmd: Command::Method(KvCommand::session(102, 1, KvCommand::put("key0", "v0"))),
         },
     };
-    // adore-lint: allow(L2, reason = "serializing a compile-time-constant record cannot fail")
+    #[expect(clippy::expect_used, reason = "serializing a compile-time-constant record cannot fail")]
     let payload = serde_json::to_string(&record).expect("record serializes");
-    // adore-lint: allow(L2, reason = "the record was just built around the literal \"v0\"")
+    #[expect(clippy::expect_used, reason = "the record was just built around the literal \"v0\"")]
     let pos = payload.find("v0").expect("value appears in the payload");
-    // adore-lint: allow(L2, reason = "a one-record payload is far below 2^29 bytes")
+    #[expect(clippy::expect_used, reason = "a one-record payload is far below 2^29 bytes")]
     u32::try_from(pos * 8).expect("payload fits")
 }
 

@@ -228,10 +228,10 @@ pub enum EventKind {
     },
     /// A thread found a mutex poisoned (a peer thread panicked while
     /// holding it) and *adopted* the value instead of propagating the
-    /// panic. Safe only for locks whose critical sections are atomic
-    /// with respect to the protected invariant (e.g. single-map-op
-    /// sections); the event makes the adoption auditable rather than
-    /// silent.
+    /// panic. No current build writes this: the runtime shares no lock
+    /// any more (each piece of state has one owning thread). The
+    /// variant stays because journals are a pinned compatibility
+    /// surface and an old journal must still parse and audit.
     LockPoisoned {
         /// The recovering node.
         nid: u32,

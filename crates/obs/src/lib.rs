@@ -29,7 +29,7 @@
 //! `adore-checker`) depend on it, never the reverse, and the auditor
 //! treats protocol payloads as opaque canonical-JSON strings.
 
-// Discharged by clippy, not adore-lint (clippy.toml; audit in DESIGN.md §8):
+// Static discipline, discharged by clippy (clippy.toml; audit in DESIGN.md §8):
 #![cfg_attr(not(test), deny(clippy::disallowed_types))] // L1: no hash order, no ambient clock
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro))] // L5
 

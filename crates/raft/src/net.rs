@@ -471,6 +471,7 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
     /// message (`Applied` is the ack, [`Rejection::StaleTime`] the nack).
     /// The adoption applies either way: a wasted vote or ack still
     /// changed the recipient, so the request is NOT an ignorable message.
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     pub fn receive(&mut self, req: Request<C, M>, to: NodeId, ack_ok: bool) -> EventOutcome {
         match req {
             Request::Elect { from, time, log } => {
@@ -525,6 +526,7 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
 
     /// The sender half of an `Elect` delivery: candidate `from` counts
     /// `to`'s vote for term `time` unless it has moved on.
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     pub fn credit_vote(&mut self, from: NodeId, to: NodeId, time: Timestamp) {
         let candidate = self.ensure_server(from);
         if !candidate.crashed && candidate.role == Role::Candidate && candidate.time == time {
@@ -536,6 +538,7 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
     /// The sender half of a `Commit` delivery: leader `from` counts
     /// `to`'s acknowledgement of log length `len` at term `time` unless
     /// it has moved on.
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     pub fn credit_ack(&mut self, from: NodeId, to: NodeId, time: Timestamp, len: usize) {
         let leader = self.ensure_server(from);
         if !leader.crashed && leader.role == Role::Leader && leader.time == time {
@@ -548,6 +551,7 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
     /// reified [`Rejection::StaleTime`] and retires to follower. It is
     /// the term half of an `Elect` adoption with no vote granted, so the
     /// observed time stays monotone and nothing else moves.
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     pub fn adopt_term(&mut self, nid: NodeId, time: Timestamp) -> EventOutcome {
         let Some(s) = self.servers.get_mut(&nid) else {
             return EventOutcome::LocalNoOp;
@@ -562,6 +566,7 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
 
     /// Not an event of the model: hands the sent bag to a driver that
     /// carries requests itself, leaving the bag empty (ids restart at 0).
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     pub fn take_sent(&mut self) -> Vec<Request<C, M>> {
         std::mem::take(&mut self.messages)
     }
@@ -580,6 +585,7 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
 
     /// Promotes a candidate with a quorum of votes (per its own effective
     /// configuration) to leader.
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     fn maybe_win(&mut self, nid: NodeId) {
         let conf0 = self.conf0.clone();
         let Some(s) = self.servers.get_mut(&nid) else {
@@ -597,6 +603,7 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
 
     /// Advances the leader's commit index if a quorum (per the
     /// configuration effective at the acked prefix) acknowledged `len`.
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     fn maybe_advance_commit(&mut self, nid: NodeId, len: usize) {
         let conf0 = self.conf0.clone();
         let Some(s) = self.servers.get_mut(&nid) else {
@@ -644,6 +651,7 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
     /// end. [`Self::check_log_safety`] reports that state as a violation;
     /// this accessor must still be total so the checker can run at all.
     #[must_use]
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     pub fn committed_prefix(&self) -> &[Entry<C, M>] {
         let Some(best) = self
             .servers

@@ -30,7 +30,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Discharged by clippy, not adore-lint (clippy.toml; audit in DESIGN.md §8):
+// Static discipline, discharged by clippy (clippy.toml; audit in DESIGN.md §8):
 #![cfg_attr(not(test), deny(clippy::disallowed_types))] // L1, closing the cone under the replayable crates
 
 mod byzantine;

@@ -30,7 +30,7 @@
 //! [`DiskFault`]s through schedules and checks committed-prefix
 //! agreement on top.
 
-// Discharged by clippy, not adore-lint (clippy.toml; audit in DESIGN.md §8):
+// Static discipline, discharged by clippy (clippy.toml; audit in DESIGN.md §8):
 #![cfg_attr(not(test), deny(clippy::disallowed_types))] // L1: no hash order, no ambient clock
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro))] // L5
 #![cfg_attr(not(test), deny(clippy::let_underscore_must_use))] // L4/L8: no `let _ =` on a verdict or a recovery result

@@ -151,6 +151,7 @@ impl<C, M> Default for DurableState<C, M> {
 
 impl<C: Clone, M: Clone> DurableState<C, M> {
     /// Folds one record into the state.
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     fn apply(&mut self, rec: &WalRecord<C, M>) {
         // The guard (split_frame's CRC walk) sits one call level up in
         // Wal::recover, outside L6's one-level same-file summary reach.
@@ -220,6 +221,7 @@ struct Frame<'a> {
 
 /// Splits the frame starting at `off`, if one is fully present.
 #[must_use]
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
 fn split_frame(bytes: &[u8], off: usize) -> Option<Frame<'_>> {
     let rest = bytes.get(off..)?;
     if rest.len() < HEADER {
@@ -240,6 +242,7 @@ fn split_frame(bytes: &[u8], off: usize) -> Option<Frame<'_>> {
 }
 
 #[must_use]
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
 fn parse_payload<C, M>(payload: &[u8]) -> Option<WalRecord<C, M>>
 where
     C: Serialize + de::DeserializeOwned,
@@ -378,6 +381,7 @@ where
     /// last accepted frame are cut so the next replay cannot stop early
     /// at stale garbage; with it ablated, records appended after the
     /// garbage are silently lost to every future replay.
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     pub fn recover(&mut self, policy: &DurabilityPolicy) -> Recovery<C, M> {
         let bytes = self.disk.bytes().to_vec();
         let mut state = DurableState::default();
@@ -454,6 +458,7 @@ where
 
     /// Advances the mirror over newly synced frames; freezes at the
     /// first invalid one.
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     fn advance_mirror(&mut self) {
         while !self.mirror_frozen && self.mirror_off < self.disk.synced_len() {
             match split_frame(self.disk.synced_bytes(), self.mirror_off) {
@@ -471,6 +476,7 @@ where
 
     /// Recomputes the mirror from scratch (after any injected fault or
     /// recovery rewrote the device).
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     fn rebuild_mirror(&mut self) {
         self.mirror = DurableState::default();
         self.mirror_off = 0;
