@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate for the workspace: build, test, clippy, and a fixed-seed
-# nemesis smoke run. Fully offline — all dependencies are vendored
-# in-tree under vendor/.
+# Tier-1 gate for the workspace: build, test, clippy, the fixed-seed
+# nemesis, storage and observability table runs, and two live-cluster
+# gates (`adored hunt --gate`, `adored bench --open-loop`). Fully
+# offline — all dependencies are vendored in-tree under vendor/.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -85,46 +86,44 @@ test -s results/obs_table.txt || {
 cargo run -q -p adore-obs --release --offline -- --audit target/obs/r3-sound.jsonl >/dev/null
 cargo run -q -p adore-obs --release --offline -- --audit target/obs/no-R3-ablated.jsonl >/dev/null
 
-# Networked-runtime gate: a real 3-process cluster on localhost TCP.
-# The smoke driver elects a leader, acknowledges writes, kill -9s the
-# leader mid-stream, verifies failover with zero acked-write loss and
-# zero duplicate session applies, restarts the corpse into its data
-# dir, and self-audits the merged journals. The standalone auditor then
-# re-certifies the same journals from scratch. `timeout` bounds the
-# gate against a hung cluster (the nodes also self-limit their runtime).
-echo "== adored smoke (3 nodes, kill -9 leader, audited) =="
-rm -rf target/adored-smoke
-timeout 150 cargo run -q -p adored --release --offline -- \
-    smoke --nodes 3 --seed 7 --dir target/adored-smoke
-cargo run -q -p adore-obs --release --offline -- --audit target/adored-smoke/merged.jsonl >/dev/null
-
-# Netmesis gate: the fault-injecting wire layer runs one fixed schedule
-# — a partition dropped onto a live reconfiguration — against a real
-# 3-node cluster behind per-link proxies, with the availability monitor
-# journaling every acked write. The hunt self-audits (zero acked-write
-# loss, zero duplicate applies) and the standalone auditor re-certifies
-# the merged journals. `timeout` bounds the gate; the full 25-seed
-# campaign with corruption/gray-pause/reset faults is E14.
-echo "== netmesis gate (partition during reconfig, audited) =="
+# Live-cluster gate: two fixed schedules against a real 3-process
+# cluster on localhost TCP, every peer link behind a fault proxy, the
+# availability monitor journaling every acked write. `netmesis-gate`
+# drops a partition onto a live reconfiguration with a corruption burst
+# and a connection reset; it kills nothing, so the online verdict must
+# equal the batch one. `netmesis-gate-kill` kill -9s the first leader
+# mid-traffic and restarts it into its data dir. Each run reads every
+# acked key back, self-audits its merged journals (zero acked-write
+# loss, zero duplicate applies, committed-prefix agreement), and the
+# standalone auditor re-certifies them from scratch. `timeout` bounds
+# the gate against a hung cluster (the nodes also self-limit their
+# runtime); the 25-seed campaign with gray pauses, resets and a 5-node
+# kill + 5→3→5 walk in every seed is E14.
+echo "== netmesis gate (partition during reconfig; kill -9 leader; audited) =="
 rm -rf target/netmesis-gate
-timeout 90 cargo run -q -p adored --release --offline -- \
+timeout 150 cargo run -q -p adored --release --offline -- \
     hunt --gate --dir target/netmesis-gate
-cargo run -q -p adore-obs --release --offline -- --audit target/netmesis-gate/netmesis-gate/merged.jsonl >/dev/null
+for schedule in netmesis-gate netmesis-gate-kill; do
+    cargo run -q -p adore-obs --release --offline -- \
+        --audit "target/netmesis-gate/$schedule/merged.jsonl" >/dev/null
+done
 
 # Live-plane gate: the open-loop load generator drives a real 3-node
 # cluster at three fixed offered rates while every node streams its
 # trace to the in-process online auditor over TCP. The bench exits
-# non-zero unless the online audit reports CERTIFIED (and, when zero
-# frames were shed, unless the batch auditor agrees with the online
-# verdict event-for-event). Small rates and short phases keep the gate
-# bounded; the full campaign is E15.
+# non-zero unless the online audit reports CERTIFIED, every acked key
+# reads back and the batch auditor certifies the journal files too
+# (when zero frames were shed the two verdicts must agree). Small rates
+# and short phases keep the gate bounded. Its report stays under
+# target/: only E15's command rewrites the committed
+# results/BENCH_live.json.
 echo "== live-plane gate (open-loop bench, online-audited) =="
 rm -rf target/bench-live
 timeout 120 cargo run -q -p adored --release --offline -- \
     bench --open-loop 40,80,120 --secs-per-rate 2 --seed 11 \
-    --dir target/bench-live --out results/BENCH_live.json
-test -s results/BENCH_live.json || {
-    echo "ci: results/BENCH_live.json was not regenerated" >&2
+    --dir target/bench-live --out target/bench-live/BENCH_live.json
+test -s target/bench-live/BENCH_live.json || {
+    echo "ci: target/bench-live/BENCH_live.json was not written" >&2
     exit 1
 }
 

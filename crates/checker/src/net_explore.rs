@@ -289,6 +289,76 @@ mod tests {
         assert_eq!((net.states, net.transitions), (4_099, 7_916));
     }
 
+    /// `explore_net`'s dedup key `(net_relation, messages)` is not a
+    /// quotient of the transition system: it drops `role`, `votes` and
+    /// `acks` — in particular *whom* a node voted for — so BFS prunes
+    /// states whose futures differ. This reference BFS (same successor
+    /// function, `check_log_safety` on every state) keys additionally on
+    /// each server's `(role, votes while Candidate, acks while Leader,
+    /// crashed)` and pins, from `{1,2,3}` + 1 spare at depth 5, both
+    /// searches' sizes and how many `(relation, messages)` classes the
+    /// fuller search reaches that the coarse one never visits. The fix
+    /// moves both count pins (here and `benchmark/src/certify.rs`), so
+    /// it belongs to ROADMAP item 1's single re-baseline, which must
+    /// drive `missed` to 0 (EXPERIMENTS E2 has the other depths).
+    #[test]
+    fn the_dedup_key_misses_classes_a_fuller_key_reaches() {
+        type St = NetState<SingleNode, u32>;
+        let coarse = |st: &St| format!("{:?}|{:?}", st.net_relation(), st.messages());
+        let full = |st: &St| {
+            let local: Vec<_> = st
+                .servers()
+                .map(|(nid, s)| {
+                    let votes = (s.role == adore_raft::Role::Candidate).then_some(&s.votes);
+                    let acks = (s.role == adore_raft::Role::Leader).then_some(&s.acks);
+                    (nid, s.role, votes, acks, s.crashed)
+                })
+                .collect();
+            format!("{}|{local:?}", coarse(st))
+        };
+        let conf0 = SingleNode::new([1, 2, 3]);
+        let params = NetExploreParams {
+            max_depth: 5,
+            max_states: usize::MAX,
+            ..NetExploreParams::default()
+        };
+        let universe: adore_core::NodeSet = (1..=4).map(NodeId).collect();
+        // Returns (states, transitions, coarse classes visited).
+        let bfs = |key: &dyn Fn(&St) -> String| {
+            let initial: St = NetState::new(conf0.clone(), params.guard);
+            let mut visited = BTreeSet::from([key(&initial)]);
+            let mut classes = BTreeSet::from([coarse(&initial)]);
+            let mut transitions = 0u64;
+            let mut queue = VecDeque::from([(initial, 0usize)]);
+            while let Some((st, depth)) = queue.pop_front() {
+                if depth == params.max_depth {
+                    continue;
+                }
+                for ev in net_successors(&st, &params, &universe) {
+                    let mut next = st.clone();
+                    if !next.step(&ev).applied() {
+                        continue;
+                    }
+                    transitions += 1;
+                    if visited.insert(key(&next)) {
+                        assert!(next.check_log_safety().is_ok());
+                        classes.insert(coarse(&next));
+                        queue.push_back((next, depth + 1));
+                    }
+                }
+            }
+            (visited.len(), transitions, classes)
+        };
+
+        let pruned = explore_net(&conf0, &params);
+        let (states, transitions, seen) = bfs(&coarse);
+        assert_eq!((states, transitions), (pruned.states, pruned.transitions));
+        assert_eq!((states, transitions), (2_149, 3_879));
+        let (states, transitions, reached) = bfs(&full);
+        assert_eq!((states, transitions), (2_659, 4_449));
+        assert_eq!(reached.difference(&seen).count(), 48);
+    }
+
     #[test]
     fn network_state_space_dominates_at_equal_protocol_progress() {
         use crate::explore::{explore, ExploreParams};

@@ -63,7 +63,7 @@ pub use engine::{
 };
 pub use net_adapter::NetHarness;
 pub use netmesis::{
-    compile_schedule, gate_schedule, netmesis_schedule, swap_labels, NetCounterexample,
+    compile_schedule, gate_schedules, netmesis_schedule, swap_labels, NetCounterexample,
     WireAction, WireStep, WireTimeline,
 };
 pub use schedule::{random_schedule, Fault, FaultSchedule, RandomScheduleParams};

@@ -419,7 +419,8 @@ pub fn swap_labels(schedule: &FaultSchedule, a: u32, b: u32) -> FaultSchedule {
 }
 
 /// Generates one seeded netmesis campaign schedule: a 5-node cluster
-/// walking a live 5→3→5 reconfiguration while wire faults — minority
+/// whose first leader is killed and restarted into its WAL, then walks
+/// a live 5→3→5 reconfiguration while wire faults — minority
 /// partitions, gray pauses, frame corruption, connection resets,
 /// slow-loris stalls — land on top of it. Every schedule keeps a
 /// majority of the *current* configuration connected and running, so a
@@ -430,7 +431,7 @@ pub fn swap_labels(schedule: &FaultSchedule, a: u32, b: u32) -> FaultSchedule {
 pub fn netmesis_schedule(seed: u64) -> FaultSchedule {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x6e65_746d_6573_6973); // "netmesis"
     let members: Vec<u32> = vec![1, 2, 3, 4, 5];
-    let core = [1u32, 2, 3]; // survive the 5→3 walk; never paused/killed
+    let core = [1u32, 2, 3]; // survive the 5→3 walk; never paused
     let fringe = [4u32, 5]; // removed on the way down, re-added on the way up
     let pick_core = |rng: &mut StdRng| core[rng.gen_range(0..core.len())];
     let mut faults: Vec<Fault> = Vec::new();
@@ -480,10 +481,17 @@ pub fn netmesis_schedule(seed: u64) -> FaultSchedule {
     };
 
     faults.push(Fault::ClientBurst { writes: 3 });
+    // kill -9 the first leader (the live harness aims label 1 at it),
+    // write through the failover, restart the corpse into its WAL: it
+    // must catch up and survive the whole walk below. Four of five
+    // members stay up throughout, and label 2 leads from here on (the
+    // harness aims it at whoever wins the live election).
+    faults.extend(kill_and_restart_first_leader(3));
+    let lead = 2u32;
     // Guaranteed corruption burst on core links while traffic flows:
     // the crc-rejection path must fire in every seed.
     let (ca, cb) = (core[rng.gen_range(0..3)], core[rng.gen_range(0..3)]);
-    let (ca, cb) = if ca == cb { (1, 2) } else { (ca, cb) };
+    let (ca, cb) = if ca == cb { (lead, 1) } else { (ca, cb) };
     faults.push(Fault::CorruptLink {
         from: ca,
         to: cb,
@@ -510,7 +518,7 @@ pub fn netmesis_schedule(seed: u64) -> FaultSchedule {
     // Disturb the shrunk cluster (core links only).
     match rng.gen_range(0..3u32) {
         0 => {
-            let (from, to) = (1, 1 + rng.gen_range(1..3));
+            let (from, to) = (lead, [1, 3][rng.gen_range(0..2)]);
             faults.push(Fault::CorruptLink {
                 from,
                 to,
@@ -519,12 +527,12 @@ pub fn netmesis_schedule(seed: u64) -> FaultSchedule {
             faults.push(Fault::ClientBurst { writes: 2 });
         }
         1 => {
-            faults.push(Fault::ResetLink { from: 1, to: 2 });
-            faults.push(Fault::ResetLink { from: 2, to: 1 });
+            faults.push(Fault::ResetLink { from: lead, to: 1 });
+            faults.push(Fault::ResetLink { from: 1, to: lead });
             faults.push(Fault::ClientBurst { writes: 2 });
         }
         _ => {
-            faults.push(Fault::SlowLink { from: 2, to: 3 });
+            faults.push(Fault::SlowLink { from: lead, to: 3 });
             faults.push(Fault::ClientBurst { writes: 2 });
         }
     }
@@ -551,12 +559,29 @@ pub fn netmesis_schedule(seed: u64) -> FaultSchedule {
     }
 }
 
-/// The fixed 3-node CI gate schedule: one partition-during-reconfig
-/// with a corruption burst and a connection reset, small enough to
-/// complete (run + audit) inside the ci.sh 90-second budget.
+/// `kill -9` node 1, wait out the election (node 2 is taken to win
+/// it), write through the new leader, restart node 1 into its data
+/// directory.
+fn kill_and_restart_first_leader(writes: u32) -> [Fault; 4] {
+    [
+        Fault::Crash { nid: 1 },
+        Fault::Elect { nid: 2 },
+        Fault::ClientBurst { writes },
+        Fault::Recover { nid: 1 },
+    ]
+}
+
+/// The two fixed 3-node CI gate schedules, small enough to complete
+/// (run + audit) inside the ci.sh budget. The first is one
+/// partition-during-reconfig with a corruption burst and a connection
+/// reset: it kills nothing, so the harness holds it to the strict
+/// online ≡ batch comparison. The second is the kill -9 leg: ten
+/// writes, the first leader dies on the heels of the tenth's ack, ten
+/// writes through the failover, the corpse restarts into its WAL,
+/// three more.
 #[must_use]
-pub fn gate_schedule() -> FaultSchedule {
-    FaultSchedule {
+pub fn gate_schedules() -> Vec<FaultSchedule> {
+    let first = FaultSchedule {
         name: "netmesis-gate".into(),
         seed: 7,
         members: vec![1, 2, 3],
@@ -596,7 +621,16 @@ pub fn gate_schedule() -> FaultSchedule {
             Fault::ResetLink { from: 1, to: 2 },
             Fault::ClientBurst { writes: 2 },
         ],
-    }
+    };
+    let mut kill = vec![Fault::ClientBurst { writes: 10 }];
+    kill.extend(kill_and_restart_first_leader(10));
+    kill.push(Fault::ClientBurst { writes: 3 });
+    let second = FaultSchedule {
+        name: "netmesis-gate-kill".into(),
+        faults: kill,
+        ..first.clone()
+    };
+    vec![first, second]
 }
 
 /// A wire-campaign counterexample: the canonical schedule that tripped
@@ -651,7 +685,9 @@ mod tests {
         for seed in 0..25 {
             let s = netmesis_schedule(seed);
             assert!(
-                s.faults.iter().any(|f| matches!(f, Fault::CorruptLink { .. })),
+                s.faults
+                    .iter()
+                    .any(|f| matches!(f, Fault::CorruptLink { .. })),
                 "seed {seed}: no corruption burst"
             );
             let removes = s
@@ -665,6 +701,22 @@ mod tests {
                 .filter(|f| matches!(f, Fault::ReconfigAdd { .. }))
                 .count();
             assert_eq!((removes, adds), (2, 2), "seed {seed}: walk incomplete");
+            // Exactly one kill, of the first leader, restarted before
+            // the corruption burst and so ahead of the whole walk.
+            let at = |want: &dyn Fn(&Fault) -> bool| s.faults.iter().position(want);
+            let kills = s
+                .faults
+                .iter()
+                .filter(|f| matches!(f, Fault::Crash { .. }))
+                .count();
+            let crash = at(&|f| matches!(f, Fault::Crash { nid: 1 }));
+            let restart = at(&|f| matches!(f, Fault::Recover { nid: 1 }));
+            let corrupt = at(&|f| matches!(f, Fault::CorruptLink { .. }));
+            assert_eq!(kills, 1, "seed {seed}: one kill leg");
+            assert!(
+                crash.is_some() && crash < restart && restart < corrupt,
+                "seed {seed}: kill leg out of place"
+            );
             // Paused or partitioned-away nodes are always in the fringe:
             // the {1,2,3} core keeps a live majority of every config the
             // walk passes through.
@@ -679,24 +731,56 @@ mod tests {
     #[test]
     fn campaign_schedules_are_sim_safe_under_the_sound_guard() {
         // The sim twin of every campaign seed must pass: these
-        // schedules certify the wire runtime, not the protocol.
+        // schedules certify the wire runtime, not the protocol. The
+        // kill leg is live in the twin too: the burst between node 1's
+        // crash and its restart is acknowledged by the new leader.
         let params = crate::engine::EngineParams::default();
         for seed in 0..8 {
             let report = crate::engine::run_schedule(&netmesis_schedule(seed), &params);
             assert!(report.is_safe(), "seed {seed}: {:?}", report.violation);
+            let failover = &report.degraded.phases[3];
+            assert!(
+                failover.fault.contains("ClientBurst") && failover.acked == 3,
+                "seed {seed}: {failover:?}"
+            );
         }
     }
 
     #[test]
     fn the_gate_schedule_is_sim_safe_and_compiles_small() {
-        let s = gate_schedule();
-        let report = crate::engine::run_schedule(&s, &crate::engine::EngineParams::default());
-        assert!(report.is_safe(), "{:?}", report.violation);
-        let timeline = compile_schedule(&s);
-        assert!(
-            timeline.total_ms < 10_000,
-            "gate span {}ms too long for the 90s CI budget",
-            timeline.total_ms
+        let gates = gate_schedules();
+        assert_eq!(gates.len(), 2);
+        for s in &gates {
+            let report = crate::engine::run_schedule(s, &crate::engine::EngineParams::default());
+            assert!(report.is_safe(), "{}: {:?}", s.name, report.violation);
+            let timeline = compile_schedule(s);
+            assert!(
+                timeline.total_ms < 10_000,
+                "{}: span {}ms too long for the CI budget",
+                s.name,
+                timeline.total_ms
+            );
+        }
+        // The first kills nothing (the strict online ≡ batch run); the
+        // second kills and restarts node 1 with bursts on either side.
+        let kill =
+            |s: &WireStep| matches!(s.action, WireAction::Kill { .. } | WireAction::KillLeader);
+        assert!(!compile_schedule(&gates[0]).steps.iter().any(kill));
+        let actions: Vec<WireAction> = compile_schedule(&gates[1])
+            .steps
+            .into_iter()
+            .map(|s| s.action)
+            .collect();
+        assert_eq!(
+            actions,
+            [
+                WireAction::Burst { writes: 10 },
+                WireAction::Kill { nid: 1 },
+                WireAction::AwaitElection,
+                WireAction::Burst { writes: 10 },
+                WireAction::Restart { nid: 1 },
+                WireAction::Burst { writes: 3 },
+            ]
         );
     }
 
@@ -713,7 +797,7 @@ mod tests {
 
     #[test]
     fn wire_timelines_round_trip_through_json() {
-        let timeline = compile_schedule(&gate_schedule());
+        let timeline = compile_schedule(&gate_schedules()[0]);
         let json = serde_json::to_string(&timeline).unwrap();
         let back: WireTimeline = serde_json::from_str(&json).unwrap();
         assert_eq!(back, timeline);
@@ -722,7 +806,7 @@ mod tests {
     #[test]
     fn net_counterexamples_round_trip_through_json() {
         let ce = NetCounterexample {
-            schedule: gate_schedule(),
+            schedule: gate_schedules().remove(0),
             violation: "acked write lost".into(),
             journal: "{}\n".into(),
             sim_twin: None,
