@@ -2,8 +2,11 @@
 # Tier-1 gate for the workspace: build, test, clippy, two short runs of
 # the repository benchmark, the fixed-seed nemesis, storage and
 # observability table runs, and two live-cluster gates (`adored hunt
-# --gate`, `adored bench --open-loop`). Fully offline — all dependencies
-# are vendored in-tree under vendor/.
+# --gate`, `adored bench --open-loop`). One protocol engine
+# (`adore_kv::det`) runs under all of them: N at a time on the
+# simulator's virtual clock for the tables, one per process for the live
+# gates. Fully offline — all dependencies are vendored in-tree under
+# vendor/.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -70,22 +73,26 @@ done
 #   L12 no channel()       clippy::disallowed_methods
 #       sends that shed    the engine loop's outbox type: try_send only,
 #                            #[must_use], let_underscore_must_use denied
-#   L15 emission order     debug_assert! in adored's Engine::finish
+#   L15 emission order     debug_assert! in adore_kv::det's Engine::finish
 echo "== cargo clippy -- -D warnings (all of L1-L12's static discipline) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# The nemesis campaigns are seeded (scripted ablations plus random
-# schedules with seeds 0..10 fixed in the harness), so the run is
-# deterministic: it self-asserts 0 sound-guard violations and one
-# minimized replayable counterexample per guard ablation.
+# The nemesis campaigns run the engines on the simulator's virtual clock.
+# They are seeded (scripted ablations plus random schedules with seeds
+# 0..10 fixed in the harness), so the run is deterministic: it
+# self-asserts 0 sound-guard violations and one minimized replayable
+# counterexample per guard ablation that also diverges in the untimed
+# model (`NetHarness`).
 echo "== nemesis smoke run (fixed seeds) =="
 cargo run -p adore-bench --bin nemesis_table --release --offline >/dev/null
 
-# Same deal for the storage nemesis: seeded random campaigns mixing disk
-# faults with network/process faults under the strict policy and the
-# storage certification checker (self-asserts 0 violations), plus one
-# minimized replayable counterexample per storage ablation. A small seed
-# count keeps the gate fast; the full 100-seed table is E10.
+# Same deal for the storage nemesis: each simulated node's engine
+# persists to its own simulated disk, synced before its acks unless the
+# policy is ablated. Seeded random campaigns mix disk faults with
+# network/process faults under the strict policy and the storage
+# certification checker (self-asserts 0 violations), plus one minimized
+# replayable counterexample per storage ablation, defused under strict.
+# A small seed count keeps the gate fast; the full 100-seed table is E10.
 echo "== storage nemesis smoke run (fixed seeds) =="
 STORAGE_TABLE_SEEDS=10 \
     cargo run -p adore-bench --bin storage_table --release --offline >/dev/null
@@ -94,12 +101,16 @@ STORAGE_TABLE_SEEDS=10 \
 # invisible to the simulation, that every ablation's audit reproduces
 # its live verdict, and that the streaming OnlineAuditor reproduces
 # every batch verdict on every journal it writes), then re-audit the
-# written journals with the standalone auditor. The auditor
+# written journals with the standalone auditor. The simulated journals
+# are the engines' own (`StateDelta`, `LeaderElected`, ...) plus the
+# simulator's network, `WalSync` and crash events. The auditor
 # reconstructs protocol state purely from the trace; a non-zero exit
 # means the audit's independent verdict no longer matches the live
-# run's — i.e. instrumentation and protocol have drifted apart. CI also
-# asserts the table was actually regenerated so results/obs_table.txt
-# cannot go stale.
+# run's — i.e. instrumentation and protocol have drifted apart. The two
+# `netmesis-gate*` journals are the live gate's schedules run on the
+# simulator; the netmesis gate below audits the same schedules' journals
+# from a real cluster. CI also asserts the table was actually
+# regenerated so results/obs_table.txt cannot go stale.
 echo "== observability gate (trace-certified audit, batch == online) =="
 rm -f results/obs_table.txt
 cargo run -p adore-bench --bin obs_table --release --offline >/dev/null
@@ -107,8 +118,9 @@ test -s results/obs_table.txt || {
     echo "ci: results/obs_table.txt was not regenerated" >&2
     exit 1
 }
-cargo run -q -p adore-obs --release --offline -- --audit target/obs/r3-sound.jsonl >/dev/null
-cargo run -q -p adore-obs --release --offline -- --audit target/obs/no-R3-ablated.jsonl >/dev/null
+for journal in r3-sound no-R3-ablated netmesis-gate netmesis-gate-kill; do
+    cargo run -q -p adore-obs --release --offline -- --audit "target/obs/$journal.jsonl" >/dev/null
+done
 
 # Live-cluster gate: two fixed schedules against a real 3-process
 # cluster on localhost TCP, every peer link behind a fault proxy, the

@@ -1,16 +1,16 @@
 //! `adored`: the partial-failure-hardened networked ADORE runtime.
 //!
-//! The simulation crates certify the protocol under a virtual clock and
-//! an in-memory network; this crate runs the *same* certified state
-//! machine as a real multi-process cluster over length-prefixed TCP
-//! frames, and keeps it auditable: every node writes the shared
-//! `adore-obs` journal schema, so `adore-obs --audit` certifies
-//! committed-prefix agreement for a real run exactly as it does for a
-//! simulated one.
+//! The protocol node is `adore_kv::det`'s engine, which the simulator
+//! (`adore_kv::Cluster`) also runs, N at a time, on a virtual clock;
+//! this crate is the threaded shell that runs one of them as a real
+//! process over length-prefixed TCP frames, and keeps it auditable:
+//! every node writes the shared `adore-obs` journal schema, so
+//! `adore-obs --audit` certifies committed-prefix agreement for a real
+//! run exactly as it does for a simulated one.
 //!
 //! Layering:
 //!
-//! - [`det`] — the deterministic core: frame codec, wire messages,
+//! - [`det`] — re-exported from `adore-kv`: frame codec, wire messages,
 //!   exactly-once session table, and the per-node protocol engine.
 //!   Pure input → output; covered by the determinism lints.
 //! - [`node`] — the threaded runtime shell: listener, per-peer
@@ -39,7 +39,7 @@
 
 pub mod client;
 pub mod collect;
-pub mod det;
+pub use adore_kv::det;
 pub mod export;
 pub mod monitor;
 pub mod node;

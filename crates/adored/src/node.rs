@@ -338,8 +338,8 @@ fn load_wal(
         }
     };
     // Recovery may have truncated an invalid tail; rewrite the file to
-    // the post-recovery device image so the append-only mirror below
-    // starts from an exact prefix.
+    // the post-recovery device image, so the engine's `Persist` bytes,
+    // appended from here on, extend an exact prefix.
     fs::write(wal_path, wal.disk().bytes())?;
     Ok((wal, state, abstaining))
 }
@@ -485,7 +485,9 @@ fn engine_loop(
             }
             Event::Client { conn, msg } => {
                 match &msg {
-                    ClientMsg::Put { seq, .. } | ClientMsg::Reconfigure { seq, .. } => {
+                    ClientMsg::Put { seq, .. }
+                    | ClientMsg::Delete { seq, .. }
+                    | ClientMsg::Reconfigure { seq, .. } => {
                         in_flight.insert(conn, (*seq, Instant::now()));
                     }
                     ClientMsg::Get { .. } | ClientMsg::Status => {}
@@ -525,6 +527,7 @@ fn engine_loop(
                     // Send/Reply of this batch leaves the process.
                     wal_file.write_all(&bytes)?;
                     wal_file.flush()?;
+                    journal.record(EventKind::WalSync { nid });
                 }
                 Output::Journal(kind) => journal.record(kind),
                 Output::Send { to, msg } => {
@@ -919,7 +922,26 @@ mod tests {
             .find(|e| e.file_name().to_string_lossy().starts_with("journal-"))
             .expect("one boot, one journal");
         let lines = fs::read_to_string(journal.path()).expect("journal");
-        assert_eq!(lines.matches("\"MetricsScrape\"").count(), 1, "{lines}");
+        // The shell journals each `WalSync` right after its `Persist`
+        // bytes are written and flushed: every state delta (election +
+        // barrier, the put, the parked reconfiguration) is followed by
+        // its sync, ahead of anything the step announces.
+        let events = adore_obs::parse_jsonl(&lines).expect("the journal parses");
+        let tags: Vec<&str> = events.iter().map(|e| e.kind.tag()).collect();
+        assert_eq!(
+            tags,
+            [
+                "state-delta",
+                "wal-sync",
+                "leader-elected",
+                "state-delta",
+                "wal-sync",
+                "state-delta",
+                "wal-sync",
+                "metrics-scrape",
+            ],
+            "{lines}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

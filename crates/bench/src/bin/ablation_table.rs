@@ -12,18 +12,22 @@
 //! Usage: `cargo run -p adore-bench --bin ablation_table --release`
 
 use adore_bench::print_table;
-use adore_core::NodeId;
+use adore_core::{NodeId, ReconfigGuard};
 use adore_kv::{Cluster, KvCommand, LatencyModel};
 use adore_schemes::SingleNode;
 
-/// Builds a 4-node cluster with `log_len` committed entries.
-fn warmed(log_len: usize, seed: u64) -> Cluster<SingleNode> {
-    let mut c = Cluster::new(SingleNode::new([1, 2, 3, 4]), LatencyModel::default(), seed);
+/// Builds a 4-node cluster with `log_len` committed entries and starts
+/// its spare, node 5, with an empty log.
+fn warmed(log_len: usize, seed: u64) -> Cluster {
+    let conf0 = SingleNode::new([1, 2, 3, 4]);
+    let latency = LatencyModel::default();
+    let mut c = Cluster::build(conf0, &[5], ReconfigGuard::all(), latency, seed);
     c.elect(NodeId(1)).expect("election succeeds");
     for i in 0..log_len {
         c.submit(KvCommand::put(format!("k{i}"), "v"))
             .expect("commit succeeds");
     }
+    c.recover(NodeId(5));
     c
 }
 

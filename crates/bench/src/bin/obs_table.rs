@@ -15,7 +15,8 @@
 //!    audited by [`adore_obs::audit_events`], which reconstructs
 //!    protocol state purely from the trace. Every ablated run's audit
 //!    must independently reproduce the live divergence verdict, and the
-//!    sound-guard run's trace must certify clean. Each journal is also
+//!    sound-guard run's trace must certify clean, as must the traces of
+//!    the live cluster gate's two schedules run on the simulator. Each journal is also
 //!    replayed through the streaming [`adore_obs::OnlineAuditor`],
 //!    which must land on the identical verdict — batch ≡ online on
 //!    every journal in `target/obs/`. `ci.sh` re-audits the written
@@ -32,7 +33,8 @@ use adore_checker::{explore, ExploreParams, InvariantSuite};
 use adore_core::ReconfigGuard;
 use adore_kv::{run_fig16, Fig16Params};
 use adore_nemesis::{
-    ablation_suite, run_schedule, run_schedule_traced, EngineParams, ViolationKind,
+    ablation_suite, gate_schedules, run_schedule, run_schedule_traced, EngineParams,
+    ViolationKind,
 };
 use adore_obs::{audit_events, to_jsonl, OnlineAuditor};
 use adore_schemes::SingleNode;
@@ -161,6 +163,12 @@ fn main() {
         })
         .collect();
     campaigns.push(("no-R3 schedule, sound guard".into(), "r3-sound".into(), sound));
+    // The live gate's two schedules on the simulator: `ci.sh` audits
+    // these journals beside the ones `adored hunt --gate` merges from a
+    // real cluster, one schedule on both substrates.
+    for gate in gate_schedules() {
+        campaigns.push((format!("{} (simulated)", gate.name), gate.name.clone(), gate));
+    }
     for (label, name, schedule) in campaigns {
         let expect_divergence = label.contains("ablated");
         let (report, events) = run_schedule_traced(&schedule, &engine);
@@ -234,8 +242,9 @@ fn main() {
     ));
     out.push_str(
         "\nevery ablated campaign's divergence is independently reproduced by the auditor; \
-         the sound-guard trace certifies clean; the streaming OnlineAuditor, replaying each \
-         journal event-by-event, reproduced every batch verdict exactly\n",
+         the sound-guard and simulated gate traces certify clean; the streaming \
+         OnlineAuditor, replaying each journal event-by-event, reproduced every batch \
+         verdict exactly\n",
     );
 
     print!("{out}");

@@ -9,7 +9,7 @@
 //! reconfiguration the leader votes crashed members out and spares in,
 //! and service continues indefinitely.
 
-use adore_core::{Configuration, NodeId};
+use adore_core::{NodeId, NodeSet, ReconfigGuard};
 use adore_schemes::SingleNode;
 
 use crate::command::KvCommand;
@@ -79,7 +79,9 @@ pub struct ChurnReport {
 /// ```
 #[must_use]
 pub fn run_churn(params: &ChurnParams, seed: u64) -> ChurnReport {
-    let mut cluster = Cluster::new(SingleNode::new(1..=5), params.latency.clone(), seed);
+    let conf0 = SingleNode::new(1..=5);
+    let (guard, latency) = (ReconfigGuard::all(), params.latency.clone());
+    let mut cluster = Cluster::build(conf0, &params.spares, guard, latency, seed);
     let mut report = ChurnReport {
         completed: 0,
         crashes: 0,
@@ -93,14 +95,12 @@ pub fn run_churn(params: &ChurnParams, seed: u64) -> ChurnReport {
         report.unavailable_at = Some(0);
         return report;
     }
+    // The membership as last seen through a leader: failover candidates.
+    let mut members = cluster.members().unwrap_or_default();
 
     /// Elects any live member as leader; `None` if nobody can win.
-    fn failover(cluster: &mut Cluster<SingleNode>, crashed: &[NodeId]) -> Option<NodeId> {
-        let members = cluster.net().servers().map(|(n, _)| n).collect::<Vec<_>>();
-        for candidate in members {
-            if crashed.contains(&candidate) {
-                continue;
-            }
+    fn failover(cluster: &mut Cluster, members: &NodeSet, crashed: &[NodeId]) -> Option<NodeId> {
+        for &candidate in members.iter().filter(|n| !crashed.contains(n)) {
             // Up to a few timestamp bumps: votes can be split briefly.
             for _ in 0..4 {
                 if cluster.elect(candidate).is_ok() {
@@ -115,24 +115,13 @@ pub fn run_churn(params: &ChurnParams, seed: u64) -> ChurnReport {
         // Inject a permanent crash every `crash_every` requests.
         if i > 0 && i % params.crash_every == 0 {
             let leader = cluster.leader();
-            let victim = cluster
-                .net()
-                .servers()
-                .map(|(n, _)| n)
-                .filter(|n| !crashed.contains(n))
-                .filter(|n| {
-                    cluster
-                        .net()
-                        .config_of(leader.unwrap_or(*n))
-                        .is_some_and(|c| c.members().contains(n))
-                })
-                .max();
+            let victim = members.iter().copied().filter(|n| !crashed.contains(n)).max();
             if let Some(victim) = victim {
                 cluster.fail(victim);
                 crashed.push(victim);
                 report.crashes += 1;
                 if Some(victim) == leader {
-                    match failover(&mut cluster, &crashed) {
+                    match failover(&mut cluster, &members, &crashed) {
                         Some(_) => report.failovers += 1,
                         None => {
                             report.unavailable_at = Some(i);
@@ -148,34 +137,28 @@ pub fn run_churn(params: &ChurnParams, seed: u64) -> ChurnReport {
                         return report;
                     }
                     report.completed += 1;
-                    let current = cluster
-                        .leader()
-                        .and_then(|l| cluster.net().config_of(l))
-                        .expect("leader has a configuration");
                     let without = SingleNode::from_set(
-                        current
-                            .members()
-                            .into_iter()
-                            .filter(|n| *n != victim)
-                            .collect(),
+                        members.iter().copied().filter(|n| *n != victim).collect(),
                     );
                     if cluster.reconfigure(without.clone()).is_err() {
                         report.unavailable_at = Some(i);
                         return report;
                     }
                     if let Some(spare) = spares.pop() {
+                        cluster.recover(NodeId(spare));
                         if cluster.reconfigure(without.with(NodeId(spare))).is_err() {
                             report.unavailable_at = Some(i);
                             return report;
                         }
                     }
+                    members = cluster.members().unwrap_or_default();
                     report.repairs += 1;
                 }
             }
         }
         match cluster.submit(KvCommand::put(format!("k{i}"), "v")) {
             Ok(_) => report.completed += 1,
-            Err(ClusterError::NoLeader) => match failover(&mut cluster, &crashed) {
+            Err(ClusterError::NoLeader) => match failover(&mut cluster, &members, &crashed) {
                 Some(_) => {
                     report.failovers += 1;
                     if cluster.submit(KvCommand::put(format!("k{i}"), "v")).is_ok() {

@@ -32,19 +32,6 @@ pub enum KvCommand {
         /// The key.
         key: String,
     },
-    /// A command wrapped in an exactly-once session envelope. The
-    /// `(client, seq)` pair travels inside the replicated entry, so any
-    /// replica — including a freshly elected leader — can recognize a
-    /// retry of an operation that already sits in its log and
-    /// acknowledge it without appending a second copy.
-    Session {
-        /// The issuing client's id.
-        client: u64,
-        /// The client's per-session request sequence number.
-        seq: u64,
-        /// The wrapped command.
-        cmd: Box<KvCommand>,
-    },
 }
 
 impl KvCommand {
@@ -61,25 +48,6 @@ impl KvCommand {
     #[must_use]
     pub fn delete(key: impl Into<String>) -> Self {
         KvCommand::Delete { key: key.into() }
-    }
-
-    /// Wraps a command in an exactly-once session envelope.
-    #[must_use]
-    pub fn session(client: u64, seq: u64, cmd: KvCommand) -> Self {
-        KvCommand::Session {
-            client,
-            seq,
-            cmd: Box::new(cmd),
-        }
-    }
-
-    /// The `(client, seq)` pair of a session envelope, if this is one.
-    #[must_use]
-    pub fn session_id(&self) -> Option<(u64, u64)> {
-        match self {
-            KvCommand::Session { client, seq, .. } => Some((*client, *seq)),
-            _ => None,
-        }
     }
 }
 
@@ -107,12 +75,6 @@ impl KvStore {
             }
             KvCommand::Delete { key } => {
                 self.map.remove(key);
-            }
-            KvCommand::Session { cmd, .. } => {
-                // The envelope carries identity, not semantics: dedup
-                // happens at submission time, before a command enters
-                // the log, so applying simply unwraps.
-                self.apply(cmd);
             }
         }
     }
@@ -156,16 +118,6 @@ mod tests {
         assert_eq!(store.len(), 1);
         store.apply(&KvCommand::delete("k"));
         assert!(store.is_empty());
-    }
-
-    #[test]
-    fn session_envelope_applies_its_payload() {
-        let mut store = KvStore::new();
-        let cmd = KvCommand::session(7, 1, KvCommand::put("k", "v"));
-        assert_eq!(cmd.session_id(), Some((7, 1)));
-        assert_eq!(KvCommand::put("k", "v").session_id(), None);
-        store.apply(&cmd);
-        assert_eq!(store.get("k"), Some("v"));
     }
 
     #[test]

@@ -48,31 +48,31 @@
 //! watermark, role)`, and `Engine::observe` derives the WAL records,
 //! the journal's `StateDelta`, applies, waiter releases and step-down
 //! redirects from the difference (plus the common-prefix length taken
-//! before a shipped log is adopted) — the way `kv::sim` journals the
-//! same model. The records leave framed as `Output::Persist` bytes; the
-//! runtime owns the WAL file, and the engine keeps no image of it.
+//! before a shipped log is adopted). The records leave framed as
+//! `Output::Persist` bytes; the shell owns the WAL device, and the
+//! engine keeps no image of it.
 //!
 //! The engine is **pure** with respect to the outside world: it
 //! consumes [`Input`]s and returns [`Output`]s, touching no sockets, no
 //! clocks, and no filesystem. Time is an abstract tick stream; the only
 //! randomness is a seeded [`StdRng`] jittering election deadlines. The
 //! same input sequence therefore always produces the same output
-//! sequence — the runtime (`crate::node`) is a thin shell that feeds
-//! ticks and frames in and carries bytes, journal lines, and replies
-//! out. That boundary is what keeps the protocol state machine inside
-//! the `det` determinism ban while IO threads live at the edges.
+//! sequence. Two shells carry the outputs: `adored`'s threaded runtime
+//! (real sockets, a real WAL file) and [`crate::Cluster`] (a virtual
+//! clock, a simulated network, one `SimDisk` per node).
 //!
 //! # Durability ordering
 //!
 //! Outputs are ordered so that obeying them sequentially preserves the
 //! write-ahead discipline: the journal delta and WAL persist come
 //! *before* any `Send` or `Reply`, so an acknowledgement never leaves
-//! the node before the state it acknowledges is on disk.
+//! the node before the state it acknowledges is on disk. Making the
+//! bytes durable is the shell's act, so the shell journals the
+//! `WalSync` when it has done it.
 
 use std::collections::BTreeMap;
 
 use adore_core::{Configuration, NodeId, NodeSet, ReconfigGuard, Timestamp};
-use adore_kv::{KvCommand, KvStore};
 use adore_obs::EventKind;
 use adore_raft::{
     effective_config, Command, EventOutcome, NetEvent, NetState, Rejection, Request, Role, Server,
@@ -83,6 +83,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::det::msg::{Cfg, ClientMsg, ClientReply, NetEntry, NetRequest, PeerMsg, SessionCmd};
 use crate::det::session::{SeqVerdict, SessionTable};
+use crate::{KvCommand, KvStore};
 
 /// Tunables of one engine. All times are abstract ticks; the runtime
 /// decides how long a tick is.
@@ -167,8 +168,9 @@ pub enum Input {
 /// One effect the runtime must carry out, in order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Output {
-    /// Append these bytes to the node's WAL file and flush before
-    /// acting on any later output of this batch (the write-ahead rule).
+    /// Append these bytes to the node's WAL and make them durable before
+    /// acting on any later `Send` or `Reply` of this batch (the
+    /// write-ahead rule), journaling the `WalSync` once they are.
     Persist {
         /// The step's WAL records, framed by
         /// [`adore_storage::encode_record`] (the file is their
@@ -284,11 +286,13 @@ pub struct Engine {
 
 impl Engine {
     /// Builds an engine over a recovered durable state and the WAL it
-    /// was recovered from. The WAL's bytes are the runtime's from here
-    /// on: the engine keeps no copy, and every later record leaves as
-    /// `Output::Persist` for the runtime to append. `abstaining` is
-    /// sticky: a replica that lost its media must never vote again (it
-    /// has forgotten promises), though it still replicates.
+    /// was recovered from. The WAL's bytes are the shell's from here on:
+    /// the engine keeps no copy, and every later record leaves as
+    /// `Output::Persist` for the shell to append. Which recovery policy
+    /// produced `state` is the shell's business too (the simulator
+    /// replays under ablated ones on purpose). `abstaining` is sticky: a
+    /// replica that lost its media must never vote again (it has
+    /// forgotten promises), though it still replicates.
     #[must_use]
     pub fn new(
         cfg: EngineConfig,
@@ -296,10 +300,7 @@ impl Engine {
         state: DurableState<Cfg, SessionCmd>,
         abstaining: bool,
     ) -> Self {
-        debug_assert!(
-            (wal.mirror().time, &wal.mirror().log) == (state.time, &state.log),
-            "the state is not what its WAL replays to"
-        );
+        drop(wal);
         let mut sessions = SessionTable::new(cfg.params.session_window, cfg.params.session_clients);
         index_sessions(&mut sessions, &state.log, 0);
         let mut applied = KvStore::new();
@@ -570,19 +571,9 @@ impl Engine {
                 seq,
                 key,
                 value,
-            } => {
-                if !self.admit(st, conn, client, seq) {
-                    return;
-                }
-                self.model.step(&NetEvent::Invoke {
-                    nid: self.nid,
-                    method: SessionCmd {
-                        client,
-                        seq,
-                        op: Some(KvCommand::put(key, value)),
-                    },
-                });
-                self.await_commit(st, conn, seq);
+            } => self.write(st, conn, client, seq, KvCommand::put(key, value)),
+            ClientMsg::Delete { client, seq, key } => {
+                self.write(st, conn, client, seq, KvCommand::delete(key));
             }
             ClientMsg::Reconfigure {
                 client,
@@ -610,6 +601,23 @@ impl Engine {
                 self.await_commit(st, conn, seq);
             }
         }
+    }
+
+    /// Appends a store write in its session envelope and parks `conn`
+    /// until it commits.
+    fn write(&mut self, st: &mut Step, conn: u64, client: u64, seq: u64, op: KvCommand) {
+        if !self.admit(st, conn, client, seq) {
+            return;
+        }
+        self.model.step(&NetEvent::Invoke {
+            nid: self.nid,
+            method: SessionCmd {
+                client,
+                seq,
+                op: Some(op),
+            },
+        });
+        self.await_commit(st, conn, seq);
     }
 
     /// Admission for a leader-side write: replies and returns `false`
@@ -778,9 +786,9 @@ impl Engine {
         }
     }
 
-    /// Orders a step's effects for the runtime: journal delta, WAL
-    /// persist, sync marker, protocol events, then sends and replies —
-    /// so nothing leaves the node before its durable basis.
+    /// Orders a step's effects for the shell: journal delta, WAL
+    /// persist, protocol events, then sends and replies — so nothing
+    /// leaves the node before its durable basis.
     fn finish(&self, st: Step) -> Vec<Output> {
         let mut out = Vec::new();
         if !st.records.is_empty() {
@@ -796,7 +804,6 @@ impl Engine {
                 encode_record(rec, &mut bytes);
             }
             out.push(Output::Persist { bytes });
-            out.push(Output::Journal(EventKind::WalSync { nid: self.nid.0 }));
         }
         out.extend(st.events.into_iter().map(Output::Journal));
         out.extend(
@@ -837,6 +844,13 @@ impl Engine {
     #[must_use]
     pub fn log_len(&self) -> usize {
         self.me().log.len()
+    }
+
+    /// The log itself (a simulator compares committed prefixes across
+    /// engines with it).
+    #[must_use]
+    pub fn log(&self) -> &[NetEntry] {
+        &self.me().log
     }
 
     /// Commit watermark.

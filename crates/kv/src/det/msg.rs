@@ -20,11 +20,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use adore_kv::KvCommand;
 use adore_raft::{Entry, Request};
 use adore_schemes::SingleNode;
 
-/// The configuration scheme the networked runtime replicates over.
+use crate::KvCommand;
+
+/// The configuration scheme the engine replicates over.
 pub type Cfg = SingleNode;
 
 /// One replicated command with its exactly-once session envelope.
@@ -57,10 +58,10 @@ impl SessionCmd {
     }
 }
 
-/// A log entry of the networked runtime.
+/// A log entry of the engine.
 pub type NetEntry = Entry<Cfg, SessionCmd>;
 
-/// A protocol request of the networked runtime (the model's
+/// A protocol request of the engine (the model's
 /// `Elect`/`Commit`, shipping a suffix under the `prev_len` contract).
 pub type NetRequest = Request<Cfg, SessionCmd>;
 
@@ -130,6 +131,15 @@ pub enum ClientMsg {
         key: String,
         /// The value.
         value: String,
+    },
+    /// Remove `key`, exactly once per `(client, seq)`.
+    Delete {
+        /// The issuing client.
+        client: u64,
+        /// The client's request sequence number.
+        seq: u64,
+        /// The key.
+        key: String,
     },
     /// Read a key from the committed store (leader only).
     Get {

@@ -16,8 +16,8 @@
 //! [`WireError::Corrupt`], never a panic.
 //!
 //! Everything in this module is pure byte manipulation — no sockets, no
-//! clocks — so the codec is property-testable in isolation and sits in
-//! the deterministic (`det`) half of the crate.
+//! clocks — so the codec is property-testable in isolation and sits
+//! beside the engine in the deterministic `det` module.
 
 use adore_storage::crc32;
 
@@ -28,7 +28,7 @@ pub const HEADER: usize = 8;
 /// only what a follower lacks and election frames one entry, so the one
 /// frame that grows with the log is a `prev_len: 0` catch-up frame — the
 /// whole log, at ~145 B of JSON per entry about 57k entries. A node never
-/// sends a frame past the cap (`node`'s connector drops it and journals
+/// sends a frame past the cap (`adored`'s connector drops it and journals
 /// an `oversized` `BadFrame`); one received is a corrupt length or an
 /// abusive peer.
 pub const MAX_FRAME: usize = 8 << 20;

@@ -55,8 +55,9 @@ fn drive(script: &[Action], seed: u64, drop_pct: u32) -> (KvStore, KvStore) {
     );
 
     let mut reference = KvStore::new();
-    // R3 requires a committed current-term entry before any
-    // reconfiguration: warm the term up like a real system's no-op entry.
+    // R3 requires a committed entry of the leader's term before any
+    // reconfiguration: the engine's no-op barrier is one, and the warmup
+    // write makes sure it has committed.
     let warmup = KvCommand::put("warmup", "done");
     cluster.submit(warmup.clone()).expect("warmup commits");
     reference.apply(&warmup);

@@ -14,14 +14,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use adore_kv::{Cluster, ClusterError, KvCommand};
-use adore_schemes::SingleNode;
+use adore_kv::det::msg::ClientMsg;
+use adore_kv::{Cluster, ClusterError};
 
 /// Client-side robustness knobs.
 #[derive(Debug, Clone)]
 pub struct ClientParams {
-    /// Retransmission rounds granted to one attempt before it times out
-    /// (the per-request timeout, in units of leader patience).
+    /// Heartbeat periods granted to one attempt before it times out (the
+    /// per-request timeout; heartbeats are the engines' retransmission).
     pub request_rounds: u32,
     /// Attempts per operation (1 = no retry).
     pub max_attempts: u32,
@@ -210,14 +210,16 @@ pub struct RobustClient {
 
 impl RobustClient {
     /// Creates a client with its own jitter stream derived from `seed`.
-    /// The seed doubles as the client's session id.
+    /// The seed doubles as the client's session id, kept off the two the
+    /// engine and the simulator reserve: 0 (the no-op barrier's) and
+    /// `u64::MAX` (the simulator's own session).
     #[must_use]
     pub fn new(params: ClientParams, seed: u64) -> Self {
         RobustClient {
             params,
             rng: StdRng::seed_from_u64(seed ^ 0xc11e_4475),
             ghost: BTreeMap::new(),
-            client_id: seed,
+            client_id: seed.clamp(1, u64::MAX - 1),
             next_seq: 1,
             history: Vec::new(),
         }
@@ -225,7 +227,7 @@ impl RobustClient {
 
     /// Capped exponential backoff with seeded jitter, spent as idle
     /// virtual time (the network keeps draining meanwhile).
-    fn backoff(&mut self, cluster: &mut Cluster<SingleNode>, attempt: u32) {
+    fn backoff(&mut self, cluster: &mut Cluster, attempt: u32) {
         let exp = self
             .params
             .backoff_base_us
@@ -239,7 +241,7 @@ impl RobustClient {
     /// retry; records the operation and updates the ghost state.
     pub fn put(
         &mut self,
-        cluster: &mut Cluster<SingleNode>,
+        cluster: &mut Cluster,
         key: &str,
         value: &str,
     ) -> OpOutcome {
@@ -247,8 +249,8 @@ impl RobustClient {
         // The exactly-once discipline: one sequence number per logical
         // operation, shared by all of its retries. A retry of a write
         // whose first attempt stalled in some leader's log is then
-        // recognized by the log scan in `submit_session_with_rounds`
-        // and never appended a second time.
+        // recognized by that leader's session table and acknowledged
+        // once it commits, never appended a second time.
         let seq = self.next_seq;
         self.next_seq += 1;
         let mut last = OpOutcome::NoLeader;
@@ -260,12 +262,13 @@ impl RobustClient {
                 last = OpOutcome::NoLeader;
                 continue;
             }
-            match cluster.submit_session_with_rounds(
-                self.client_id,
+            let put = ClientMsg::Put {
+                client: self.client_id,
                 seq,
-                KvCommand::put(key, value),
-                self.params.request_rounds,
-            ) {
+                key: key.to_string(),
+                value: value.to_string(),
+            };
+            match cluster.request(put, self.params.request_rounds) {
                 Ok(_) => {
                     let ghost = self.ghost.entry(key.to_string()).or_default();
                     ghost.acked = Some(value.to_string());
@@ -300,18 +303,16 @@ impl RobustClient {
             outcome: last.clone(),
             at_us: cluster.now_us(),
         });
-        if cluster.tracing() {
-            let latency_us = match &last {
-                OpOutcome::Acked { latency_us } => Some(*latency_us),
-                _ => None,
-            };
-            cluster.trace(adore_obs::EventKind::ClientOp {
-                op: "put".to_string(),
-                key: key.to_string(),
-                outcome: last.tag().to_string(),
-                latency_us,
-            });
-        }
+        let latency_us = match &last {
+            OpOutcome::Acked { latency_us } => Some(*latency_us),
+            _ => None,
+        };
+        cluster.trace(adore_obs::EventKind::ClientOp {
+            op: "put".to_string(),
+            key: key.to_string(),
+            outcome: last.tag().to_string(),
+            latency_us,
+        });
         last
     }
 
@@ -330,7 +331,7 @@ impl RobustClient {
     /// # Errors
     ///
     /// The first violation found.
-    pub fn check_reads(&self, cluster: &Cluster<SingleNode>) -> Result<(), ViolationKind> {
+    pub fn check_reads(&self, cluster: &Cluster) -> Result<(), ViolationKind> {
         let store = cluster.committed_store();
         for (key, ghost) in &self.ghost {
             let got = store.get(key);
@@ -379,15 +380,19 @@ mod tests {
     use super::*;
     use adore_core::NodeId;
     use adore_kv::LatencyModel;
+    use adore_schemes::SingleNode;
+
+    fn cluster(members: &[u32], seed: u64) -> Cluster {
+        let conf0 = SingleNode::new(members.iter().copied());
+        let mut cluster = Cluster::new(conf0, LatencyModel::default(), seed);
+        cluster.set_tracing(true);
+        cluster.elect(NodeId(1)).unwrap();
+        cluster
+    }
 
     #[test]
     fn healthy_cluster_acks_everything() {
-        let mut cluster = Cluster::new(
-            SingleNode::new([1, 2, 3]),
-            LatencyModel::default(),
-            21,
-        );
-        cluster.elect(NodeId(1)).unwrap();
+        let mut cluster = cluster(&[1, 2, 3], 21);
         let mut client = RobustClient::new(ClientParams::default(), 21);
         for i in 0..10 {
             let out = client.put(&mut cluster, &format!("k{i}"), "v");
@@ -399,12 +404,7 @@ mod tests {
 
     #[test]
     fn client_redirects_to_a_new_leader_after_a_crash() {
-        let mut cluster = Cluster::new(
-            SingleNode::new([1, 2, 3, 4, 5]),
-            LatencyModel::default(),
-            22,
-        );
-        cluster.elect(NodeId(1)).unwrap();
+        let mut cluster = cluster(&[1, 2, 3, 4, 5], 22);
         let mut client = RobustClient::new(ClientParams::default(), 22);
         assert!(matches!(
             client.put(&mut cluster, "a", "1"),
@@ -424,72 +424,43 @@ mod tests {
         client.check_reads(&cluster).unwrap();
     }
 
+    /// Every attempt of a put stalled behind a minority leader reuses the
+    /// operation's `(client, seq)`, so the leader appends it once: after
+    /// the heal it commits once, and the trace auditor's exactly-once
+    /// check (T7) finds no pair applied twice.
     #[test]
-    fn stalled_retries_append_one_entry_not_one_per_attempt() {
-        let mut cluster = Cluster::new(
-            SingleNode::new([1, 2, 3, 4, 5]),
-            LatencyModel::default(),
-            24,
-        );
-        cluster.elect(NodeId(1)).unwrap();
+    fn stalled_retries_commit_one_entry_not_one_per_attempt() {
+        let mut cluster = cluster(&[1, 2, 3, 4, 5], 24);
         let mut client = RobustClient::new(ClientParams::default(), 24);
         assert!(matches!(
             client.put(&mut cluster, "a", "1"),
             OpOutcome::Acked { .. }
         ));
-        // Partition the leader into a minority: every attempt of the
-        // next put stalls, and every retry reaches the same leader.
         let all: Vec<NodeId> = (1..=5).map(NodeId).collect();
         cluster.links_mut().isolate(NodeId(1), all);
         cluster.links_mut().heal_both_ways(NodeId(1), NodeId(2));
         assert_eq!(client.put(&mut cluster, "a", "2"), OpOutcome::TimedOut);
-        // The regression: before sessioned submission, each of the 4
-        // attempts invoked afresh, leaving 4 copies of the same logical
-        // write in the leader's log — all of which would commit (and
-        // apply) after the partition healed. With the `(client, seq)`
-        // envelope, the retries recognize the in-flight entry instead.
-        let copies = cluster
-            .net()
-            .server(NodeId(1))
-            .unwrap()
-            .log
-            .iter()
-            .filter(|e| {
-                matches!(
-                    &e.cmd,
-                    adore_raft::Command::Method(m) if m.session_id().is_some()
-                        && matches!(
-                            m,
-                            KvCommand::Session { cmd, .. }
-                                if **cmd == KvCommand::put("a", "2")
-                        )
-                )
-            })
-            .count();
-        assert_eq!(copies, 1, "retries must not re-append the stalled write");
-        // Heal: the single in-flight copy commits exactly once.
         cluster.links_mut().heal_all();
         assert!(matches!(
             client.put(&mut cluster, "b", "x"),
             OpOutcome::Acked { .. }
         ));
+        cluster.run_idle(10_000);
+        assert_eq!(cluster.committed_store().get("a"), Some("2"));
+        let audit = adore_obs::audit_events(&cluster.take_trace());
+        assert!(audit.consistent, "{:?}", audit.errors);
         client.check_reads(&cluster).unwrap();
     }
 
     #[test]
     fn timed_out_writes_are_tracked_in_doubt_not_lost() {
-        let mut cluster = Cluster::new(
-            SingleNode::new([1, 2, 3, 4, 5]),
-            LatencyModel::default(),
-            23,
-        );
-        cluster.elect(NodeId(1)).unwrap();
+        let mut cluster = cluster(&[1, 2, 3, 4, 5], 23);
         let mut client = RobustClient::new(ClientParams::default(), 23);
         client.put(&mut cluster, "a", "1");
         // Partition the leader into a minority; the write times out but
         // stays in the leader's log.
         let all: Vec<NodeId> = (1..=5).map(NodeId).collect();
-        cluster.links_mut().isolate(NodeId(1), all.clone());
+        cluster.links_mut().isolate(NodeId(1), all);
         cluster.links_mut().heal_both_ways(NodeId(1), NodeId(2));
         assert_eq!(client.put(&mut cluster, "a", "2"), OpOutcome::TimedOut);
         // Heal: the in-doubt write commits on the next successful round.

@@ -184,7 +184,7 @@ fn members_of(schedule: &FaultSchedule) -> Vec<NodeId> {
 /// `members` is the schedule's initial membership (used to enumerate a
 /// paused node's links).
 fn apply_fault(
-    cluster: &mut Cluster<SingleNode>,
+    cluster: &mut Cluster,
     client: &mut RobustClient,
     fault: &Fault,
     members: &[NodeId],
@@ -245,18 +245,17 @@ fn apply_fault(
             let _ = cluster.reconfigure(SingleNode::new(members.iter().copied()));
         }
         Fault::ReconfigAdd { nid } => {
-            if let Some(current) = cluster.leader().and_then(|l| cluster.net().config_of(l)) {
-                let _ = cluster.reconfigure(current.with(NodeId(*nid)));
+            if let Some(mut members) = cluster.members() {
+                members.insert(NodeId(*nid));
+                let _ = cluster.reconfigure(SingleNode::from_set(members));
             }
         }
         Fault::ReconfigRemove { nid } => {
-            if let Some(current) = cluster.leader().and_then(|l| cluster.net().config_of(l)) {
-                use adore_core::Configuration;
-                // Never shrink to an empty configuration (no quorum could
-                // ever form again — a dead campaign, not an interesting one).
-                if current.members().len() > 1 {
-                    let _ = cluster.reconfigure(current.without(NodeId(*nid)));
-                }
+            // Never shrink to an empty configuration (no quorum could
+            // ever form again — a dead campaign, not an interesting one).
+            if let Some(mut members) = cluster.members().filter(|m| m.len() > 1) {
+                members.remove(&NodeId(*nid));
+                let _ = cluster.reconfigure(SingleNode::from_set(members));
             }
         }
         Fault::Duplicate { copies } => cluster.duplicate_in_flight(*copies as usize),
@@ -314,21 +313,17 @@ fn apply_fault(
 /// every check's outcome is journaled as an invariant-evaluation event
 /// (the trace auditor cross-checks these against its own reconstruction).
 #[must_use]
-fn check_safety(cluster: &mut Cluster<SingleNode>, client: &RobustClient) -> Option<ViolationKind> {
+fn check_safety(cluster: &mut Cluster, client: &RobustClient) -> Option<ViolationKind> {
     let log = cluster.verify().err();
     let storage = cluster.storage_violations().first().cloned();
     let reads = client.check_reads(cluster).err();
-    if cluster.tracing() {
-        for (name, ok) in [
-            ("committed-prefix-agreement", log.is_none()),
-            ("storage-certification", storage.is_none()),
-            ("read-your-writes", reads.is_none()),
-        ] {
-            cluster.trace(EventKind::InvariantEval {
-                name: name.to_string(),
-                ok,
-            });
-        }
+    for (name, ok) in [
+        ("committed-prefix-agreement", log.is_none()),
+        ("storage-certification", storage.is_none()),
+        ("read-your-writes", reads.is_none()),
+    ] {
+        let name = name.to_string();
+        cluster.trace(EventKind::InvariantEval { name, ok });
     }
     if let Some((a, b)) = log {
         return Some(ViolationKind::LogDivergence { a: a.0, b: b.0 });
@@ -403,12 +398,8 @@ fn run_campaign(
 ) -> (NemesisReport, Vec<TraceEvent>) {
     let members = members_of(schedule);
     let conf0 = SingleNode::new(schedule.members.iter().copied());
-    let mut cluster = Cluster::with_guard(
-        conf0,
-        schedule.guard,
-        params.latency.clone(),
-        schedule.seed,
-    );
+    let latency = params.latency.clone();
+    let mut cluster = Cluster::build(conf0, &[], schedule.guard, latency, schedule.seed);
     cluster.set_durability(schedule.durability);
     cluster.set_certify_storage(params.certify_storage);
     cluster.set_tracing(traced);
@@ -489,7 +480,7 @@ fn run_campaign(
     }
 
     let (wal_records, wal_syncs, wal_bytes) = cluster.wal_traffic();
-    let committed_entries = cluster.net().committed_prefix().len();
+    let committed_entries = cluster.committed_len();
     if traced {
         cluster.trace(EventKind::Verdict {
             safe: violation.is_none(),

@@ -10,9 +10,9 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros))] // L2: panic-free recovery scope, every function
 
 use adore_core::{ReconfigGuard, Timestamp};
+use adore_kv::det::msg::{Cfg, SessionCmd};
 use adore_kv::KvCommand;
 use adore_raft::{Command, Entry};
-use adore_schemes::SingleNode;
 use adore_storage::{DiskFault, DurabilityPolicy, WalRecord};
 
 use crate::schedule::{Fault, FaultSchedule};
@@ -21,12 +21,15 @@ use crate::schedule::{Fault, FaultSchedule};
 /// current-term entry before reconfiguring" — the Raft single-server
 /// membership-change bug).
 ///
-/// Shape: S1 proposes a removal while partitioned away (never
-/// replicated); S2 is elected by the majority and commits a *different*
-/// removal through the shrunk quorum `{2, 4}`; the partition then flips
+/// Shape: S1 proposes a removal while partitioned away, before its
+/// election's no-op barrier could commit (never replicated); S2 is
+/// elected by the majority and, with its own barrier cut off from S3,
+/// commits a *different* removal through the shrunk quorum `{2, 4}` —
+/// barrier and all, which R3 exists to forbid. The partition then flips
 /// so S1 and S3 form a quorum of S1's stale effective configuration
-/// `{1, 2, 3}` and commit on top of the unreplicated entry. Two disjoint
-/// quorums have now committed incompatible prefixes.
+/// `{1, 2, 3}`: S3 holds nothing of S2's term, so it votes S1 in, and S1
+/// commits on top of its unreplicated entry. Two disjoint quorums have
+/// now committed incompatible prefixes.
 #[must_use]
 pub fn r3_ablation_schedule() -> FaultSchedule {
     FaultSchedule {
@@ -36,19 +39,23 @@ pub fn r3_ablation_schedule() -> FaultSchedule {
         guard: ReconfigGuard::all().without_r3(),
         durability: DurabilityPolicy::strict(),
         faults: vec![
-            // S1 (the boot leader) is cut off and proposes removing S4;
-            // with R3 off nothing requires a committed entry of its term
-            // first, so the config entry sits unreplicated in its log.
+            // S1 (the boot leader) is cut off before its barrier lands
+            // and proposes removing S4; with R3 off nothing requires a
+            // committed entry of its term first, so the config entry sits
+            // unreplicated in its log.
             Fault::Partition {
                 groups: vec![vec![1], vec![2, 3, 4]],
             },
             Fault::Reconfig {
                 members: vec![1, 2, 3],
             },
-            // The majority side elects S2, which removes S3. The new
-            // configuration {1,2,4} commits with acks from just {2,4} —
-            // S3 is not a member and never hears about it.
+            // The majority side elects S2, whose frames to S3 are lost
+            // from its win on: S3 voted for S2's term but holds none of
+            // its entries.
             Fault::Elect { nid: 2 },
+            Fault::CutOneWay { from: 2, to: 3 },
+            // S2 removes S3. The new configuration {1,2,4} commits with
+            // acks from just {2,4}, carrying S2's uncommitted barrier.
             Fault::Reconfig {
                 members: vec![1, 2, 4],
             },
@@ -196,20 +203,25 @@ pub fn storage_no_fsync_schedule() -> FaultSchedule {
 }
 
 /// The payload bit whose flip turns the first client write's value
-/// `"v0"` into the equally well-formed `"w0"` inside S2's third WAL
-/// frame (`Boot`, `Term`, then this `Append`): low bit of the ASCII
-/// `'v'` (`0x76 → 0x77`). The frame still parses, so only the checksum
-/// stands between the corruption and the replayed state.
+/// `"v0"` into the equally well-formed `"w0"` inside S2's fourth WAL
+/// frame (`Boot`, the vote's `Term`, the leader's no-op barrier `Append`,
+/// then this `Append`): low bit of the ASCII `'v'` (`0x76 → 0x77`). The
+/// frame still parses, so only the checksum stands between the corruption
+/// and the replayed state.
 fn first_write_value_bit() -> u32 {
-    // The client wraps every write in its exactly-once session
-    // envelope: client id = the schedule's seed (102), and the first
-    // operation carries sequence number 1. The record serialized here
-    // must match the engine's byte-for-byte for the bit offset to land
-    // inside the value.
-    let record: WalRecord<SingleNode, KvCommand> = WalRecord::Append {
+    // The engine replicates every write with its exactly-once session:
+    // client id = the schedule's seed (102), and the first operation
+    // carries sequence number 1. The record serialized here must match
+    // the engine's byte-for-byte for the bit offset to land inside the
+    // value.
+    let record: WalRecord<Cfg, SessionCmd> = WalRecord::Append {
         entry: Entry {
             time: Timestamp(1),
-            cmd: Command::Method(KvCommand::session(102, 1, KvCommand::put("key0", "v0"))),
+            cmd: Command::Method(SessionCmd {
+                client: 102,
+                seq: 1,
+                op: Some(KvCommand::put("key0", "v0")),
+            }),
         },
     };
     #[expect(clippy::expect_used, reason = "serializing a compile-time-constant record cannot fail")]
@@ -247,7 +259,7 @@ pub fn storage_no_checksum_schedule() -> FaultSchedule {
             Fault::CrashDisk {
                 nid: 2,
                 fault: DiskFault::CorruptRecord {
-                    record: 2,
+                    record: 3,
                     bit: first_write_value_bit(),
                 },
             },

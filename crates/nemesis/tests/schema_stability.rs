@@ -205,8 +205,15 @@ fn counterexamples_without_a_trace_key_keep_their_legacy_wire_form() {
 
 /// A counterexample minimized before the storage subsystem existed has
 /// no `durability` key. It must parse to the strict policy — exactly
-/// the (perfect-durability) model it was minimized under — and still
-/// replay.
+/// the (perfect-durability) model it was minimized under.
+///
+/// The PR 1 witness below loads but no longer *replays*: it was minimized
+/// against a simulator that broadcast to configuration members only and
+/// had no election barrier. On the engine substrate S2's no-op barrier
+/// reaches S3 (a leader broadcasts to its whole address book), so S3
+/// holds an entry of S2's term and refuses S1's candidacy as outdated.
+/// Its re-scripted successor, pinned beside it in the same legacy form,
+/// cuts S2's frames to S3 and does replay.
 #[test]
 fn pre_storage_schedules_without_a_durability_key_still_load_and_replay() {
     // The r3-ablation witness as the PR 1 engine would have saved it.
@@ -221,16 +228,35 @@ fn pre_storage_schedules_without_a_durability_key_still_load_and_replay() {
         r#"{"Elect":{"nid":1}},"#,
         r#"{"ClientBurst":{"writes":1}}]}"#
     );
-    let schedule: FaultSchedule = serde_json::from_str(legacy).unwrap();
-    assert_eq!(
-        schedule.durability,
-        DurabilityPolicy::strict(),
-        "a missing durability key must mean the strict policy"
+    // The engine-substrate witness, in the same durability-free form.
+    let successor = concat!(
+        r#"{"name":"r3-engine","seed":4,"members":[1,2,3,4],"#,
+        r#""guard":{"r1":true,"r2":true,"r3":false},"faults":["#,
+        r#"{"Partition":{"groups":[[1],[2,3,4]]}},"#,
+        r#"{"Reconfig":{"members":[1,2,3]}},"#,
+        r#"{"Elect":{"nid":2}},"#,
+        r#"{"CutOneWay":{"from":2,"to":3}},"#,
+        r#"{"Reconfig":{"members":[1,2,4]}},"#,
+        r#"{"Partition":{"groups":[[1,3],[2,4]]}},"#,
+        r#"{"Elect":{"nid":1}},"#,
+        r#"{"ClientBurst":{"writes":1}}]}"#
     );
+    for json in [legacy, successor] {
+        let schedule: FaultSchedule = serde_json::from_str(json).unwrap();
+        assert_eq!(
+            schedule.durability,
+            DurabilityPolicy::strict(),
+            "a missing durability key must mean the strict policy"
+        );
+    }
     // And the witness still witnesses: the guard-ablation divergence
     // reproduces under the strict storage model.
+    let schedule: FaultSchedule = serde_json::from_str(successor).unwrap();
     assert!(
-        replay(&schedule, &EngineParams::default()).is_some(),
-        "the legacy counterexample no longer replays"
+        matches!(
+            replay(&schedule, &EngineParams::default()),
+            Some(ViolationKind::LogDivergence { .. })
+        ),
+        "the pinned counterexample no longer replays"
     );
 }

@@ -600,11 +600,11 @@ impl AuditEngine {
 /// entries (`op: null`) do not.
 fn session_pair(raw: &str) -> Option<(u64, u64)> {
     let v: serde_json::JsonValue = serde_json::from_str(raw).ok()?;
-    find_session(&v)
+    session_in(&v)
 }
 
 /// Depth-first search for a session envelope inside a JSON value.
-fn find_session(v: &serde_json::JsonValue) -> Option<(u64, u64)> {
+fn session_in(v: &serde_json::JsonValue) -> Option<(u64, u64)> {
     use serde_json::JsonValue as V;
     match v {
         V::Object(pairs) => {
@@ -616,9 +616,9 @@ fn find_session(v: &serde_json::JsonValue) -> Option<(u64, u64)> {
                     return Some((*client, *seq));
                 }
             }
-            pairs.iter().find_map(|(_, inner)| find_session(inner))
+            pairs.iter().find_map(|(_, inner)| session_in(inner))
         }
-        V::Array(items) => items.iter().find_map(find_session),
+        V::Array(items) => items.iter().find_map(session_in),
         _ => None,
     }
 }

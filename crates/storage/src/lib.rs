@@ -24,11 +24,11 @@
 //!   reports when an ack outruns the durable state or a recovery
 //!   resurrects a state the WAL cannot justify.
 //!
-//! The simulation layer (`adore-kv`) journals every volatile state
-//! change into the WAL, syncs at exactly the ack points, and rebuilds
-//! replicas from [`Wal::recover`]; the nemesis engine drives
-//! [`DiskFault`]s through schedules and checks committed-prefix
-//! agreement on top.
+//! The simulator (`adore-kv`) appends each protocol engine's persist
+//! bytes to that node's WAL ([`Wal::append_framed`]), syncs before the
+//! node's acknowledgements leave it, and rebuilds replicas from
+//! [`Wal::recover`]; the nemesis engine drives [`DiskFault`]s through
+//! schedules and checks committed-prefix agreement on top.
 
 // Static discipline, discharged by clippy (clippy.toml; audit in DESIGN.md §8):
 #![cfg_attr(not(test), deny(clippy::disallowed_types))] // L1: no hash order, no ambient clock

@@ -342,6 +342,18 @@ where
         self.stats.bytes_written += frame.len();
     }
 
+    /// Appends records already framed by [`encode_record`] (a protocol
+    /// engine's persist output) to the volatile tail (no sync).
+    pub fn append_framed(&mut self, bytes: &[u8]) {
+        let mut off = 0;
+        while let Some(frame) = split_frame(bytes, off) {
+            self.stats.records += 1;
+            off = frame.next;
+        }
+        self.disk.write(bytes);
+        self.stats.bytes_written += bytes.len();
+    }
+
     /// Makes everything appended so far durable and advances the mirror.
     pub fn sync(&mut self) {
         self.disk.sync();
