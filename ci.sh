@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate for the workspace: build, test, clippy, two short runs of
 # the repository benchmark, the fixed-seed nemesis, storage and
-# observability table runs, and two live-cluster gates (`adored hunt
-# --gate`, `adored bench --open-loop`). One protocol engine
+# observability table runs, two live-cluster gates (`adored hunt
+# --gate`, `adored bench --open-loop`) and one live run that must fail
+# (`adored hunt --ablate r1`). One protocol engine
 # (`adore_kv::det`) runs under all of them: N at a time on the
 # simulator's virtual clock for the tables, one per process for the live
 # gates. Fully offline — all dependencies are vendored in-tree under
@@ -143,6 +144,16 @@ for schedule in netmesis-gate netmesis-gate-kill; do
     cargo run -q -p adore-obs --release --offline -- \
         --audit "target/netmesis-gate/$schedule/merged.jsonl" >/dev/null
 done
+
+# The live negative control: the gate above only shows that safe
+# schedules stay safe. Here every node boots with R1+ ablated and the
+# canonical R1+ schedule is enacted through the same proxies; `hunt`
+# exits non-zero unless the live run violates *and* the simulator twin
+# reproduces and minimizes the same schedule.
+echo "== netmesis negative control (R1+ ablated: must violate) =="
+rm -rf target/netmesis-ablate
+timeout 120 cargo run -q -p adored --release --offline -- \
+    hunt --ablate r1 --dir target/netmesis-ablate
 
 # Live-plane gate: the open-loop load generator drives a real 3-node
 # cluster at three fixed offered rates while every node streams its

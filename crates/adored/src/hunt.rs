@@ -1,11 +1,15 @@
 //! `adored hunt` — the netmesis campaign driver.
 //!
-//! Compiles nemesis [`FaultSchedule`]s into [`WireTimeline`]s and
-//! enacts them against a *real* cluster: every peer link runs through a
-//! fault-injecting proxy ([`adored::proxy`]), process faults land as
-//! real signals (`SIGKILL`, `SIGSTOP`/`SIGCONT`), and an availability
-//! monitor ([`adored::monitor`]) drives sessioned writes whose acks
-//! become audit obligations. Each run is a body between
+//! Walks nemesis [`FaultSchedule`]s against a *real* cluster with one
+//! exhaustive `match` on [`Fault`] — no second fault vocabulary, so a
+//! new variant does not compile until it has a meaning on the wire.
+//! Every peer link runs through a fault-injecting proxy
+//! ([`adored::proxy`]), process faults land as real signals (`SIGKILL`,
+//! `SIGSTOP`/`SIGCONT`), each fault is due at the sum of the earlier
+//! faults' [`dwell_ms`] and is journaled as the same `FaultInject` JSON
+//! the simulator writes, and an availability monitor
+//! ([`adored::monitor`]) drives sessioned writes whose acks become
+//! audit obligations. Each run is a body between
 //! [`LiveRun::boot`] and [`LiveRun::close`], which reads every acked
 //! key back, merges every journal (nodes, monitor, driver) and audits
 //! the trace with `adore-obs`: zero acked-write loss, zero duplicate
@@ -21,15 +25,16 @@
 //! - `--ablate r1`: boots the cluster with `--ablate-guard r1`, aims
 //!   the canonical R1⁺-ablation schedule at the live leader, expects
 //!   the audit to catch the divergence, and persists a replayable
-//!   [`NetCounterexample`] with a sim-twin ddmin minimization.
+//!   [`NetCounterexample`] with a sim-twin ddmin minimization. `ci.sh`
+//!   runs it as the live negative control.
 
 use std::path::{Path, PathBuf};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use adore_nemesis::{
-    compile_schedule, gate_schedules, netmesis_schedule, r1_ablation_schedule, swap_labels,
-    Counterexample, Fault, FaultSchedule, NetCounterexample, WireAction,
+    dwell_ms, gate_schedules, netmesis_schedule, r1_ablation_schedule, swap_labels, Counterexample,
+    Fault, FaultSchedule, NetCounterexample,
 };
 use adore_obs::{to_jsonl, EventKind};
 use adored::client::{ClientParams, NetClient};
@@ -275,8 +280,8 @@ fn hunt_ablated(cond: &str, dir: &Path) -> Result<PathBuf, String> {
 
 // ---- one live run --------------------------------------------------------
 
-/// Boots a proxied cluster, enacts the schedule's wire timeline under
-/// the availability monitor, and closes the run out.
+/// Boots a proxied cluster, enacts the schedule's faults under the
+/// availability monitor, and closes the run out.
 fn run_live(
     canonical: &FaultSchedule,
     seed_dir: &Path,
@@ -305,7 +310,7 @@ fn run_live(
             max_redirect_hops: 3,
         },
     );
-    let problems = enact_timeline(enacted, &mut live, &mut client);
+    let problems = enact_schedule(enacted, &mut live, &mut client);
     live.close(problems, 0)
 }
 
@@ -316,14 +321,14 @@ fn count_crc_rejections(live: &Closed) -> u64 {
         .count() as u64
 }
 
-// ---- timeline enactment --------------------------------------------------
+// ---- fault enactment -----------------------------------------------------
 
-/// Compiles the schedule and walks its timeline against the live
-/// cluster; returns the hard failures. Soft faults (an exhausted burst
-/// write) are availability costs, not errors; a reconfiguration that
-/// cannot complete is an error because the rest of the schedule depends
-/// on it.
-fn enact_timeline(
+/// Walks the schedule's faults against the live cluster, each at the
+/// sum of the earlier faults' [`dwell_ms`], and returns the hard
+/// failures. Soft faults (an exhausted burst write) are availability
+/// costs, not errors; a reconfiguration that cannot complete is an
+/// error because the rest of the schedule depends on it.
+fn enact_schedule(
     mut schedule: FaultSchedule,
     live: &mut LiveRun,
     client: &mut NetClient,
@@ -335,61 +340,63 @@ fn enact_timeline(
         ..
     } = live
     else {
-        return vec!["a fault timeline needs the proxied topology".to_string()];
+        return vec!["a fault schedule needs the proxied topology".to_string()];
     };
     let started = Instant::now();
     let mut problems = Vec::new();
-    let mut timeline = compile_schedule(&schedule);
     let mut members: Vec<u32> = schedule.members.clone();
     let mut burst_no: u64 = 0;
-    let mut elections = 0;
+    let mut due = Duration::ZERO;
     let mut at = 0;
-    while let Some(step) = timeline.steps.get(at).cloned() {
+    while let Some(fault) = schedule.faults.get(at).cloned() {
         at += 1;
-        let target = Duration::from_millis(step.at_ms);
-        let elapsed = started.elapsed();
-        if target > elapsed {
-            thread::sleep(target - elapsed);
-        }
-        if let Ok(fault_json) = serde_json::to_string(&step.action) {
+        thread::sleep(due.saturating_sub(started.elapsed()));
+        due += Duration::from_millis(dwell_ms(&fault));
+        if let Ok(fault_json) = serde_json::to_string(&fault) {
             driver.record(EventKind::FaultInject { fault: fault_json });
         }
+        let every_link = |set: &dyn Fn(u32, u32)| {
+            for &from in &schedule.members {
+                for &to in schedule.members.iter().filter(|&&to| to != from) {
+                    set(from, to);
+                }
+            }
+        };
         let mut walk_to = None;
-        match &step.action {
-            WireAction::Cut { from, to } => proxy.cut_one_way(*from, *to),
-            WireAction::Heal { from, to } => proxy.heal_one_way(*from, *to),
-            WireAction::Partition { groups } => {
+        match &fault {
+            Fault::CutOneWay { from, to } => proxy.cut_one_way(*from, *to),
+            Fault::CutBothWays { a, b } => proxy.cut_both_ways(*a, *b),
+            Fault::HealOneWay { from, to } => proxy.heal_one_way(*from, *to),
+            Fault::Partition { groups } => {
                 proxy.heal_all();
                 proxy.partition(groups);
             }
-            WireAction::HealAll => {
+            Fault::HealAll => {
                 proxy.heal_all();
                 driver.record(EventKind::Heal);
             }
-            WireAction::Loss { from, to, pct } => proxy.set_loss(*from, *to, *pct),
-            WireAction::Corrupt { from, to, pct } => proxy.set_corrupt(*from, *to, *pct),
-            WireAction::Delay {
-                from,
-                to,
-                ms,
-                jitter_ms,
-            } => proxy.set_delay(*from, *to, *ms, *jitter_ms),
-            WireAction::Reorder { from, to, pct } => proxy.set_reorder(*from, *to, *pct),
-            WireAction::Slow { from, to } => proxy.set_slow(*from, *to, true),
-            WireAction::Reset { from, to } => proxy.reset(*from, *to),
-            WireAction::Kill { nid } => harness.kill(*nid),
-            WireAction::KillLeader => {
+            Fault::SetLinkLoss { from, to, pct } => proxy.set_loss(*from, *to, *pct),
+            Fault::SetLoss { pct } => every_link(&|from, to| proxy.set_loss(from, to, *pct)),
+            Fault::Reorder { .. } => every_link(&|from, to| proxy.set_reorder(from, to, 30)),
+            Fault::CorruptLink { from, to, pct } => proxy.set_corrupt(*from, *to, *pct),
+            Fault::SlowLink { from, to } => proxy.set_slow(*from, *to, true),
+            Fault::ResetLink { from, to } => proxy.reset(*from, *to),
+            // The harness cannot reach inside a node's WAL to tear or
+            // flip records: a disk-faulted crash is a plain kill (the
+            // storage faults keep their sim-only certification).
+            Fault::Crash { nid } | Fault::CrashDisk { nid, .. } => harness.kill(*nid),
+            Fault::CrashLeader => {
                 if let Ok(leader) = harness.wait_for_leader() {
                     harness.kill(leader);
                 }
             }
-            WireAction::Restart { nid } => {
+            Fault::Recover { nid } => {
                 let _ = harness.spawn(*nid);
             }
-            WireAction::Pause { nid } => harness.pause(*nid),
-            WireAction::Resume { nid } => harness.resume(*nid),
-            WireAction::Reconfig { members: target } => walk_to = Some(target.clone()),
-            WireAction::ReconfigAdd { nid } => {
+            Fault::Pause { nid } => harness.pause(*nid),
+            Fault::Resume { nid } => harness.resume(*nid),
+            Fault::Reconfig { members: target } => walk_to = Some(target.clone()),
+            Fault::ReconfigAdd { nid } => {
                 let mut target = members.clone();
                 if !target.contains(nid) {
                     target.push(*nid);
@@ -397,27 +404,19 @@ fn enact_timeline(
                 }
                 walk_to = Some(target);
             }
-            WireAction::ReconfigRemove { nid } => {
+            Fault::ReconfigRemove { nid } => {
                 walk_to = Some(members.iter().copied().filter(|n| n != nid).collect());
             }
-            WireAction::AwaitElection => {
-                // An `Elect` names who the schedule assumes leads from
-                // here on; the wire elects whom it likes. Aim the rest
-                // of the schedule at the actual winner, as boot aimed
-                // label 1 at the first one.
-                let mut elects = schedule.faults.iter().filter_map(|f| match f {
-                    Fault::Elect { nid } => Some(*nid),
-                    _ => None,
-                });
-                if let (Some(expected), Some(winner)) =
-                    (elects.nth(elections), harness.await_election())
-                {
-                    schedule = swap_labels(&schedule, expected, winner);
-                    timeline = compile_schedule(&schedule);
+            Fault::Elect { nid } => {
+                // The schedule assumes `nid` leads from here on; the
+                // wire elects whom it likes. Aim the rest of the
+                // schedule at the actual winner, as boot aimed label 1
+                // at the first one.
+                if let Some(winner) = harness.await_election() {
+                    schedule = swap_labels(&schedule, *nid, winner);
                 }
-                elections += 1;
             }
-            WireAction::Burst { writes } => {
+            Fault::ClientBurst { writes } => {
                 for _ in 0..*writes {
                     burst_no += 1;
                     let key = format!("hb-{}-{burst_no}", schedule.seed);
@@ -430,10 +429,12 @@ fn enact_timeline(
                     }
                 }
             }
-            WireAction::Settle { ms } => thread::sleep(Duration::from_millis(*ms)),
+            Fault::Idle { .. } => thread::sleep(Duration::from_millis(dwell_ms(&fault))),
+            // Not enactable from outside the process (see `dwell_ms`).
+            Fault::Duplicate { .. } | Fault::OrphanWrite | Fault::SkewTimeout { .. } => {}
         }
         // A membership change that fails is held against the run (the
-        // schedule's later steps assume it happened).
+        // schedule's later faults assume it happened).
         if let Some(target) = walk_to {
             if let Err(e) = reconfigure(client, &target) {
                 problems.push(e);

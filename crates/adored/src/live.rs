@@ -4,7 +4,7 @@
 //! netmesis run, behind per-link fault proxies and beside the
 //! availability monitor), attaches the online collector to every
 //! node's export stream and opens the driver's journal. A body — the
-//! `hunt` timeline walk, the `bench --open-loop` rate sweep — then
+//! `hunt` fault walk, the `bench --open-loop` rate sweep — then
 //! disturbs or loads the cluster, recording what it does and what was
 //! acknowledged on [`LiveRun::driver`]. [`LiveRun::close`] is the only
 //! way out: quiesce, read every acknowledged key back, merge every
@@ -488,13 +488,14 @@ impl LiveRun {
             .map(|(k, v)| (k, v))
             .chain(watched)
             .collect();
+        let mut read_back = 0;
         match leader {
             Ok(_) => {
                 let mut reader = self.harness.client(998, ClientParams::default());
                 let mut lost = Vec::new();
                 for (k, v) in &owed {
                     match reader.get(k) {
-                        Ok(Some(got)) if got == **v => {}
+                        Ok(Some(got)) if got == **v => read_back += 1,
                         Ok(got) => lost.push(format!("{k}: acked {v:?}, read {got:?}")),
                         Err(e) => {
                             lost.push(format!("{k}: read failed: {e}"));
@@ -503,9 +504,10 @@ impl LiveRun {
                     }
                 }
                 if !lost.is_empty() {
+                    let failed = lost.len();
                     lost.truncate(5);
                     problems.push(format!(
-                        "acked writes did not read back: {} ...",
+                        "{failed} acked writes did not read back: {} ...",
                         lost.join("; ")
                     ));
                 }
@@ -560,16 +562,8 @@ impl LiveRun {
             ));
         }
         println!(
-            "live: {acked} acked keys read back; online audit {} over {} events / {} nodes \
-             ({} acked obligations, {} trace-dropped)",
-            if online.report.consistent {
-                "CERTIFIED"
-            } else {
-                "REJECTED"
-            },
-            online.report.events,
-            online.report.nodes,
-            online.report.acked,
+            "live: {read_back}/{acked} acked keys read back; online audit: {} ({} trace-dropped)",
+            online.report.summary(),
             online.dropped
         );
         Ok(Closed {

@@ -1,7 +1,7 @@
 //! The availability monitor: a steady client workload whose every
 //! acknowledgement becomes an auditable obligation.
 //!
-//! While a netmesis campaign walks its fault timeline, one monitor
+//! While a netmesis campaign walks its fault schedule, one monitor
 //! thread drives unique-key writes through the ordinary [`NetClient`]
 //! retry path and buckets outcomes into fixed wall-clock windows:
 //!

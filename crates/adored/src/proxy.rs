@@ -15,8 +15,6 @@
 //! - **Corrupt**: a payload bit is flipped *after* framing, so the
 //!   header carries the original CRC and the receiving codec must take
 //!   its checksum-rejection path ([`crate::det::wire::WireError::Corrupt`]).
-//! - **Delay / jitter**: seeded uniform jitter on top of a base delay,
-//!   applied per frame.
 //! - **Reorder**: a one-frame hold-back window; with probability
 //!   `reorder_pct` a frame is stashed and emitted *after* its
 //!   successor.
@@ -75,10 +73,6 @@ pub struct LinkState {
     /// Corrupt each frame (bit-flip after framing) with this percent
     /// probability.
     pub corrupt_pct: AtomicU32,
-    /// Base forwarding delay per frame, milliseconds.
-    pub delay_ms: AtomicU64,
-    /// Uniform jitter on top of the base delay, milliseconds.
-    pub jitter_ms: AtomicU64,
     /// Hold a frame back past its successor with this percent
     /// probability (bounded reorder, window 1).
     pub reorder_pct: AtomicU32,
@@ -91,7 +85,7 @@ pub struct LinkState {
 /// Monotonic per-link tallies, shared with the campaign driver.
 #[derive(Debug, Default)]
 pub struct LinkCounters {
-    /// Frames forwarded unmodified (possibly delayed/reordered).
+    /// Frames forwarded unmodified (possibly reordered).
     pub forwarded: AtomicU64,
     /// Frames forwarded with a flipped payload bit under the original
     /// CRC.
@@ -238,16 +232,14 @@ impl ProxyNet {
         }
     }
 
-    /// Heals every link and clears loss, corruption, delay, reorder,
-    /// and slow settings (generations are preserved).
+    /// Heals every link and clears loss, corruption, reorder, and slow
+    /// settings (generations are preserved).
     pub fn heal_all(&self) {
         for link in self.links.values() {
             let s = &link.state;
             s.cut.store(false, Ordering::Relaxed);
             s.drop_pct.store(0, Ordering::Relaxed);
             s.corrupt_pct.store(0, Ordering::Relaxed);
-            s.delay_ms.store(0, Ordering::Relaxed);
-            s.jitter_ms.store(0, Ordering::Relaxed);
             s.reorder_pct.store(0, Ordering::Relaxed);
             s.slow.store(false, Ordering::Relaxed);
         }
@@ -262,14 +254,6 @@ impl ProxyNet {
     /// link.
     pub fn set_corrupt(&self, from: u32, to: u32, pct: u32) {
         self.with_state(from, to, |s| s.corrupt_pct.store(pct.min(100), Ordering::Relaxed));
-    }
-
-    /// Sets per-frame delay and jitter on the directed link.
-    pub fn set_delay(&self, from: u32, to: u32, delay_ms: u64, jitter_ms: u64) {
-        self.with_state(from, to, |s| {
-            s.delay_ms.store(delay_ms, Ordering::Relaxed);
-            s.jitter_ms.store(jitter_ms, Ordering::Relaxed);
-        });
     }
 
     /// Sets bounded reordering on the directed link.
@@ -459,17 +443,6 @@ fn pump(
             } else {
                 counters.forwarded.fetch_add(1, Ordering::Relaxed);
             }
-            let delay_ms = state.delay_ms.load(Ordering::Relaxed);
-            let jitter_ms = state.jitter_ms.load(Ordering::Relaxed);
-            if delay_ms > 0 || jitter_ms > 0 {
-                let jitter = if jitter_ms > 0 {
-                    rng.gen_range(0..=jitter_ms)
-                } else {
-                    0
-                };
-                thread::sleep(Duration::from_millis(delay_ms + jitter));
-            }
-
             let reorder_pct = state.reorder_pct.load(Ordering::Relaxed);
             let reorder = reorder_pct > 0 && rng.gen_range(0..100) < reorder_pct;
             let to_send: Vec<Vec<u8>> = if reorder && held.is_none() {
@@ -601,6 +574,38 @@ mod tests {
         let got = rx.recv_timeout(Duration::from_secs(5)).expect("healed");
         assert_eq!(got, Ok(b"after the heal".to_vec()));
         assert_eq!(net.tally(1, 2).dropped, 1);
+    }
+
+    #[test]
+    fn full_loss_drops_every_frame_but_keeps_the_connection() {
+        let (net, rx) = two_node_net();
+        net.set_loss(1, 2, 100);
+        let mut link = dial_link(&net);
+        send(&mut link, b"lost one");
+        send(&mut link, b"lost two");
+        assert!(
+            rx.recv_timeout(Duration::from_millis(600)).is_err(),
+            "nothing crosses a fully lossy link"
+        );
+        assert_eq!(net.tally(1, 2).dropped, 2);
+        net.set_loss(1, 2, 0);
+        send(&mut link, b"after the loss");
+        let got = rx.recv_timeout(Duration::from_secs(5)).expect("delivered");
+        assert_eq!(got, Ok(b"after the loss".to_vec()));
+    }
+
+    #[test]
+    fn full_reorder_swaps_a_pair_and_loses_nothing() {
+        let (net, rx) = two_node_net();
+        net.set_reorder(1, 2, 100);
+        let mut link = dial_link(&net);
+        send(&mut link, b"a");
+        send(&mut link, b"b");
+        let first = rx.recv_timeout(Duration::from_secs(5)).expect("first");
+        let second = rx.recv_timeout(Duration::from_secs(5)).expect("second");
+        assert_eq!((first, second), (Ok(b"b".to_vec()), Ok(b"a".to_vec())));
+        let tally = net.tally(1, 2);
+        assert_eq!((tally.forwarded, tally.dropped), (2, 0));
     }
 
     #[test]

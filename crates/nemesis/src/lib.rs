@@ -2,7 +2,7 @@
 //! under adversarial schedules.
 //!
 //! The crate turns the repository's deterministic simulation stack into a
-//! robustness harness in four pieces:
+//! robustness harness in five pieces:
 //!
 //! - [`FaultSchedule`] / [`Fault`] — the serializable language of
 //!   adversarial campaigns: healable asymmetric and symmetric partitions,
@@ -25,6 +25,12 @@
 //!   network-level model ([`adore_raft::NetState`]), for
 //!   cross-validation that a violation is a protocol property, not a
 //!   timing artifact.
+//! - [`netmesis_schedule`] / [`gate_schedules`] — the same language on
+//!   the real wire: `adored hunt` walks these schedules' [`Fault`]s
+//!   against a live cluster, enacting each one directly at the time
+//!   [`dwell_ms`] fixes and journaling its JSON exactly as
+//!   [`run_schedule_traced`] does, so both substrates speak one fault
+//!   vocabulary.
 //!
 //! The scripted schedules in [`r1_ablation_schedule`],
 //! [`r2_ablation_schedule`], and [`r3_ablation_schedule`] re-enact the
@@ -62,10 +68,7 @@ pub use engine::{
     NemesisReport, PhaseStat,
 };
 pub use net_adapter::NetHarness;
-pub use netmesis::{
-    compile_schedule, gate_schedules, netmesis_schedule, swap_labels, NetCounterexample,
-    WireAction, WireStep, WireTimeline,
-};
+pub use netmesis::{dwell_ms, gate_schedules, netmesis_schedule, swap_labels, NetCounterexample};
 pub use schedule::{random_schedule, Fault, FaultSchedule, RandomScheduleParams};
 pub use scripted::{
     ablation_suite, r1_ablation_schedule, r2_ablation_schedule, r3_ablation_schedule,

@@ -1,22 +1,21 @@
-//! netmesis: compiling fault schedules onto the real wire.
+//! netmesis: fault schedules for the real wire.
 //!
 //! The nemesis engine interprets a [`FaultSchedule`] against the
-//! discrete-event simulator. This module gives the *same* schedules a
-//! second interpretation: a [`WireTimeline`] of timestamped
-//! [`WireAction`]s that a live-cluster harness (the `adored hunt`
-//! subcommand) enacts against real TCP links and real processes —
-//! partitions become black-holed proxy links, crashes become `kill -9`,
-//! gray pauses become `SIGSTOP`, frame corruption becomes real bit
-//! flips that the receiver's crc must reject.
+//! discrete-event simulator. A live-cluster harness (the `adored hunt`
+//! subcommand) walks the *same* [`Fault`]s against real TCP links and
+//! real processes — partitions become black-holed proxy links, crashes
+//! become `kill -9`, gray pauses become `SIGSTOP`, frame corruption
+//! becomes real bit flips that the receiver's crc must reject. There is
+//! no second fault vocabulary: the harness matches on [`Fault`] itself
+//! and journals each one's JSON, as the simulator does.
 //!
-//! Everything here is pure data transformation: [`compile_schedule`]
-//! decides the *entire* fault timeline (which faults, against which
-//! links, at which relative milliseconds) from the schedule alone — no
-//! wall clock, no ambient randomness — so a timeline is as replayable
-//! as the schedule it came from. Wall-clock time enters only in the
-//! I/O shell that walks the timeline (see `adored`'s hunt driver),
-//! which is exactly the determinism boundary this crate's root denies
-//! clippy's `disallowed_types` to enforce.
+//! This module holds the campaign's pure parts: the seeded schedules
+//! ([`netmesis_schedule`], [`gate_schedules`]), [`swap_labels`] for
+//! aiming a schedule at the live leader, and [`dwell_ms`], which fixes
+//! when each fault is due from the schedule alone — no wall clock, no
+//! ambient randomness. Wall-clock time enters only in the I/O shell
+//! that walks the schedule, which is exactly the determinism boundary
+//! this crate's root denies clippy's `disallowed_types` to enforce.
 //!
 //! The sim twin: every wire fault class maps back onto simulator
 //! primitives (see [`Fault`]'s wire-level variants and DESIGN §12), so
@@ -33,168 +32,15 @@ use adore_storage::DurabilityPolicy;
 use crate::engine::Counterexample;
 use crate::schedule::{Fault, FaultSchedule};
 
-/// One enactable action against the live cluster.
-///
-/// Link-state actions (`Cut`/`Loss`/`Corrupt`/`Delay`/`Reorder`/`Slow`)
-/// are *standing*: they persist until overwritten or cleared by
-/// [`WireAction::HealAll`]. Process actions (`Kill`/`Restart`/`Pause`/
-/// `Resume`) and cluster actions (`Reconfig*`/`AwaitElection`/`Burst`/
-/// `Settle`) are momentary.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WireAction {
-    /// Black-hole every frame on the directed link `from → to`.
-    Cut {
-        /// Sending side.
-        from: u32,
-        /// Receiving side.
-        to: u32,
-    },
-    /// Clear the cut (and only the cut) on `from → to`.
-    Heal {
-        /// Sending side.
-        from: u32,
-        /// Receiving side.
-        to: u32,
-    },
-    /// Clear all link state, then cut every cross-group link both ways.
-    Partition {
-        /// The partition groups.
-        groups: Vec<Vec<u32>>,
-    },
-    /// Clear every standing link fault on every link.
-    HealAll,
-    /// Drop `pct`% of frames on `from → to`.
-    Loss {
-        /// Sending side.
-        from: u32,
-        /// Receiving side.
-        to: u32,
-        /// Drop percentage, clamped to 100 by the proxy.
-        pct: u32,
-    },
-    /// Flip a payload bit in `pct`% of frames on `from → to`, leaving
-    /// the original crc in place — the receiver must reject each one
-    /// with a journaled `BadFrame` and drop the connection.
-    Corrupt {
-        /// Sending side.
-        from: u32,
-        /// Receiving side.
-        to: u32,
-        /// Corruption percentage, clamped to 100 by the proxy.
-        pct: u32,
-    },
-    /// Add `ms` (±`jitter_ms`) of latency to every frame on `from → to`.
-    Delay {
-        /// Sending side.
-        from: u32,
-        /// Receiving side.
-        to: u32,
-        /// Base added latency in milliseconds.
-        ms: u64,
-        /// Uniform jitter bound in milliseconds.
-        jitter_ms: u64,
-    },
-    /// Hold back `pct`% of frames and release them after a later frame
-    /// (bounded reorder) on `from → to`.
-    Reorder {
-        /// Sending side.
-        from: u32,
-        /// Receiving side.
-        to: u32,
-        /// Percentage of frames held back.
-        pct: u32,
-    },
-    /// Slow-loris `from → to`: stall mid-frame, trickling bytes.
-    Slow {
-        /// Sending side.
-        from: u32,
-        /// Receiving side.
-        to: u32,
-    },
-    /// Abruptly close the current connection carrying `from → to`.
-    Reset {
-        /// Sending side.
-        from: u32,
-        /// Receiving side.
-        to: u32,
-    },
-    /// `kill -9` the node's process (restartable into the same dir).
-    Kill {
-        /// The node.
-        nid: u32,
-    },
-    /// `kill -9` whichever node currently leads (resolved at run time).
-    KillLeader,
-    /// Restart a killed node into its existing data directory.
-    Restart {
-        /// The node.
-        nid: u32,
-    },
-    /// `SIGSTOP` the node's process: gray failure — connections stay
-    /// open, nothing is processed.
-    Pause {
-        /// The node.
-        nid: u32,
-    },
-    /// `SIGCONT` a paused node.
-    Resume {
-        /// The node.
-        nid: u32,
-    },
-    /// Drive a membership change to an explicit set through the client.
-    Reconfig {
-        /// The target membership.
-        members: Vec<u32>,
-    },
-    /// Add one node to the current membership.
-    ReconfigAdd {
-        /// The node to add.
-        nid: u32,
-    },
-    /// Remove one node from the current membership.
-    ReconfigRemove {
-        /// The node to remove.
-        nid: u32,
-    },
-    /// Wait until some node reports itself leader (elections on the
-    /// wire happen through real timeouts; they cannot be commanded).
-    AwaitElection,
-    /// Drive a burst of client writes.
-    Burst {
-        /// Number of writes.
-        writes: u32,
-    },
-    /// Let the cluster run undisturbed for `ms` milliseconds.
-    Settle {
-        /// Duration in milliseconds.
-        ms: u64,
-    },
-}
-
-/// One timestamped step of a wire campaign.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WireStep {
-    /// Milliseconds after campaign start at which to enact the action.
-    pub at_ms: u64,
-    /// What to enact.
-    pub action: WireAction,
-}
-
-/// A compiled wire campaign: the live-cluster twin of a
-/// [`FaultSchedule`], plus the budget the harness should allow for it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WireTimeline {
-    /// The steps, in nondecreasing `at_ms` order.
-    pub steps: Vec<WireStep>,
-    /// Total campaign span in milliseconds (last step + its dwell).
-    pub total_ms: u64,
-}
-
-/// How long (ms) the cluster is left running under a fault class before
-/// the next step: long enough for heartbeats, elections, and client
-/// retries to interact with the fault, short enough that a 25-seed
-/// campaign stays minutes, not hours.
-fn dwell_ms(fault: &Fault) -> u64 {
+/// How long (ms) the live harness leaves the cluster running under a
+/// fault before it enacts the next one: long enough for heartbeats,
+/// elections, and client retries to interact with the fault, short
+/// enough that a 25-seed campaign stays minutes, not hours. Fault `i`
+/// is due at the sum of the dwells of faults `0..i`; this is a
+/// schedule's only timing decision, so it lives here, inside the
+/// determinism perimeter, and the harness only reads the clock.
+#[must_use]
+pub fn dwell_ms(fault: &Fault) -> u64 {
     match fault {
         // Link-state faults need a dwell for traffic to flow through
         // (or into) them.
@@ -220,122 +66,10 @@ fn dwell_ms(fault: &Fault) -> u64 {
         Fault::Reconfig { .. } | Fault::ReconfigAdd { .. } | Fault::ReconfigRemove { .. } => 0,
         Fault::ClientBurst { .. } => 0,
         Fault::Idle { us } => (us / 1000).max(1),
-        // Not enactable on the wire (see `compile_fault`).
+        // No wire enactment: TCP delivers each byte once, the harness
+        // cannot place an unsynced WAL buffer from outside the process,
+        // and election timing is compiled into the binary.
         Fault::Duplicate { .. } | Fault::OrphanWrite | Fault::SkewTimeout { .. } => 0,
-    }
-}
-
-/// All ordered pairs of distinct members.
-fn all_links(members: &[u32]) -> Vec<(u32, u32)> {
-    let mut links = Vec::new();
-    for &a in members {
-        for &b in members {
-            if a != b {
-                links.push((a, b));
-            }
-        }
-    }
-    links
-}
-
-/// Compiles one fault into its wire actions. Returns an empty vector
-/// for faults with no wire enactment: `Duplicate` (TCP delivers each
-/// byte once), `OrphanWrite` (a WAL-buffer state the harness cannot
-/// place from outside the process), and `SkewTimeout` (election timing
-/// is compiled into the binary) — the timeline notes nothing and the
-/// campaign simply proceeds.
-fn compile_fault(fault: &Fault, members: &[u32]) -> Vec<WireAction> {
-    match fault {
-        Fault::CutOneWay { from, to } => vec![WireAction::Cut {
-            from: *from,
-            to: *to,
-        }],
-        Fault::CutBothWays { a, b } => vec![
-            WireAction::Cut { from: *a, to: *b },
-            WireAction::Cut { from: *b, to: *a },
-        ],
-        Fault::Partition { groups } => vec![WireAction::Partition {
-            groups: groups.clone(),
-        }],
-        Fault::HealOneWay { from, to } => vec![WireAction::Heal {
-            from: *from,
-            to: *to,
-        }],
-        Fault::HealAll => vec![WireAction::HealAll],
-        Fault::SetLinkLoss { from, to, pct } => vec![WireAction::Loss {
-            from: *from,
-            to: *to,
-            pct: *pct,
-        }],
-        Fault::SetLoss { pct } => all_links(members)
-            .into_iter()
-            .map(|(from, to)| WireAction::Loss {
-                from,
-                to,
-                pct: *pct,
-            })
-            .collect(),
-        Fault::Crash { nid } => vec![WireAction::Kill { nid: *nid }],
-        // The harness cannot reach inside the node's WAL to tear or
-        // flip records; a disk-faulted crash degrades to a plain kill
-        // (the storage faults keep their sim-only certification).
-        Fault::CrashDisk { nid, .. } => vec![WireAction::Kill { nid: *nid }],
-        Fault::CrashLeader => vec![WireAction::KillLeader],
-        Fault::Recover { nid } => vec![WireAction::Restart { nid: *nid }],
-        Fault::Elect { .. } => vec![WireAction::AwaitElection],
-        Fault::Reconfig { members } => vec![WireAction::Reconfig {
-            members: members.clone(),
-        }],
-        Fault::ReconfigAdd { nid } => vec![WireAction::ReconfigAdd { nid: *nid }],
-        Fault::ReconfigRemove { nid } => vec![WireAction::ReconfigRemove { nid: *nid }],
-        Fault::Reorder { .. } => all_links(members)
-            .into_iter()
-            .map(|(from, to)| WireAction::Reorder { from, to, pct: 30 })
-            .collect(),
-        Fault::ClientBurst { writes } => vec![WireAction::Burst { writes: *writes }],
-        Fault::Idle { us } => vec![WireAction::Settle {
-            ms: (us / 1000).max(1),
-        }],
-        Fault::Pause { nid } => vec![WireAction::Pause { nid: *nid }],
-        Fault::Resume { nid } => vec![WireAction::Resume { nid: *nid }],
-        Fault::CorruptLink { from, to, pct } => vec![WireAction::Corrupt {
-            from: *from,
-            to: *to,
-            pct: *pct,
-        }],
-        Fault::ResetLink { from, to } => vec![WireAction::Reset {
-            from: *from,
-            to: *to,
-        }],
-        Fault::SlowLink { from, to } => vec![WireAction::Slow {
-            from: *from,
-            to: *to,
-        }],
-        Fault::Duplicate { .. } | Fault::OrphanWrite | Fault::SkewTimeout { .. } => vec![],
-    }
-}
-
-/// Compiles a schedule into its wire timeline. Pure and total: the
-/// timeline is a function of the schedule alone, faults keep their
-/// order, and every fault's actions share one timestamp (the harness
-/// enacts them back to back) followed by that fault's dwell.
-#[must_use]
-pub fn compile_schedule(schedule: &FaultSchedule) -> WireTimeline {
-    let mut steps = Vec::new();
-    let mut at_ms = 0u64;
-    for fault in &schedule.faults {
-        let actions = compile_fault(fault, &schedule.members);
-        if actions.is_empty() {
-            continue;
-        }
-        for action in actions {
-            steps.push(WireStep { at_ms, action });
-        }
-        at_ms += dwell_ms(fault);
-    }
-    WireTimeline {
-        steps,
-        total_ms: at_ms,
     }
 }
 
@@ -343,8 +77,9 @@ pub fn compile_schedule(schedule: &FaultSchedule) -> WireTimeline {
 /// `b` (members, every fault's node references). Used by the live
 /// harness to aim a canonical schedule (authored for sim boot, where
 /// the lowest member always leads first) at whichever node actually
-/// won the real cluster's first election; the *canonical* schedule is
-/// what gets persisted, so the sim twin replays it unchanged.
+/// won the real cluster's first election, and each `Elect` at whichever
+/// node won that one; the *canonical* schedule is what gets persisted,
+/// so the sim twin replays it unchanged.
 #[must_use]
 pub fn swap_labels(schedule: &FaultSchedule, a: u32, b: u32) -> FaultSchedule {
     let m = |n: u32| {
@@ -654,10 +389,13 @@ pub struct NetCounterexample {
 mod tests {
     use super::*;
 
+    /// When the live walk is done with a schedule: the sum of its dwells.
+    fn span_ms(s: &FaultSchedule) -> u64 {
+        s.faults.iter().map(dwell_ms).sum()
+    }
+
     #[test]
     fn compilation_is_deterministic_and_pure() {
-        let s = netmesis_schedule(11);
-        assert_eq!(compile_schedule(&s), compile_schedule(&s));
         assert_eq!(netmesis_schedule(11), netmesis_schedule(11));
         assert_ne!(netmesis_schedule(11).faults, netmesis_schedule(12).faults);
     }
@@ -665,17 +403,10 @@ mod tests {
     #[test]
     fn timelines_are_ordered_and_budgeted() {
         for seed in 0..25 {
-            let timeline = compile_schedule(&netmesis_schedule(seed));
-            let mut last = 0;
-            for step in &timeline.steps {
-                assert!(step.at_ms >= last, "seed {seed}: steps out of order");
-                last = step.at_ms;
-            }
-            assert!(timeline.total_ms >= last);
+            let span = span_ms(&netmesis_schedule(seed));
             assert!(
-                timeline.total_ms < 30_000,
-                "seed {seed}: campaign span {}ms won't fit a bounded run",
-                timeline.total_ms
+                span < 30_000,
+                "seed {seed}: campaign span {span}ms won't fit a bounded run"
             );
         }
     }
@@ -753,33 +484,31 @@ mod tests {
         for s in &gates {
             let report = crate::engine::run_schedule(s, &crate::engine::EngineParams::default());
             assert!(report.is_safe(), "{}: {:?}", s.name, report.violation);
-            let timeline = compile_schedule(s);
+            let span = span_ms(s);
             assert!(
-                timeline.total_ms < 10_000,
-                "{}: span {}ms too long for the CI budget",
-                s.name,
-                timeline.total_ms
+                span < 10_000,
+                "{}: span {span}ms too long for the CI budget",
+                s.name
             );
         }
         // The first kills nothing (the strict online ≡ batch run); the
         // second kills and restarts node 1 with bursts on either side.
-        let kill =
-            |s: &WireStep| matches!(s.action, WireAction::Kill { .. } | WireAction::KillLeader);
-        assert!(!compile_schedule(&gates[0]).steps.iter().any(kill));
-        let actions: Vec<WireAction> = compile_schedule(&gates[1])
-            .steps
-            .into_iter()
-            .map(|s| s.action)
-            .collect();
+        let kill = |f: &Fault| {
+            matches!(
+                f,
+                Fault::Crash { .. } | Fault::CrashDisk { .. } | Fault::CrashLeader
+            )
+        };
+        assert!(!gates[0].faults.iter().any(kill));
         assert_eq!(
-            actions,
+            gates[1].faults,
             [
-                WireAction::Burst { writes: 10 },
-                WireAction::Kill { nid: 1 },
-                WireAction::AwaitElection,
-                WireAction::Burst { writes: 10 },
-                WireAction::Restart { nid: 1 },
-                WireAction::Burst { writes: 3 },
+                Fault::ClientBurst { writes: 10 },
+                Fault::Crash { nid: 1 },
+                Fault::Elect { nid: 2 },
+                Fault::ClientBurst { writes: 10 },
+                Fault::Recover { nid: 1 },
+                Fault::ClientBurst { writes: 3 },
             ]
         );
     }
@@ -793,14 +522,6 @@ mod tests {
         // The schedule's json must not mention structure-changing
         // differences beyond the labels: fault count identical.
         assert_eq!(s.faults.len(), swapped.faults.len());
-    }
-
-    #[test]
-    fn wire_timelines_round_trip_through_json() {
-        let timeline = compile_schedule(&gate_schedules()[0]);
-        let json = serde_json::to_string(&timeline).unwrap();
-        let back: WireTimeline = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, timeline);
     }
 
     #[test]

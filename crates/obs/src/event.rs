@@ -91,7 +91,11 @@ pub enum EventKind {
         applied: bool,
     },
     /// A local protocol step was attempted (election start, commit
-    /// round, client invoke, reconfiguration proposal).
+    /// round, client invoke, reconfiguration proposal). No current build
+    /// writes this: the engine journals the step's outcome instead
+    /// (`StateDelta`, `LeaderElected`, ...). The variant stays because
+    /// journals are a pinned compatibility surface and an old journal
+    /// must still parse and audit.
     LocalStep {
         /// Operation kind ("elect", "commit", "invoke", "reconfig").
         op: String,
@@ -131,7 +135,11 @@ pub enum EventKind {
         /// New commit watermark, if advanced (or regressed).
         commit_len: Option<u64>,
     },
-    /// Records were appended to a replica's WAL (volatile tail).
+    /// Records were appended to a replica's WAL (volatile tail). No
+    /// current build writes this: the engine's `StateDelta` carries the
+    /// appended entries and the shell journals the `WalSync` that makes
+    /// them durable. The variant stays for the same compatibility
+    /// reason as `LocalStep`.
     WalAppend {
         /// The replica.
         nid: u32,
