@@ -26,7 +26,7 @@ use adored::client::{ClientError, ClientParams, NetClient};
 use adored::collect::{CollectorReport, OnlineCollector};
 use adored::det::msg::ClientReply;
 use adored::export::ExportQueue;
-use adored::monitor::{self, MonitorConfig, MonitorHandle, MonitorReport};
+use adored::monitor::{self, MonitorHandle, MonitorReport};
 use adored::proxy::{LinkTally, ProxyNet};
 
 /// How long the harness waits for a leader before declaring the
@@ -434,8 +434,7 @@ impl LiveRun {
         });
         let monitor = if netmesis {
             let boot_us = now_us();
-            let handle = monitor::start(addrs, dir, boot_us, MonitorConfig::default(), monitor_tee)
-                .map_err(io)?;
+            let handle = monitor::start(addrs, dir, boot_us, monitor_tee).map_err(io)?;
             Some((handle, dir.join(format!("journal-{boot_us}.jsonl"))))
         } else {
             None // dropping the spare tee closes its stream

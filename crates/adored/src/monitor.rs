@@ -112,33 +112,23 @@ impl MonitorHandle {
     }
 }
 
-/// Monitor tunables.
-#[derive(Debug, Clone)]
-pub struct MonitorConfig {
-    /// The session client id (must be unique in the campaign).
-    pub client_id: u64,
-    /// Window length, milliseconds.
-    pub window_ms: u64,
-    /// Pause between ops, milliseconds.
-    pub op_gap_ms: u64,
-    /// Client retry tunables.
-    pub params: ClientParams,
-}
+/// The monitor's session client id (unique in a campaign: driver and
+/// workload clients use small ids).
+const CLIENT_ID: u64 = 0xA11B;
+/// Availability window length, milliseconds.
+const WINDOW_MS: u64 = 1_000;
+/// Pause between ops, milliseconds.
+const OP_GAP_MS: u64 = 50;
 
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            client_id: 0xA11B,
-            window_ms: 1_000,
-            op_gap_ms: 50,
-            params: ClientParams {
-                max_attempts: 8,
-                backoff_base_ms: 20,
-                backoff_cap_ms: 400,
-                request_timeout: Duration::from_millis(1_500),
-                max_redirect_hops: 3,
-            },
-        }
+/// The monitor client's retry tunables: quick backoff, a few attempts,
+/// so a write's fate is decided within a window or two.
+fn client_params() -> ClientParams {
+    ClientParams {
+        max_attempts: 8,
+        backoff_base_ms: 20,
+        backoff_cap_ms: 400,
+        request_timeout: Duration::from_millis(1_500),
+        max_redirect_hops: 3,
     }
 }
 
@@ -171,7 +161,6 @@ fn roll_window(
     windows: &mut Vec<WindowStat>,
     index: u32,
     prev: Totals,
-    window_ms: u64,
 ) -> Totals {
     let now = totals(metrics);
     let delta = |a: u64, b: u64| u32::try_from(a.saturating_sub(b)).unwrap_or(u32::MAX);
@@ -186,8 +175,7 @@ fn roll_window(
         .acked
         .saturating_sub(prev.acked)
         .saturating_mul(1_000)
-        .checked_div(window_ms.max(1))
-        .unwrap_or(0);
+        / WINDOW_MS;
     metrics.set_gauge("monitor.acked_per_s", i64::try_from(per_s).unwrap_or(i64::MAX));
     journal.record(EventKind::AvailabilityWindow {
         index: stat.index,
@@ -211,7 +199,6 @@ pub fn start(
     addrs: BTreeMap<u32, String>,
     dir: &Path,
     boot_us: u64,
-    cfg: MonitorConfig,
     tee: Option<ExportQueue>,
 ) -> io::Result<MonitorHandle> {
     let mut journal = Journal::open(dir, boot_us)?;
@@ -224,9 +211,9 @@ pub fn start(
         // The registry lives and dies on this thread; the report
         // carries its final snapshot out.
         let mut registry = Metrics::new();
-        let mut client = NetClient::new(addrs, cfg.client_id, cfg.params.clone());
+        let mut client = NetClient::new(addrs, CLIENT_ID, client_params());
         let started = Instant::now();
-        let window = Duration::from_millis(cfg.window_ms.max(1));
+        let window = Duration::from_millis(WINDOW_MS);
         let mut windows: Vec<WindowStat> = Vec::new();
         let mut acked: Vec<AckedWrite> = Vec::new();
         let mut prev = Totals::default();
@@ -239,21 +226,21 @@ pub fn start(
             let now_index =
                 (started.elapsed().as_millis() / window.as_millis().max(1)) as u32;
             while index < now_index {
-                prev = roll_window(&mut registry, &mut journal, &mut windows, index, prev, cfg.window_ms);
+                prev = roll_window(&mut registry, &mut journal, &mut windows, index, prev);
                 index += 1;
             }
             if stop_flag.load(Ordering::SeqCst) {
                 break;
             }
             op += 1;
-            let key = format!("mon-{}-{op}", cfg.client_id);
+            let key = format!("mon-{CLIENT_ID}-{op}");
             let value = format!("v{op}");
             registry.inc("monitor.attempted");
             match client.put(&key, &value) {
                 Ok(ack) => {
                     registry.inc("monitor.acked");
                     journal.record(EventKind::SessionAck {
-                        client: cfg.client_id,
+                        client: CLIENT_ID,
                         seq: ack.seq,
                         dup: ack.duplicate,
                     });
@@ -271,10 +258,10 @@ pub fn start(
                     registry.inc("monitor.lost");
                 }
             }
-            thread::sleep(Duration::from_millis(cfg.op_gap_ms));
+            thread::sleep(Duration::from_millis(OP_GAP_MS));
         }
         // Flush the final, partial window.
-        let _ = roll_window(&mut registry, &mut journal, &mut windows, index, prev, cfg.window_ms);
+        let _ = roll_window(&mut registry, &mut journal, &mut windows, index, prev);
         let snap = registry.snapshot();
         MonitorReport {
             windows,

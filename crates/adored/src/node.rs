@@ -25,9 +25,13 @@
 //!   peer can never wedge a thread that other links depend on.
 //! - **Crash-restart recovery**: the engine's WAL records are appended
 //!   to `data_dir/wal.bin` and flushed before any ack leaves the node
-//!   (the file is the only copy; no node holds a WAL image in memory);
-//!   a restart replays it through `adore-storage` recovery and journals
-//!   the `Crash`/`WalRecover` pair the auditor expects.
+//!   (the file is the only copy; no node holds a WAL image in memory).
+//!   A boot replays it through [`Engine::restart`], the simulator's
+//!   restart path too, journals the `Crash`/`WalRecover` pair the
+//!   auditor expects, and cuts an invalid tail in place. Only a missing
+//!   file is a first boot; only a first boot or media loss writes the
+//!   file whole, and media loss leaves an `Abstain` record in it for
+//!   good.
 //! - **Journals**: one JSONL file per boot (`journal-<boot_us>.jsonl`),
 //!   flushed per line, so a SIGKILL can tear at most the final line —
 //!   which `adore-obs`'s journal merge drops by design.
@@ -46,12 +50,13 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use adore_core::NodeId;
 use adore_obs::{series_count, EventKind, Metrics, MetricsSnapshot, Tracer};
 use adore_schemes::SingleNode;
-use adore_storage::{DurabilityPolicy, Recovery, Wal};
+use adore_storage::{DurabilityPolicy, Wal};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use serde::de::DeserializeOwned;
 use serde::Serialize;
 
 use crate::det::engine::{Engine, EngineConfig, EngineParams, Input, Output};
-use crate::det::msg::{decode_msg, encode_msg, ClientMsg, ClientReply, Hello, PeerMsg, SessionCmd};
+use crate::det::msg::{decode_msg, encode_msg, ClientMsg, ClientReply, Hello, PeerMsg};
 use crate::det::wire;
 use crate::export::{self, ExportQueue, ExportStats};
 use crate::scrape;
@@ -239,16 +244,9 @@ pub(crate) fn write_frame<T: Serialize>(stream: &mut TcpStream, msg: &T) -> io::
 }
 
 fn wire_to_io(e: wire::WireError) -> io::Error {
-    // Carry the typed error through so `bad_frame_reason` can name the
+    // Carry the typed error through so `next_msg` can name the
     // rejection class for the journal.
     io::Error::new(io::ErrorKind::InvalidData, e)
-}
-
-/// Names the journal reason when an IO error is a frame-level
-/// rejection (as opposed to a plain transport failure, which is not a
-/// `BadFrame`).
-fn bad_frame_reason(e: &io::Error) -> Option<&'static str> {
-    Some(wire_reason(e.get_ref()?.downcast_ref::<wire::WireError>()?))
 }
 
 /// The journal's name for a frame-level rejection.
@@ -260,88 +258,53 @@ fn wire_reason(e: &wire::WireError) -> &'static str {
     }
 }
 
-/// Loads (or creates) the node's WAL from `data_dir/wal.bin`, runs
-/// recovery, and journals the crash/recovery pair when prior state
-/// existed. Returns the WAL, the recovered durable state, and whether
-/// the replica must abstain (media loss). Fail-stops on corruption and
-/// on a WAL that exists but cannot be read.
-#[allow(clippy::type_complexity)]
-fn load_wal(
-    nid: NodeId,
+/// Boots the engine from `wal_path` through [`Engine::restart`] and
+/// returns it with the file open for appending. A missing file is a
+/// first boot; any other file means the previous boot ended without
+/// ceremony, so the crash (as "kill-9": the page cache survives a
+/// SIGKILL, so the auditor's clean-crash equality does not apply) and
+/// the recovery are journaled. The file is then brought to the
+/// recovered device: an intact replay only cuts an invalid tail, in
+/// place; a first boot or media loss writes the fresh device whole.
+/// Fail-stops on corruption and on a WAL that exists but cannot be read.
+fn boot(
+    cfg: EngineConfig,
     wal_path: &Path,
     journal: &mut Journal,
-) -> io::Result<(
-    Wal<SingleNode, SessionCmd>,
-    adore_storage::DurableState<SingleNode, SessionCmd>,
-    bool,
-)> {
-    let existing = match fs::read(wal_path) {
-        Ok(bytes) => bytes,
-        // Only a missing file is a first boot. Any other failure leaves
-        // a WAL on disk that this boot cannot see: booting fresh would
-        // overwrite it below and rejoin voting with term, vote and log
-        // forgotten.
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+) -> io::Result<(Engine, fs::File)> {
+    let nid = cfg.nid;
+    let (mut wal, first_boot) = match fs::read(wal_path) {
+        Ok(bytes) => (Wal::from_bytes(nid, &bytes), false),
+        // Any other failure leaves a WAL on disk that this boot cannot
+        // see: booting fresh would overwrite it and rejoin voting with
+        // term, vote and log forgotten.
+        Err(e) if e.kind() == io::ErrorKind::NotFound => (Wal::new(nid), true),
         Err(e) => {
-            return Err(io::Error::new(
-                e.kind(),
-                format!("cannot read WAL {}: {e}: fail-stop", wal_path.display()),
-            ));
+            let msg = format!("cannot read WAL {}: {e}: fail-stop", wal_path.display());
+            return Err(io::Error::new(e.kind(), msg));
         }
     };
-    let had_state = !existing.is_empty();
-    let mut wal = Wal::from_bytes(nid, &existing);
-    let recovery = wal.recover(&DurabilityPolicy::strict());
-    if had_state {
-        // A prior WAL file means the previous boot ended without
-        // ceremony: journal the crash the way the fault model names
-        // it. "kill-9" is not "lose-tail" — the page cache survives a
-        // SIGKILL, so the auditor's strict clean-crash equality check
-        // does not apply; committed-prefix agreement (T3) still does.
-        journal.record(EventKind::Crash {
-            nid: nid.0,
-            disk: "kill-9".to_string(),
-        });
+    if !first_boot {
+        let disk = "kill-9".to_string();
+        journal.record(EventKind::Crash { nid: nid.0, disk });
     }
-    let (state, abstaining) = match recovery {
-        Recovery::Intact(state) => {
-            if had_state {
-                journal.record(EventKind::WalRecover {
-                    nid: nid.0,
-                    outcome: "intact".to_string(),
-                    term: state.time.0,
-                    log: state
-                        .log
-                        .iter()
-                        .map(|e| serde_json::to_string(e).expect("entries serialize"))
-                        .collect(),
-                    commit_len: state.commit_len as u64,
-                });
-            }
-            (state, false)
+    let engine = Engine::restart(cfg, &mut wal, &DurabilityPolicy::strict(), |recovered| {
+        if !first_boot {
+            journal.record(recovered);
         }
-        Recovery::DataLoss => {
-            journal.record(EventKind::WalRecover {
-                nid: nid.0,
-                outcome: "data-loss".to_string(),
-                term: 0,
-                log: Vec::new(),
-                commit_len: 0,
-            });
-            (adore_storage::DurableState::default(), true)
-        }
-        Recovery::Corrupt { record } => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("WAL record {record} failed its checksum: fail-stop"),
-            ));
-        }
-    };
-    // Recovery may have truncated an invalid tail; rewrite the file to
-    // the post-recovery device image, so the engine's `Persist` bytes,
-    // appended from here on, extend an exact prefix.
-    fs::write(wal_path, wal.disk().bytes())?;
-    Ok((wal, state, abstaining))
+    });
+    let engine = engine.ok_or_else(|| {
+        let msg = format!("WAL {} failed its checksum: fail-stop", wal_path.display());
+        io::Error::new(io::ErrorKind::InvalidData, msg)
+    })?;
+    // Only a first boot or media loss wrote records to the device.
+    let written = wal.stats().records > 0;
+    let keep = if written { 0 } else { wal.disk().len() };
+    let mut file = fs::OpenOptions::new().append(true).create(true).open(wal_path)?;
+    file.set_len(keep as u64)?;
+    file.write_all(wal.disk().bytes().get(keep..).unwrap_or_default())?;
+    file.flush()?;
+    Ok((engine, file))
 }
 
 /// Runs one node until shutdown (watchdog expiry) or listener failure.
@@ -365,10 +328,6 @@ pub fn run(cfg: NodeConfig) -> io::Result<()> {
         }
         None => None,
     };
-    let wal_path = cfg.data_dir.join("wal.bin");
-    let (wal, state, abstaining) = load_wal(nid, &wal_path, &mut journal)?;
-    let wal_file = fs::OpenOptions::new().append(true).open(&wal_path)?;
-
     let members: Vec<u32> = cfg.peers.iter().map(|(n, _)| *n).collect();
     let engine_cfg = EngineConfig {
         nid,
@@ -378,7 +337,7 @@ pub fn run(cfg: NodeConfig) -> io::Result<()> {
         params: cfg.params.clone(),
         seed: cfg.seed,
     };
-    let engine = Engine::new(engine_cfg, wal, state, abstaining);
+    let (engine, wal_file) = boot(engine_cfg, &cfg.data_dir.join("wal.bin"), &mut journal)?;
 
     let (inbox_tx, inbox_rx) = mpsc::sync_channel::<Event>(INBOX_DEPTH);
     if let Some(addr) = &cfg.metrics_addr {
@@ -667,25 +626,37 @@ fn peer_connector(
     }
 }
 
-/// Journals a frame rejection if `e` is a frame-level fault. Transport
-/// failures (deadline expiry, reset) pass through silently — they are
-/// link deaths, not protocol violations.
-fn report_frame_error(tx: &SyncSender<Event>, e: &io::Error) {
-    if let Some(reason) = bad_frame_reason(e) {
-        let _ = tx.send(Event::BadFrame {
-            reason: reason.to_string(),
-        });
-    }
+/// Reads the next `T` off a connection. `Ok(None)` ends it quietly: a
+/// clean EOF, or a transport failure (deadline expiry, reset), which is
+/// a link death, not a protocol violation. `Err` names a frame-level
+/// rejection — bad crc, oversized length, or a crc-valid frame that is
+/// not a `T` (`bad-payload`: a peer speaking another protocol version)
+/// — already journaled as a `BadFrame`, never a silent discard, so the
+/// audit can prove the rejection path fired.
+fn next_msg<T: DeserializeOwned>(
+    stream: &mut TcpStream,
+    tx: &SyncSender<Event>,
+) -> Result<Option<T>, &'static str> {
+    let reason = match read_frame(stream) {
+        Ok(Some(payload)) => match decode_msg(&payload) {
+            Ok(msg) => return Ok(Some(msg)),
+            Err(e) => wire_reason(&e),
+        },
+        Ok(None) => return Ok(None),
+        Err(e) => match e.get_ref().and_then(|e| e.downcast_ref()) {
+            Some(e) => wire_reason(e),
+            None => return Ok(None),
+        },
+    };
+    let _ = tx.send(Event::BadFrame {
+        reason: reason.to_string(),
+    });
+    Err(reason)
 }
 
 /// Handles one accepted connection: a `Hello` within the deadline, then
-/// a peer pump or a client session.
-///
-/// A frame the wire layer rejects (bad crc, oversized length) or a
-/// crc-valid frame that does not decode as the expected message type
-/// (protocol-version confusion) drops the connection *and* journals a
-/// `BadFrame` event — never a silent discard, so the audit can prove
-/// the rejection path fired.
+/// a peer pump or a client session, each until EOF, a dead link or a
+/// rejected frame (see [`next_msg`]).
 fn serve_connection(
     mut stream: TcpStream,
     tx: &SyncSender<Event>,
@@ -695,48 +666,15 @@ fn serve_connection(
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(WRITE_DEADLINE));
     let _ = stream.set_read_timeout(Some(HELLO_DEADLINE));
-    let hello: Hello = match read_frame(&mut stream) {
-        Ok(Some(payload)) => match decode_msg(&payload) {
-            Ok(h) => h,
-            Err(_) => {
-                let _ = tx.send(Event::BadFrame {
-                    reason: "bad-payload".to_string(),
-                });
-                return;
-            }
-        },
-        Ok(None) => return,
-        Err(e) => {
-            report_frame_error(tx, &e);
-            return;
-        }
+    let Ok(Some(hello)) = next_msg::<Hello>(&mut stream, tx) else {
+        return;
     };
     match hello {
         Hello::Peer { from: _ } => {
             let _ = stream.set_read_timeout(Some(peer_read_deadline));
-            loop {
-                match read_frame(&mut stream) {
-                    Ok(Some(payload)) => match decode_msg::<PeerMsg>(&payload) {
-                        Ok(msg) => {
-                            if tx.send(Event::Peer(msg)).is_err() {
-                                return;
-                            }
-                        }
-                        Err(_) => {
-                            // A crc-valid frame that is not a PeerMsg:
-                            // a peer speaking another protocol version.
-                            // Journal and drop the link.
-                            let _ = tx.send(Event::BadFrame {
-                                reason: "bad-payload".to_string(),
-                            });
-                            return;
-                        }
-                    },
-                    Ok(None) => return,
-                    Err(e) => {
-                        report_frame_error(tx, &e);
-                        return;
-                    }
+            while let Ok(Some(msg)) = next_msg::<PeerMsg>(&mut stream, tx) {
+                if tx.send(Event::Peer(msg)).is_err() {
+                    return;
                 }
             }
         }
@@ -750,32 +688,23 @@ fn serve_connection(
             }
             let _ = stream.set_read_timeout(None);
             loop {
-                match read_frame(&mut stream) {
-                    Ok(Some(payload)) => match decode_msg::<ClientMsg>(&payload) {
-                        Ok(msg) => {
-                            if tx.send(Event::Client { conn, msg }).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => {
-                            // Tell the well-framed-but-unintelligible
-                            // client why before hanging up on it.
-                            let _ = write_frame(
-                                &mut stream,
-                                &crate::det::msg::ClientReply::Rejected {
-                                    reason: "protocol-version mismatch: undecodable frame"
-                                        .to_string(),
-                                },
-                            );
-                            let _ = tx.send(Event::BadFrame {
-                                reason: "bad-payload".to_string(),
-                            });
+                match next_msg::<ClientMsg>(&mut stream, tx) {
+                    Ok(Some(msg)) => {
+                        if tx.send(Event::Client { conn, msg }).is_err() {
                             break;
                         }
-                    },
+                    }
                     Ok(None) => break,
-                    Err(e) => {
-                        report_frame_error(tx, &e);
+                    Err(reason) => {
+                        if reason == "bad-payload" {
+                            // Tell the well-framed-but-unintelligible
+                            // client why before hanging up on it.
+                            let reason = "protocol-version mismatch: undecodable frame";
+                            let reply = ClientReply::Rejected {
+                                reason: reason.to_string(),
+                            };
+                            let _ = write_frame(&mut stream, &reply);
+                        }
                         break;
                     }
                 }
@@ -812,6 +741,7 @@ mod tests {
     /// told to journal an `oversized` `BadFrame`.
     #[test]
     fn an_oversized_frame_is_dropped_alone_and_journaled() {
+        use crate::det::msg::SessionCmd;
         use adore_core::Timestamp;
         use adore_kv::KvCommand;
         use adore_raft::{Command, Entry, Request};
@@ -942,6 +872,113 @@ mod tests {
             ],
             "{lines}"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A fresh data directory for one test.
+    fn test_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("mkdir");
+        dir
+    }
+
+    /// Boots a one-member node in `dir` until its watchdog ends it (long
+    /// enough to elect itself several times over) and returns the
+    /// events of that boot's journal.
+    fn boot_alone(dir: &Path) -> Vec<adore_obs::TraceEvent> {
+        let journals = || -> Vec<PathBuf> {
+            let entries = fs::read_dir(dir).expect("data dir").filter_map(Result::ok);
+            let paths = entries.map(|e| e.path());
+            paths.filter(|p| p.to_string_lossy().contains("journal-")).collect()
+        };
+        let before = journals();
+        run(NodeConfig {
+            nid: 1,
+            peers: vec![(1, free_addrs().0)],
+            data_dir: dir.to_path_buf(),
+            seed: 5,
+            tick_ms: 5,
+            max_runtime_ms: Some(600),
+            params: EngineParams::default(),
+            guard: adore_core::ReconfigGuard::all(),
+            peer_read_deadline_ms: DEFAULT_PEER_READ_DEADLINE_MS,
+            export_addr: None,
+            metrics_addr: None,
+        })
+        .expect("the watchdog ends the run cleanly");
+        let journal = journals().into_iter().find(|p| !before.contains(p));
+        let text = fs::read_to_string(journal.expect("one journal per boot")).expect("journal");
+        adore_obs::parse_jsonl(&text).expect("the journal parses")
+    }
+
+    fn tags(events: &[adore_obs::TraceEvent]) -> Vec<&'static str> {
+        events.iter().map(|e| e.kind.tag()).collect()
+    }
+
+    /// The outcome of the boot's `WalRecover`, if it journaled one.
+    fn recovered(events: &[adore_obs::TraceEvent]) -> Option<&str> {
+        events.iter().find_map(|e| match &e.kind {
+            EventKind::WalRecover { outcome, .. } => Some(outcome.as_str()),
+            _ => None,
+        })
+    }
+
+    /// A `wal.bin` whose first frame is torn holds no boot record: media
+    /// loss. The lone member abstains on that boot and, because recovery
+    /// wrote the abstention into the file, on the next one too.
+    #[test]
+    fn a_torn_first_frame_abstains_on_every_later_boot() {
+        let dir = test_dir("adored-torn-boot");
+        let fresh = Wal::<crate::det::msg::Cfg, crate::det::msg::SessionCmd>::new(NodeId(1));
+        fs::write(dir.join("wal.bin"), &fresh.disk().bytes()[..5]).expect("a torn boot frame");
+        for (boot, outcome) in [("first", "data-loss"), ("second", "intact")] {
+            let events = boot_alone(&dir);
+            assert_eq!(recovered(&events), Some(outcome), "{boot} boot");
+            assert!(!tags(&events).contains(&"leader-elected"), "{boot} boot led");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Only a missing file is a first boot: an empty one is a device
+    /// with nothing on it, so the node recovers media loss and abstains.
+    #[test]
+    fn an_empty_wal_file_is_media_loss_not_a_first_boot() {
+        let dir = test_dir("adored-empty-wal");
+        fs::write(dir.join("wal.bin"), b"").expect("an empty WAL");
+        let events = boot_alone(&dir);
+        assert_eq!(recovered(&events), Some("data-loss"));
+        assert!(!tags(&events).contains(&"leader-elected"), "{:?}", tags(&events));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A boot cuts a torn tail in place: afterwards the file is the
+    /// valid prefix, byte for byte, followed only by whole frames the
+    /// new boot appended.
+    #[test]
+    fn a_torn_tail_is_cut_in_place_behind_the_valid_prefix() {
+        let dir = test_dir("adored-torn-tail");
+        let wal_path = dir.join("wal.bin");
+        let first = boot_alone(&dir);
+        assert_eq!(recovered(&first), None, "a first boot recovers nothing");
+        assert!(tags(&first).contains(&"leader-elected"));
+        let prefix = fs::read(&wal_path).expect("the first boot's WAL");
+        let mut torn = prefix.clone();
+        torn.extend_from_slice(&[0x2a, 0, 0]);
+        fs::write(&wal_path, &torn).expect("a torn tail");
+
+        let second = boot_alone(&dir);
+        assert_eq!(recovered(&second), Some("intact"));
+        assert!(tags(&second).contains(&"leader-elected"), "the replay kept its vote");
+        let after = fs::read(&wal_path).expect("the second boot's WAL");
+        assert_eq!(after.get(..prefix.len()), Some(prefix.as_slice()));
+        let mut off = prefix.len();
+        while off < after.len() {
+            let frame = adore_storage::split_frame(&after, off).expect("a whole frame");
+            assert!(frame.crc_ok, "a frame at {off} fails its checksum");
+            off = frame.next;
+        }
+        assert!(off > prefix.len(), "the second boot appended its term");
         let _ = fs::remove_dir_all(&dir);
     }
 

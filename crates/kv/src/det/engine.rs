@@ -46,20 +46,21 @@
 //! The engine never records what the model did; it *observes* it. Each
 //! input is bracketed by a before/after `Mark` of `(time, log length,
 //! watermark, role)`, and `Engine::observe` derives the WAL records,
-//! the journal's `StateDelta`, applies, waiter releases and step-down
-//! redirects from the difference (plus the common-prefix length taken
-//! before a shipped log is adopted). The records leave framed as
-//! `Output::Persist` bytes; the shell owns the WAL device, and the
-//! engine keeps no image of it.
+//! applies, waiter releases and step-down redirects from the difference
+//! (plus the common-prefix length taken before a shipped log is
+//! adopted). The records leave framed as `Output::Persist` bytes, and
+//! the journal's `StateDelta` is folded from them; the shell owns the
+//! WAL device, and the engine keeps no image of it.
 //!
 //! The engine is **pure** with respect to the outside world: it
 //! consumes [`Input`]s and returns [`Output`]s, touching no sockets, no
 //! clocks, and no filesystem. Time is an abstract tick stream; the only
 //! randomness is a seeded [`StdRng`] jittering election deadlines. The
 //! same input sequence therefore always produces the same output
-//! sequence. Two shells carry the outputs: `adored`'s threaded runtime
-//! (real sockets, a real WAL file) and [`crate::Cluster`] (a virtual
-//! clock, a simulated network, one `SimDisk` per node).
+//! sequence. Two shells carry the outputs, and both restart an engine
+//! through [`Engine::restart`]: `adored`'s threaded runtime (real
+//! sockets, a real WAL file) and [`crate::Cluster`] (a virtual clock, a
+//! simulated network, one `SimDisk` per node).
 //!
 //! # Durability ordering
 //!
@@ -78,7 +79,7 @@ use adore_raft::{
     effective_config, Command, EventOutcome, NetEvent, NetState, Rejection, Request, Role, Server,
 };
 use adore_schemes::SingleNode;
-use adore_storage::{encode_record, DurableState, Wal, WalRecord};
+use adore_storage::{encode_record, DurabilityPolicy, DurableState, Recovery, Wal, WalRecord};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::det::msg::{Cfg, ClientMsg, ClientReply, NetEntry, NetRequest, PeerMsg, SessionCmd};
@@ -244,10 +245,7 @@ struct Step {
     /// Length of the prefix the old log shares with an adopted one,
     /// measured before the model replaced it.
     common: Option<usize>,
-    term: Option<u64>,
-    truncate: Option<u64>,
-    append: Vec<String>,
-    commit_len: Option<u64>,
+    /// The WAL records; the journal's `StateDelta` is folded from them.
     records: Vec<WalRecord<Cfg, SessionCmd>>,
     events: Vec<EventKind>,
     sends: Vec<(NodeId, PeerMsg)>,
@@ -286,13 +284,10 @@ pub struct Engine {
 
 impl Engine {
     /// Builds an engine over a recovered durable state and the WAL it
-    /// was recovered from. The WAL's bytes are the shell's from here on:
-    /// the engine keeps no copy, and every later record leaves as
-    /// `Output::Persist` for the shell to append. Which recovery policy
-    /// produced `state` is the shell's business too (the simulator
-    /// replays under ablated ones on purpose). `abstaining` is sticky: a
-    /// replica that lost its media must never vote again (it has
-    /// forgotten promises), though it still replicates.
+    /// was recovered from, which stays the shell's: the engine drops it,
+    /// and every later record leaves as `Output::Persist` for the shell
+    /// to append. `abstaining` adds to the state's own flag. A restart
+    /// from a WAL is [`Engine::restart`].
     #[must_use]
     pub fn new(
         cfg: EngineConfig,
@@ -301,6 +296,14 @@ impl Engine {
         abstaining: bool,
     ) -> Self {
         drop(wal);
+        let abstaining = abstaining || state.abstaining;
+        Engine::install(cfg, DurableState { abstaining, ..state })
+    }
+
+    /// An engine on `state`, which abstains if the state says so: a
+    /// replica that lost its media must never vote again (it has
+    /// forgotten promises), though it still replicates.
+    fn install(cfg: EngineConfig, state: DurableState<Cfg, SessionCmd>) -> Self {
         let mut sessions = SessionTable::new(cfg.params.session_window, cfg.params.session_clients);
         index_sessions(&mut sessions, &state.log, 0);
         let mut applied = KvStore::new();
@@ -309,6 +312,7 @@ impl Engine {
             &state.log[..state.commit_len.min(state.log.len())],
         );
         let mut model = NetState::new(cfg.conf0, cfg.guard);
+        let abstaining = state.abstaining;
         model.install_recovery(cfg.nid, state.time, state.log, state.commit_len, abstaining);
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ u64::from(cfg.nid.0));
         let election_deadline =
@@ -329,6 +333,45 @@ impl Engine {
             next_heartbeat: 0,
             rng,
         }
+    }
+
+    /// The one restart path, the daemon's and the simulator's: replays
+    /// `wal` under `policy` (leaving it the recovered device), hands
+    /// `journal` the `WalRecover` event (outcome and installed state; it
+    /// quotes the whole log, so it goes before the engine allocates),
+    /// then builds the engine, abstaining after media loss. No engine
+    /// after a checksum mismatch (fail-stop).
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )] // L2: panic-free recovery scope
+    pub fn restart(
+        cfg: EngineConfig,
+        wal: &mut Wal<Cfg, SessionCmd>,
+        policy: &DurabilityPolicy,
+        journal: impl FnOnce(EventKind),
+    ) -> Option<Engine> {
+        let recovery = wal.recover(policy);
+        let outcome = recovery.kind_name().to_string();
+        let (state, installs) = match recovery {
+            Recovery::Intact(state) => (state, true),
+            Recovery::DataLoss => (wal.mirror().clone(), true),
+            Recovery::Corrupt { .. } => (DurableState::default(), false),
+        };
+        journal(EventKind::WalRecover {
+            nid: cfg.nid.0,
+            outcome,
+            term: state.time.0,
+            log: state.log.iter().map(entry_json).collect(),
+            commit_len: state.commit_len as u64,
+        });
+        installs.then(|| Engine::install(cfg, state))
     }
 
     /// This node's server in the model.
@@ -714,7 +757,6 @@ impl Engine {
         let after = Mark::of(me);
 
         if after.time != before.time {
-            st.term = Some(after.time.0);
             st.records.push(WalRecord::Term { time: after.time.0 });
         }
         // The log: a shipped log replaced everything above the common
@@ -727,15 +769,12 @@ impl Engine {
         }
         let mut unindexed = common;
         if common < before.log_len {
-            st.truncate = Some(common as u64);
             st.records.push(WalRecord::Truncate { len: common as u64 });
             self.sessions.clear();
             unindexed = 0;
         }
         index_sessions(&mut self.sessions, &me.log, unindexed);
         for e in me.log.get(common..).unwrap_or(&[]) {
-            st.append
-                .push(serde_json::to_string(e).expect("entries serialize"));
             st.records.push(WalRecord::Append { entry: e.clone() });
         }
 
@@ -756,7 +795,6 @@ impl Engine {
         // The watermark (it never moves backwards): apply the newly
         // committed entries and release their waiters.
         if after.commit_len != before.commit_len {
-            st.commit_len = Some(after.commit_len as u64);
             st.records.push(WalRecord::CommitLen {
                 len: after.commit_len as u64,
             });
@@ -792,17 +830,25 @@ impl Engine {
     fn finish(&self, st: Step) -> Vec<Output> {
         let mut out = Vec::new();
         if !st.records.is_empty() {
-            out.push(Output::Journal(EventKind::StateDelta {
-                nid: self.nid.0,
-                term: st.term,
-                truncate: st.truncate,
-                append: st.append,
-                commit_len: st.commit_len,
-            }));
+            let (mut term, mut truncate, mut append, mut commit_len) = (None, None, vec![], None);
             let mut bytes = Vec::new();
             for rec in &st.records {
                 encode_record(rec, &mut bytes);
+                match rec {
+                    WalRecord::Term { time } => term = Some(*time),
+                    WalRecord::Truncate { len } => truncate = Some(*len),
+                    WalRecord::Append { entry } => append.push(entry_json(entry)),
+                    WalRecord::CommitLen { len } => commit_len = Some(*len),
+                    WalRecord::Boot { .. } | WalRecord::Abstain | WalRecord::Snapshot { .. } => {}
+                }
             }
+            out.push(Output::Journal(EventKind::StateDelta {
+                nid: self.nid.0,
+                term,
+                truncate,
+                append,
+                commit_len,
+            }));
             out.push(Output::Persist { bytes });
         }
         out.extend(st.events.into_iter().map(Output::Journal));
@@ -821,12 +867,6 @@ impl Engine {
     }
 
     // ---- accessors ------------------------------------------------------
-
-    /// This node's id.
-    #[must_use]
-    pub fn nid(&self) -> NodeId {
-        self.nid
-    }
 
     /// Current role.
     #[must_use]
@@ -857,12 +897,6 @@ impl Engine {
     #[must_use]
     pub fn commit_len(&self) -> usize {
         self.me().commit_len
-    }
-
-    /// Best current guess at the leader.
-    #[must_use]
-    pub fn leader_hint(&self) -> Option<NodeId> {
-        self.leader_hint
     }
 
     /// Members of the effective configuration.
@@ -904,6 +938,11 @@ fn role_name(role: Role) -> &'static str {
         Role::Candidate => "candidate",
         Role::Leader => "leader",
     }
+}
+
+/// An entry as the journal quotes it.
+fn entry_json(e: &NetEntry) -> String {
+    serde_json::to_string(e).unwrap_or_default()
 }
 
 /// Length of the longest common prefix of two logs.
@@ -1435,29 +1474,28 @@ mod tests {
             outs
         }
 
-        /// What engine `n`'s file recovers to, checked against its model.
-        fn recover(&self, n: u32) -> (Wal<Cfg, SessionCmd>, DurableState<Cfg, SessionCmd>) {
+        /// Kills engine `n` and restarts it from its WAL file through
+        /// [`Engine::restart`], the shells' own path: the file must
+        /// recover intact to what the old engine held. The reference
+        /// crashes and recovers the same server.
+        fn restart(&mut self, n: u32) {
             let mut wal = Wal::from_bytes(NodeId(n), &self.files[&n]);
-            let adore_storage::Recovery::Intact(state) =
-                wal.recover(&adore_storage::DurabilityPolicy::strict())
-            else {
-                panic!("engine {n}'s WAL does not recover intact");
-            };
-            let me = self.engines[&n].me();
+            let mut outcome = String::new();
+            let strict = DurabilityPolicy::strict();
+            let engine = Engine::restart(self.config(n), &mut wal, &strict, |recovered| {
+                if let EventKind::WalRecover { outcome: o, .. } = recovered {
+                    outcome = o;
+                }
+            });
+            let engine = engine.expect("a WAL the engine wrote never fails its checksum");
+            assert_eq!(outcome, "intact");
+            let (old, new) = (self.engines[&n].me(), engine.me());
             assert_eq!(
-                (state.time, &state.log, state.commit_len),
-                (me.time, &me.log, me.commit_len),
+                (new.time, &new.log, new.commit_len),
+                (old.time, &old.log, old.commit_len),
                 "engine {n}'s WAL left its model"
             );
-            (wal, state)
-        }
-
-        /// Kills engine `n` and rebuilds it from its WAL file; the
-        /// reference crashes and recovers the same server.
-        fn restart(&mut self, n: u32) {
-            let (wal, state) = self.recover(n);
             self.files.insert(n, wal.disk().bytes().to_vec());
-            let engine = Engine::new(self.config(n), wal, state, false);
             self.engines.insert(n, engine);
             let nid = NodeId(n);
             for ev in [NetEvent::Crash { nid }, NetEvent::Recover { nid }] {
@@ -1730,8 +1768,9 @@ mod tests {
             b.assert_agree(what);
         }
         for n in 1..=3 {
-            b.recover(n);
+            b.restart(n);
         }
+        b.assert_agree("the final restarts");
         // The walk is not vacuous: leaders came and went, entries
         // committed, suffixes were taken and refused.
         let terms = b.reference.servers().map(|(_, s)| s.time.0).max();

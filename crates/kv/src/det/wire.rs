@@ -1,28 +1,20 @@
-//! The length-prefixed wire frame codec.
+//! The wire frame codec: the WAL's record frame, capped.
 //!
-//! Every message on an `adored` TCP connection is one frame:
-//!
-//! ```text
-//! [len: u32 LE] [crc32: u32 LE] [payload: len bytes of JSON]
-//! ```
-//!
-//! The format deliberately mirrors the WAL's record framing
-//! (`adore-storage`): the same CRC-32 (IEEE) over the payload only, the
-//! same little-endian header. A frame read off the wire is validated
-//! *before* any allocation proportional to its claimed length: a length
-//! above [`MAX_FRAME`] is rejected as [`WireError::Oversized`] from the
-//! 8 header bytes alone, so a corrupt or hostile length prefix can
-//! never drive an over-allocation, and a checksum mismatch is a typed
-//! [`WireError::Corrupt`], never a panic.
+//! Every message on an `adored` TCP connection is one frame in the
+//! format `adore-storage` defines for its records,
+//! `[len: u32 LE] [crc32: u32 LE] [payload: len bytes of JSON]`
+//! ([`adore_storage::split_frame`]). This module adds only what a socket
+//! needs on top: a length above [`MAX_FRAME`] is rejected as
+//! [`WireError::Oversized`] from the 8 header bytes alone, before any
+//! allocation proportional to the claim, so a corrupt or hostile length
+//! prefix can never drive an over-allocation; and every frame-level
+//! failure is a typed [`WireError`], never a panic.
 //!
 //! Everything in this module is pure byte manipulation — no sockets, no
 //! clocks — so the codec is property-testable in isolation and sits
 //! beside the engine in the deterministic `det` module.
 
-use adore_storage::crc32;
-
-/// Frame header size: 4-byte length + 4-byte CRC.
-pub const HEADER: usize = 8;
+pub use adore_storage::HEADER;
 
 /// Maximum payload size accepted on the wire (8 MiB). Commit frames ship
 /// only what a follower lacks and election frames one entry, so the one
@@ -77,15 +69,13 @@ pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, WireError> {
             len: payload.len() as u64,
         });
     }
-    let mut out = Vec::with_capacity(HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    let mut out = Vec::new();
+    adore_storage::encode_frame(payload, &mut out);
     Ok(out)
 }
 
 /// Validates a header read off the wire, returning the payload length
-/// to read next.
+/// to read next and its CRC.
 ///
 /// # Errors
 ///
@@ -93,8 +83,7 @@ pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, WireError> {
 /// [`MAX_FRAME`] — decided from the 8 header bytes alone, before any
 /// payload allocation.
 pub fn decode_header(header: &[u8; HEADER]) -> Result<(usize, u32), WireError> {
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+    let (len, crc) = adore_storage::decode_header(header);
     if len > MAX_FRAME {
         return Err(WireError::Oversized { len: len as u64 });
     }
@@ -107,7 +96,7 @@ pub fn decode_header(header: &[u8; HEADER]) -> Result<(usize, u32), WireError> {
 ///
 /// [`WireError::Corrupt`] on checksum mismatch.
 pub fn verify_payload(payload: &[u8], crc: u32) -> Result<(), WireError> {
-    if crc32(payload) == crc {
+    if adore_storage::crc_matches(payload, crc) {
         Ok(())
     } else {
         Err(WireError::Corrupt)
@@ -127,16 +116,13 @@ pub fn verify_payload(payload: &[u8], crc: u32) -> Result<(), WireError> {
 /// (checked before anything is copied), [`WireError::Corrupt`] for a
 /// checksum mismatch.
 pub fn split_frame(bytes: &[u8]) -> Result<Option<(&[u8], usize)>, WireError> {
-    let Some(header) = bytes.get(..HEADER) else {
-        return Ok(None);
-    };
-    let header: [u8; HEADER] = header.try_into().expect("sliced exactly HEADER bytes");
-    let (len, crc) = decode_header(&header)?;
-    let Some(payload) = bytes.get(HEADER..HEADER + len) else {
-        return Ok(None);
-    };
-    verify_payload(payload, crc)?;
-    Ok(Some((payload, HEADER + len)))
+    if let Some(header) = bytes.first_chunk() {
+        decode_header(header)?;
+    }
+    match adore_storage::split_frame(bytes, 0) {
+        Some(frame) if !frame.crc_ok => Err(WireError::Corrupt),
+        frame => Ok(frame.map(|f| (f.payload, f.next))),
+    }
 }
 
 #[cfg(test)]

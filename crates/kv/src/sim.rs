@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use adore_core::{Configuration, NodeId, NodeSet, ReconfigGuard};
 use adore_obs::{EventKind, TraceEvent, Tracer};
 use adore_raft::{Command, Request, Role};
-use adore_storage::{DiskFault, DurabilityPolicy, DurableState, Recovery, StorageViolation, Wal};
+use adore_storage::{DiskFault, DurabilityPolicy, DurableState, StorageViolation, Wal};
 
 use crate::command::{KvCommand, KvStore};
 use crate::det::engine::{Engine, EngineConfig, EngineParams, Input, Output};
@@ -127,8 +127,6 @@ struct Node {
     up: bool,
     /// Fail-stopped on a checksum mismatch: down for the rest of the run.
     wrecked: bool,
-    /// Lost its media once: never votes again, across later restarts.
-    abstaining: bool,
     /// Virtual time at which the node's egress link is free.
     egress_free: u64,
     /// Accumulated clock, in percent of a tick: a skewed leader clock
@@ -230,7 +228,6 @@ impl Cluster {
                 wal,
                 up: members.contains(&nid),
                 wrecked: false,
-                abstaining: false,
                 egress_free: 0,
                 tick_credit: 0,
             }
@@ -687,55 +684,24 @@ impl Cluster {
         self.fifo.retain(|(from, to), _| *from != nid && *to != nid);
     }
 
-    /// Restarts a crashed replica (or starts a spare) as `adored` boots: a
-    /// fresh engine on its WAL's replay under the [`DurabilityPolicy`].
-    /// Media loss ([`Recovery::DataLoss`]) rejoins it *abstaining* for
-    /// good (it forgot its votes); a checksum mismatch
-    /// ([`Recovery::Corrupt`]) fail-stops it for the run.
-    #[deny(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::unreachable,
-        clippy::todo,
-        clippy::unimplemented,
-        clippy::indexing_slicing,
-        clippy::disallowed_macros
-    )] // L2: panic-free recovery scope
+    /// Restarts a crashed replica (or starts a spare) the way `adored`
+    /// boots, through [`Engine::restart`] under the [`DurabilityPolicy`]:
+    /// media loss rejoins it abstaining for good (its WAL says so from
+    /// then on); a checksum mismatch fail-stops it for the run.
     pub fn recover(&mut self, nid: NodeId) {
-        let (policy, now, tracing) = (self.policy, self.now_us, self.tracer.is_enabled());
+        let (policy, now) = (self.policy, self.now_us);
+        let cfg = EngineConfig {
+            nid,
+            ..self.config.clone()
+        };
         let Some(node) = self.nodes.get_mut(&nid).filter(|n| !n.up && !n.wrecked) else {
             return;
         };
-        let recovery = node.wal.recover(&policy);
-        let outcome = recovery.kind_name().to_string();
-        let state = match recovery {
-            Recovery::Intact(state) => Some(state),
-            Recovery::DataLoss => {
-                node.abstaining = true;
-                Some(DurableState::default())
-            }
-            Recovery::Corrupt { .. } => {
-                node.wrecked = true;
-                None
-            }
-        };
-        // The event carries the installed state, so the trace auditor
-        // can check recovery faithfulness without reading any disk.
-        let (mut term, mut commit_len) = (0, 0);
-        let mut log = Vec::new();
-        if let Some(state) = state {
-            term = state.time.0;
-            commit_len = state.commit_len as u64;
-            if tracing {
-                let json = |e: &NetEntry| serde_json::to_string(e).unwrap_or_default();
-                log = state.log.iter().map(json).collect();
-            }
-            let cfg = EngineConfig {
-                nid,
-                ..self.config.clone()
-            };
-            node.engine = Engine::new(cfg, node.wal.clone(), state, node.abstaining);
+        let tracer = &mut self.tracer;
+        let engine = Engine::restart(cfg, &mut node.wal, &policy, |ev| _ = tracer.record(now, ev));
+        node.wrecked = engine.is_none();
+        if let Some(engine) = engine {
+            node.engine = engine;
             node.up = true;
             node.tick_credit = 0;
             node.egress_free = now;
@@ -744,13 +710,6 @@ impl Cluster {
                     .push(StorageViolation::UnfaithfulRecovery { nid: nid.0 });
             }
         }
-        self.trace(EventKind::WalRecover {
-            nid: nid.0,
-            outcome,
-            term,
-            log,
-            commit_len,
-        });
     }
 
     /// Duplicates `copies` random in-flight messages, each with a fresh

@@ -605,6 +605,28 @@ mod tests {
         }
     }
 
+    /// E10's wide sweep (seeds 0-299, 8/12/16 steps, 3 and 5 members)
+    /// found these ending in `LostWrite` while the generator budgeted
+    /// damage against the initial membership: a `ReconfigRemove` left
+    /// `{1,2}`, and wiping the leader stranded the last committed write
+    /// on a follower that never learned it committed.
+    #[test]
+    fn campaigns_whose_membership_shrank_keep_every_acked_write() {
+        let engine = EngineParams {
+            certify_storage: true,
+            ..EngineParams::default()
+        };
+        for steps in [8, 12, 16] {
+            let params = RandomScheduleParams {
+                members: vec![1, 2, 3],
+                steps,
+                ..RandomScheduleParams::default()
+            };
+            let report = run_schedule(&random_schedule(&params, 105), &engine);
+            assert!(report.is_safe(), "{steps} steps: {:?}", report.violation);
+        }
+    }
+
     #[test]
     fn campaign_reports_are_deterministic() {
         let schedule = random_schedule(&RandomScheduleParams::default(), 17);

@@ -13,9 +13,10 @@
 //!   or wipe the media entirely ([`DiskFault`]).
 //! - [`Wal`] — length-prefixed, CRC-32-checked records
 //!   ([`WalRecord`]) encoding every durable transition of a replica:
-//!   boot, term adoption (which *is* the vote in this protocol), log
-//!   truncation, entry append, commit watermark, and an optional
-//!   compaction snapshot.
+//!   boot, abstention after media loss, term adoption (which *is* the
+//!   vote in this protocol), log truncation, entry append, commit
+//!   watermark, and an optional compaction snapshot. The frame
+//!   ([`split_frame`], [`encode_frame`]) is also `adored`'s wire frame.
 //! - [`DurabilityPolicy`] — the three storage disciplines that make
 //!   recovery sound, each individually ablatable so the nemesis hunts
 //!   can demonstrate necessity: sync-before-ack, checksum verification
@@ -25,10 +26,12 @@
 //!   resurrects a state the WAL cannot justify.
 //!
 //! The simulator (`adore-kv`) appends each protocol engine's persist
-//! bytes to that node's WAL ([`Wal::append_framed`]), syncs before the
-//! node's acknowledgements leave it, and rebuilds replicas from
-//! [`Wal::recover`]; the nemesis engine drives [`DiskFault`]s through
-//! schedules and checks committed-prefix agreement on top.
+//! bytes to that node's WAL ([`Wal::append_framed`]) and syncs before the
+//! node's acknowledgements leave it; it and the daemon rebuild replicas
+//! from [`Wal::recover`] through one restart function
+//! (`adore_kv::det::engine::Engine::restart`). The nemesis engine drives
+//! [`DiskFault`]s through schedules and checks committed-prefix agreement
+//! on top.
 
 // Static discipline, discharged by clippy (clippy.toml; audit in DESIGN.md §8):
 #![cfg_attr(not(test), deny(clippy::disallowed_types))] // L1: no hash order, no ambient clock
@@ -39,7 +42,10 @@ mod disk;
 mod wal;
 
 pub use disk::SimDisk;
-pub use wal::{crc32, encode_record, DurableState, Recovery, Wal, WalRecord, WalStats};
+pub use wal::{
+    crc32, crc_matches, decode_header, encode_frame, encode_record, split_frame, DurableState,
+    Frame, Recovery, Wal, WalRecord, WalStats, HEADER,
+};
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -150,7 +156,7 @@ pub enum DiskFault {
     },
     /// Total media loss: every byte, including the boot record, is
     /// gone. Recovery reports [`Recovery::DataLoss`] and the replica
-    /// must rejoin without voting rights.
+    /// rejoins without voting rights, for good.
     WipeAll,
 }
 

@@ -11,7 +11,10 @@
 //!
 //! The checksum is CRC-32 (IEEE) over the payload only. The payload is
 //! the JSON encoding of a [`WalRecord`] — human-readable on purpose, so
-//! counterexample traces can quote WAL contents directly.
+//! counterexample traces can quote WAL contents directly. This module
+//! owns the frame ([`HEADER`], [`encode_frame`], [`decode_header`],
+//! [`split_frame`]); `adored`'s wire codec frames every message with it
+//! and adds only a length cap.
 //!
 //! # Recovery
 //!
@@ -19,10 +22,16 @@
 //! folds them into a [`DurableState`]. The walk stops at the first
 //! incomplete frame (a torn write at the crash point) and, under the
 //! strict [`DurabilityPolicy`], fail-stops on a checksum mismatch and
-//! truncates any invalid tail so a later replay cannot read past it.
-//! Each of those three duties is a policy knob precisely so the
-//! storage-ablation hunts can turn one off and watch committed-prefix
-//! agreement break.
+//! truncates any invalid tail in place, so a later replay cannot stop
+//! short of what is appended next. Each of those three duties is a
+//! policy knob precisely so the storage-ablation hunts can turn one off
+//! and watch committed-prefix agreement break.
+//!
+//! A device with no [`WalRecord::Boot`] — wiped, torn in its first
+//! frame, or empty — is media loss ([`Recovery::DataLoss`]). Recovery
+//! restarts it as `Boot` followed by [`WalRecord::Abstain`], so every
+//! later replay, compaction included, still says the replica forgot
+//! promises it made and must never vote again.
 //!
 //! # The mirror
 //!
@@ -41,7 +50,7 @@ use crate::disk::SimDisk;
 use crate::{DiskFault, DurabilityPolicy};
 
 /// Frame header size: 4-byte length + 4-byte CRC.
-const HEADER: usize = 8;
+pub const HEADER: usize = 8;
 
 /// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), table-driven. Computed
 /// at compile time — the workspace vendors no checksum crate.
@@ -110,7 +119,11 @@ pub enum WalRecord<C, M> {
         /// The new commit watermark.
         len: u64,
     },
-    /// Compaction: replaces everything folded so far with this state.
+    /// Written once, right after a fresh `Boot`, when recovery found
+    /// the media gone: the replica forgot promises it made and must
+    /// never vote again. Replay and compaction keep it.
+    Abstain,
+    /// Compaction: replaces the log, term and watermark folded so far.
     Snapshot {
         /// Logical timestamp at the snapshot point.
         time: u64,
@@ -122,12 +135,15 @@ pub enum WalRecord<C, M> {
 }
 
 /// The state a WAL replay reconstructs: the durable projection of a
-/// replica's `(time, log, commit_len)`.
+/// replica's `(time, log, commit_len)` and of its right to vote.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurableState<C, M> {
     /// Whether a [`WalRecord::Boot`] record was seen (distinguishes an
     /// empty log from a wiped device).
     pub booted: bool,
+    /// Whether a [`WalRecord::Abstain`] record was seen: the device lost
+    /// its media once, so the replica never votes again.
+    pub abstaining: bool,
     /// Last adopted timestamp (term + vote; see [`WalRecord::Term`]).
     pub time: Timestamp,
     /// The replayed log.
@@ -142,6 +158,7 @@ impl<C, M> Default for DurableState<C, M> {
     fn default() -> Self {
         DurableState {
             booted: false,
+            abstaining: false,
             time: Timestamp::ZERO,
             log: Vec::new(),
             commit_len: 0,
@@ -153,10 +170,9 @@ impl<C: Clone, M: Clone> DurableState<C, M> {
     /// Folds one record into the state.
     #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     fn apply(&mut self, rec: &WalRecord<C, M>) {
-        // The guard (split_frame's CRC walk) sits one call level up in
-        // Wal::recover, outside L6's one-level same-file summary reach.
         match rec {
             WalRecord::Boot { .. } => self.booted = true,
+            WalRecord::Abstain => self.abstaining = true,
             WalRecord::Term { time } => self.time = Timestamp(*time),
             WalRecord::Truncate { len } => self.log.truncate(*len as usize),
             WalRecord::Append { entry } => self.log.push(entry.clone()),
@@ -176,8 +192,9 @@ impl<C: Clone, M: Clone> DurableState<C, M> {
 pub enum Recovery<C, M> {
     /// Replay succeeded; rejoin with this state.
     Intact(DurableState<C, M>),
-    /// No boot record survived: the media is gone. The caller must not
-    /// let this replica vote — it has forgotten promises it made.
+    /// No boot record survived: the media is gone. The device now holds
+    /// `Boot` + `Abstain`, whose fold ([`Wal::mirror`]) is the state to
+    /// rejoin with: empty, and never voting again.
     DataLoss,
     /// A synced record failed its checksum (index of the bad frame).
     /// Fail-stop: silent corruption cannot be repaired locally.
@@ -211,49 +228,66 @@ pub struct WalStats {
     pub bytes_written: usize,
 }
 
-/// Appends `rec` to `out` as one frame (see the module docs): the one
-/// record encoder. [`Wal::append`] writes its output to the device; the
-/// networked runtime's engine hands it to the shell to append to a file,
-/// without keeping a device image of its own.
+/// Appends `payload` to `out` as one frame (see the module docs);
+/// panics past `u32::MAX` bytes.
+pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) {
+    let len = u32::try_from(payload.len()).expect("payload fits a u32 frame");
+    out.reserve(HEADER + payload.len());
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Appends `rec` to `out` as one frame: the one record encoder.
+/// [`Wal::append`] writes its output to the device; the networked
+/// runtime's engine hands it to the shell to append to a file, without
+/// keeping a device image of its own.
 ///
 /// # Panics
 ///
 /// If `rec` does not serialize or its payload exceeds `u32::MAX` bytes.
 pub fn encode_record<C: Serialize, M: Serialize>(rec: &WalRecord<C, M>, out: &mut Vec<u8>) {
     let payload = serde_json::to_string(rec).expect("WAL records serialize");
-    let len = u32::try_from(payload.len()).expect("record fits a u32 frame");
-    out.reserve(HEADER + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc32(payload.as_bytes()).to_le_bytes());
-    out.extend_from_slice(payload.as_bytes());
+    encode_frame(payload.as_bytes(), out);
 }
 
-/// A parsed frame: payload slice, checksum verdict, offset of the next
-/// frame. `None` from [`split_frame`] means the bytes end mid-frame.
-struct Frame<'a> {
-    payload: &'a [u8],
-    crc_ok: bool,
-    next: usize,
+/// A header's `(payload length, CRC)`.
+#[must_use]
+pub fn decode_header(header: &[u8; HEADER]) -> (usize, u32) {
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = *header;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
+    (len as usize, u32::from_le_bytes([c0, c1, c2, c3]))
 }
 
-/// Splits the frame starting at `off`, if one is fully present.
+/// Whether `payload` matches the CRC its header carries.
+#[must_use]
+pub fn crc_matches(payload: &[u8], crc: u32) -> bool {
+    crc32(payload) == crc
+}
+
+/// A frame [`split_frame`] found: payload, checksum verdict, offset of
+/// the next frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame<'a> {
+    /// The payload bytes.
+    pub payload: &'a [u8],
+    /// Whether the payload matches the header CRC.
+    pub crc_ok: bool,
+    /// Offset of the byte after this frame.
+    pub next: usize,
+}
+
+/// Splits the frame starting at `off`, if one is fully present; `None`
+/// means the bytes end mid-frame.
 #[must_use]
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
-fn split_frame(bytes: &[u8], off: usize) -> Option<Frame<'_>> {
+pub fn split_frame(bytes: &[u8], off: usize) -> Option<Frame<'_>> {
     let rest = bytes.get(off..)?;
-    if rest.len() < HEADER {
-        return None;
-    }
-    let word = |range: std::ops::Range<usize>| -> Option<u32> {
-        let bytes: [u8; 4] = rest.get(range)?.try_into().ok()?;
-        Some(u32::from_le_bytes(bytes))
-    };
-    let len = word(0..4)? as usize;
-    let crc = word(4..8)?;
+    let (len, crc) = decode_header(rest.first_chunk()?);
     let payload = rest.get(HEADER..HEADER + len)?;
     Some(Frame {
         payload,
-        crc_ok: crc32(payload) == crc,
+        crc_ok: crc_matches(payload, crc),
         next: off + HEADER + len,
     })
 }
@@ -294,30 +328,18 @@ where
     /// Creates the WAL for `nid`, writing and syncing the boot record.
     #[must_use]
     pub fn new(nid: NodeId) -> Self {
-        let mut wal = Wal {
-            nid: nid.0,
-            disk: SimDisk::new(),
-            mirror: DurableState::default(),
-            mirror_off: 0,
-            mirror_frozen: false,
-            stats: WalStats::default(),
-        };
-        wal.append(&WalRecord::Boot { nid: nid.0 });
-        wal.sync();
+        let mut wal = Wal::from_bytes(nid, &[]);
+        wal.rewrite(&[WalRecord::Boot { nid: nid.0 }]);
         wal
     }
 
-    /// Rebuilds a WAL from raw device bytes previously persisted to a
-    /// real file (the networked runtime mirrors the synced region of
-    /// the [`SimDisk`] to its data directory). Empty bytes behave like
-    /// a fresh [`Wal::new`]; otherwise the bytes are installed as the
-    /// synced region and the caller runs [`Wal::recover`] next, exactly
-    /// as after a simulated crash.
+    /// Rebuilds a WAL from raw device bytes read back from a real file:
+    /// the bytes are installed as the synced region, and the caller runs
+    /// [`Wal::recover`] next, exactly as after a simulated crash. Empty
+    /// bytes are a device with nothing on it, which recovers as
+    /// [`Recovery::DataLoss`]; a first boot is [`Wal::new`].
     #[must_use]
     pub fn from_bytes(nid: NodeId, bytes: &[u8]) -> Self {
-        if bytes.is_empty() {
-            return Wal::new(nid);
-        }
         let mut disk = SimDisk::new();
         disk.write(bytes);
         disk.sync();
@@ -407,16 +429,17 @@ where
     /// injected bug. When `truncate_invalid_tail` is on, bytes past the
     /// last accepted frame are cut so the next replay cannot stop early
     /// at stale garbage; with it ablated, records appended after the
-    /// garbage are silently lost to every future replay.
+    /// garbage are silently lost to every future replay. A device with
+    /// no `Boot` record restarts as `Boot` + `Abstain`
+    /// ([`Recovery::DataLoss`]).
     #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     pub fn recover(&mut self, policy: &DurabilityPolicy) -> Recovery<C, M> {
-        let bytes = self.disk.bytes().to_vec();
         let mut state = DurableState::default();
         let mut off = 0;
         let mut index = 0usize;
         // The walk ends at the first incomplete frame: a torn write, or
         // the clean end of the log.
-        while let Some(frame) = split_frame(&bytes, off) {
+        while let Some(frame) = split_frame(self.disk.bytes(), off) {
             if !frame.crc_ok && policy.verify_checksums {
                 self.rebuild_mirror();
                 return Recovery::Corrupt { record: index };
@@ -431,13 +454,9 @@ where
             index += 1;
         }
         if !state.booted {
-            // Total loss: restart the WAL from a fresh boot record.
-            self.disk = SimDisk::new();
-            self.mirror = DurableState::default();
-            self.mirror_off = 0;
-            self.mirror_frozen = false;
-            self.append(&WalRecord::Boot { nid: self.nid });
-            self.sync();
+            // Total loss: restart the device, and make the abstention
+            // as durable as the boot record.
+            self.rewrite(&[WalRecord::Boot { nid: self.nid }, WalRecord::Abstain]);
             return Recovery::DataLoss;
         }
         if policy.truncate_invalid_tail {
@@ -448,18 +467,28 @@ where
         Recovery::Intact(state)
     }
 
-    /// Compacts the WAL: rewrites the device as boot + one snapshot of
-    /// the current mirror state. Off the simulation hot path; kept as
-    /// the growth point for log truncation.
+    /// Compacts the WAL: rewrites the device as boot (+ abstention) +
+    /// one snapshot of the current mirror state. Off the simulation hot
+    /// path; kept as the growth point for log truncation.
     pub fn compact(&mut self) {
-        let snap = WalRecord::Snapshot {
+        let mut records = vec![WalRecord::Boot { nid: self.nid }];
+        if self.mirror.abstaining {
+            records.push(WalRecord::Abstain);
+        }
+        records.push(WalRecord::Snapshot {
             time: self.mirror.time.0,
             commit_len: self.mirror.commit_len as u64,
             log: self.mirror.log.clone(),
-        };
+        });
+        self.rewrite(&records);
+    }
+
+    /// Replaces the device with `records`, synced.
+    fn rewrite(&mut self, records: &[WalRecord<C, M>]) {
         self.disk = SimDisk::new();
-        self.append(&WalRecord::Boot { nid: self.nid });
-        self.append(&snap);
+        for rec in records {
+            self.append(rec);
+        }
         self.sync();
         self.rebuild_mirror();
     }
@@ -509,5 +538,69 @@ where
         self.mirror_off = 0;
         self.mirror_frozen = false;
         self.advance_mirror();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adore_raft::Command;
+    use adore_schemes::SingleNode;
+
+    type TestWal = Wal<SingleNode, String>;
+
+    fn append(wal: &mut TestWal, m: &str) {
+        let entry = Entry {
+            time: Timestamp(4),
+            cmd: Command::Method(m.to_string()),
+        };
+        wal.append(&WalRecord::Append { entry });
+    }
+
+    fn intact(wal: &mut TestWal) -> DurableState<SingleNode, String> {
+        match wal.recover(&DurabilityPolicy::strict()) {
+            Recovery::Intact(state) => state,
+            other => panic!("expected an intact replay, got {}", other.kind_name()),
+        }
+    }
+
+    /// Media loss is a fact of the device, not of one boot: a clean
+    /// crash, compaction and a torn tail later, the replay still
+    /// abstains, and the log the abstainer kept replicating is still
+    /// there.
+    #[test]
+    fn a_device_that_lost_its_media_abstains_on_every_later_replay() {
+        let mut wal = TestWal::new(NodeId(1));
+        wal.append(&WalRecord::Term { time: 3 });
+        wal.sync();
+        wal.crash(&DiskFault::WipeAll);
+        assert_eq!(wal.recover(&DurabilityPolicy::strict()), Recovery::DataLoss);
+        assert!(wal.mirror().abstaining && wal.mirror().log.is_empty());
+
+        wal.append(&WalRecord::Term { time: 4 });
+        append(&mut wal, "m1");
+        wal.sync();
+        wal.crash(&DiskFault::LoseTail);
+        let state = intact(&mut wal);
+        assert!(state.booted && state.abstaining);
+        assert_eq!((state.time, state.log.len()), (Timestamp(4), 1));
+
+        wal.compact();
+        assert_eq!(intact(&mut wal), state, "compaction keeps the abstention");
+        append(&mut wal, "m2");
+        wal.crash(&DiskFault::TornTail { keep_bytes: 3 });
+        assert_eq!(intact(&mut wal), state);
+    }
+
+    /// Only a missing file is a first boot: an empty device has no boot
+    /// record, so it is media loss, and the device recovery leaves
+    /// behind abstains when read back.
+    #[test]
+    fn an_empty_device_is_media_loss() {
+        let mut wal = TestWal::from_bytes(NodeId(1), &[]);
+        assert_eq!(wal.recover(&DurabilityPolicy::strict()), Recovery::DataLoss);
+        let mut reread = TestWal::from_bytes(NodeId(1), wal.disk().bytes());
+        assert!(intact(&mut reread).abstaining);
+        assert!(!intact(&mut TestWal::new(NodeId(1))).abstaining);
     }
 }
