@@ -1,17 +1,19 @@
 //! Bounded-exhaustive exploration of the ADORE transition system.
 //!
 //! Every reachable state within a depth bound is visited (breadth-first,
-//! with hash-based deduplication), enumerating **all** valid oracle
-//! decisions at each state via [`adore_core::enumerate`]. Each state is
-//! checked against a configurable invariant suite; a violation yields the
-//! shortest counterexample trace.
+//! deduplicated on an ordered set of visited states), enumerating
+//! **all** valid oracle decisions at each state via
+//! [`adore_core::enumerate`]. Each state is checked against a
+//! configurable invariant suite; a violation yields the shortest
+//! counterexample trace.
 //!
 //! This is the executable counterpart of the mechanized safety theorem for
 //! small instances: the paper's own counterexamples (Figs. 4/12) need only
 //! four replicas and seven operations, comfortably within exhaustive
 //! range, and the checker *finds them* the moment a guard bit is dropped.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
+use std::rc::Rc;
 use std::time::Duration;
 
 use adore_core::invariants::{self, Violation};
@@ -111,7 +113,7 @@ pub struct ExploreReport<C, M> {
     pub states: usize,
     /// Transitions taken (including ones leading to known states).
     pub transitions: u64,
-    /// Deepest level completely explored.
+    /// Deepest level reached.
     pub depth_reached: usize,
     /// Whether the state cap cut the exploration short.
     pub truncated: bool,
@@ -215,14 +217,15 @@ where
         universe.insert(NodeId(max + extra));
     }
 
-    // Visited states -> index into `trace_info` for counterexample
-    // reconstruction. Ordered map so exploration is deterministic (L1);
-    // it is only probed, never iterated, so the swap from hashing cannot
-    // change which states are visited.
-    let mut visited: BTreeMap<AdoreState<C, &'static str>, usize> = BTreeMap::new();
+    // Each visited state is stored once, shared by this set and the queue.
+    // Ordered set so exploration is deterministic (L1); it is only probed,
+    // never iterated, so the swap from hashing cannot change which states
+    // are visited.
+    let mut visited: BTreeSet<Rc<AdoreState<C, &'static str>>> = BTreeSet::new();
     // (parent index, op leading here); the initial state has no parent.
     let mut trace_info: Vec<Option<(usize, CheckerOp<C, &'static str>)>> = vec![None];
-    let mut queue: VecDeque<(AdoreState<C, &'static str>, usize, usize)> = VecDeque::new();
+    // (state, depth, index into `trace_info`).
+    let mut queue = VecDeque::new();
 
     let mut report = ExploreReport {
         states: 1,
@@ -256,7 +259,8 @@ where
         }
         return report;
     }
-    visited.insert(initial.clone(), 0);
+    let initial = Rc::new(initial);
+    visited.insert(Rc::clone(&initial));
     queue.push_back((initial, 0, 0));
 
     'bfs: while let Some((st, depth, index)) = queue.pop_front() {
@@ -265,7 +269,7 @@ where
             continue;
         }
         for op in successors(&st, params, &universe) {
-            let mut next = st.clone();
+            let mut next = AdoreState::clone(&st);
             if !op.apply(&mut next, params.guard) {
                 continue;
             }
@@ -273,7 +277,8 @@ where
             if let Some(m) = metrics.as_mut() {
                 m.inc(&format!("transition.{}", op.kind_name()));
             }
-            if visited.contains_key(&next) {
+            let next = Rc::new(next);
+            if !visited.insert(Rc::clone(&next)) {
                 continue;
             }
             let next_index = trace_info.len();
@@ -290,7 +295,6 @@ where
                 report.violation = Some((v, ops));
                 break 'bfs;
             }
-            visited.insert(next.clone(), next_index);
             report.states += 1;
             if report.states >= params.max_states {
                 report.truncated = true;

@@ -9,12 +9,12 @@
 //! reasoning — here the network model's branching includes every message
 //! interleaving that ADORE's atomic operations collapse.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Duration;
 
 use adore_core::{telemetry, Configuration, NodeId, ReconfigGuard};
 use adore_obs::Metrics;
-use adore_raft::{MsgId, NetEvent, NetState};
+use adore_raft::{Log, MsgId, NetEvent, NetState, Request};
 use adore_schemes::ReconfigSpace;
 
 use crate::profile::ExploreProfile;
@@ -73,6 +73,12 @@ pub struct NetExploreReport {
 /// The canonical method symbol (see [`crate::explore::CANONICAL_METHOD`]).
 const METHOD: u32 = 0;
 
+/// The schedulable events at `st`, less those the model provably refuses
+/// — each of which would cost a state clone to learn nothing: leader-local
+/// events only where [`NetState::leads`] holds, deliveries only where
+/// [`NetState::admits`] accepts. Both are the model's own guards, so the
+/// applied transitions, and their order, are those of the unfiltered
+/// alphabet.
 fn net_successors<C: Configuration + ReconfigSpace>(
     st: &NetState<C, u32>,
     params: &NetExploreParams,
@@ -81,25 +87,99 @@ fn net_successors<C: Configuration + ReconfigSpace>(
     let mut evs = Vec::new();
     for &nid in universe {
         evs.push(NetEvent::Elect { nid });
-        evs.push(NetEvent::Invoke {
-            nid,
-            method: METHOD,
-        });
-        evs.push(NetEvent::Commit { nid });
-        if params.with_reconfig {
-            let current = st.config_of(nid).unwrap_or_else(|| st.conf0().clone());
-            for cand in current.candidates(universe) {
-                evs.push(NetEvent::Reconfig { nid, config: cand });
+        if st.leads(nid) {
+            evs.push(NetEvent::Invoke {
+                nid,
+                method: METHOD,
+            });
+            evs.push(NetEvent::Commit { nid });
+            if params.with_reconfig {
+                let current = st.config_of(nid).unwrap_or_else(|| st.conf0().clone());
+                for cand in current.candidates(universe) {
+                    evs.push(NetEvent::Reconfig { nid, config: cand });
+                }
             }
         }
-        for msg in 0..st.messages().len() {
-            evs.push(NetEvent::Deliver {
-                msg: MsgId(msg as u32),
-                to: nid,
-            });
+        for (msg, req) in st.messages().iter().enumerate() {
+            if st.admits(req, nid).is_ok() {
+                evs.push(NetEvent::Deliver {
+                    msg: MsgId(narrow(msg)),
+                    to: nid,
+                });
+            }
         }
     }
     evs
+}
+
+/// Narrows a count, length or term to a key field or message id. Every
+/// one a bounded search reaches is far below `u32::MAX`; a wider one
+/// would let two states share a key, so it stops the search instead.
+fn narrow<T>(n: T) -> u32
+where
+    u32: TryFrom<T>,
+{
+    u32::try_from(n).unwrap_or_else(|_| panic!("a state-key field exceeds u32::MAX"))
+}
+
+/// The exact dedup key of a state: the non-[pristine] servers'
+/// `(nid, time, log, commit_len)` — [`NetState::net_relation`] — then
+/// every request's `(kind, from, time, prev_len, log, commit_len)`. Each
+/// list is prefixed by its length, and each log is replaced by its id in
+/// `logs`, interned on first sight. Two states share a key exactly when
+/// their `(net_relation, messages)` are equal.
+///
+/// [pristine]: adore_raft::Server::is_pristine
+fn state_key<C: Configuration>(
+    st: &NetState<C, u32>,
+    logs: &mut BTreeMap<Log<C, u32>, u32>,
+) -> Box<[u32]> {
+    let mut intern = |log: &Log<C, u32>| match logs.get(log.as_slice()) {
+        Some(&id) => id,
+        None => {
+            let id = narrow(logs.len());
+            logs.insert(log.clone(), id);
+            id
+        }
+    };
+    let live = || st.servers().filter(|(_, s)| !s.is_pristine());
+    let servers = live().count();
+    let mut key = Vec::with_capacity(2 + 4 * servers + 6 * st.messages().len());
+    key.push(narrow(servers));
+    for (nid, s) in live() {
+        key.extend([
+            nid.0,
+            narrow(s.time.0),
+            intern(&s.log),
+            narrow(s.commit_len),
+        ]);
+    }
+    key.push(narrow(st.messages().len()));
+    for req in st.messages() {
+        key.extend(match req {
+            Request::Elect {
+                from,
+                time,
+                prev_len,
+                log,
+            } => [0, from.0, narrow(time.0), narrow(*prev_len), intern(log), 0],
+            Request::Commit {
+                from,
+                time,
+                prev_len,
+                log,
+                commit_len,
+            } => [
+                1,
+                from.0,
+                narrow(time.0),
+                narrow(*prev_len),
+                intern(log),
+                narrow(*commit_len),
+            ],
+        });
+    }
+    key.into_boxed_slice()
 }
 
 /// Exhaustively explores the network-based system from `conf0`.
@@ -155,17 +235,10 @@ pub fn explore_net<C: Configuration + ReconfigSpace>(
     };
     let quorum_base = telemetry::quorum_checks();
 
-    // NetState is not `Hash`; dedup on its serialized relation + bags.
-    // Kept as `Box<str>`: a `String` grown by `format!` carries up to
-    // its length again in spare capacity, for every visited state.
-    let fingerprint = |st: &NetState<C, u32>| -> Box<str> {
-        format!("{:?}|{:?}", st.net_relation(), st.messages()).into_boxed_str()
-    };
-
     // Ordered set so exploration is deterministic (L1); probed only,
     // never iterated, so the swap from hashing cannot change coverage.
-    let mut visited: BTreeSet<Box<str>> = BTreeSet::new();
-    visited.insert(fingerprint(&initial));
+    let mut logs = BTreeMap::new();
+    let mut visited = BTreeSet::from([state_key(&initial, &mut logs)]);
     let mut queue = VecDeque::new();
     queue.push_back((initial, 0usize));
 
@@ -192,11 +265,9 @@ pub fn explore_net<C: Configuration + ReconfigSpace>(
                 };
                 m.inc(&format!("transition.{kind}"));
             }
-            let fp = fingerprint(&next);
-            if visited.contains(&fp) {
+            if !visited.insert(state_key(&next, &mut logs)) {
                 continue;
             }
-            visited.insert(fp);
             report.states += 1;
             if let Some(m) = metrics.as_mut() {
                 m.inc("invariant.log-safety");
@@ -395,5 +466,163 @@ mod tests {
             net.states,
             adore.states
         );
+    }
+
+    /// Every event of the alphabet at `st`, refused ones included: the
+    /// generator `net_successors` filters.
+    fn unfiltered_successors(
+        st: &NetState<SingleNode, u32>,
+        params: &NetExploreParams,
+        universe: &adore_core::NodeSet,
+    ) -> Vec<NetEvent<SingleNode, u32>> {
+        let mut evs = Vec::new();
+        for &nid in universe {
+            evs.push(NetEvent::Elect { nid });
+            evs.push(NetEvent::Invoke {
+                nid,
+                method: METHOD,
+            });
+            evs.push(NetEvent::Commit { nid });
+            if params.with_reconfig {
+                let current = st.config_of(nid).unwrap_or_else(|| st.conf0().clone());
+                for cand in current.candidates(universe) {
+                    evs.push(NetEvent::Reconfig { nid, config: cand });
+                }
+            }
+            for msg in 0..st.messages().len() {
+                evs.push(NetEvent::Deliver {
+                    msg: MsgId(msg as u32),
+                    to: nid,
+                });
+            }
+        }
+        evs
+    }
+
+    /// The explorer as it was before interned keys and filtered events:
+    /// the `Debug` string of `(net_relation, messages)` as the dedup key,
+    /// every event of the alphabet tried on a clone. Returns `(states,
+    /// transitions, log_safety_violated)`.
+    fn reference_explore(conf0: &SingleNode, params: &NetExploreParams) -> (usize, u64, bool) {
+        type St = NetState<SingleNode, u32>;
+        let key = |st: &St| format!("{:?}|{:?}", st.net_relation(), st.messages());
+        let mut universe = conf0.members();
+        let max = universe.iter().map(|n| n.0).max().unwrap_or(0);
+        universe.extend((1..=params.spare_nodes).map(|extra| NodeId(max + extra)));
+        let initial: St = NetState::new(conf0.clone(), params.guard);
+        let mut visited = BTreeSet::from([key(&initial)]);
+        let mut transitions = 0u64;
+        let mut queue = VecDeque::from([(initial, 0usize)]);
+        while let Some((st, depth)) = queue.pop_front() {
+            if depth == params.max_depth {
+                continue;
+            }
+            for ev in unfiltered_successors(&st, params, &universe) {
+                let mut next = st.clone();
+                if !next.step(&ev).applied() {
+                    continue;
+                }
+                transitions += 1;
+                if visited.insert(key(&next)) {
+                    if next.check_log_safety().is_err() {
+                        return (visited.len(), transitions, true);
+                    }
+                    queue.push_back((next, depth + 1));
+                }
+            }
+        }
+        (visited.len(), transitions, false)
+    }
+
+    /// The interned key and the filtered generator change only the cost
+    /// of a search: at `certify`'s warm-up shape, at three members, and
+    /// with each of R1⁺, R2 and R3 ablated, `explore_net` reports what the
+    /// `Debug`-keyed, unfiltered reference does.
+    #[test]
+    fn interned_keys_and_filtered_events_explore_what_the_reference_does() {
+        let all = ReconfigGuard::all();
+        let cases = [
+            ([1, 2].as_slice(), 7, all),
+            (&[1, 2, 3], 5, all),
+            (&[1, 2, 3], 5, all.without_r1()),
+            (&[1, 2, 3], 5, all.without_r2()),
+            (&[1, 2, 3], 5, all.without_r3()),
+        ];
+        for (members, max_depth, guard) in cases {
+            let conf0 = SingleNode::new(members.iter().copied());
+            let params = NetExploreParams {
+                max_depth,
+                max_states: usize::MAX,
+                guard,
+                ..NetExploreParams::default()
+            };
+            let report = explore_net(&conf0, &params);
+            assert_eq!(
+                (
+                    report.states,
+                    report.transitions,
+                    report.log_safety_violated
+                ),
+                reference_explore(&conf0, &params),
+                "{members:?} depth {max_depth} {guard:?}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Along random schedules (crashes included), each event
+        /// `net_successors` drops is one the model refuses: a delivery
+        /// `admits` refuses is rejected for the reason it gives (and one
+        /// it accepts applies), and a leader-local event at a node that
+        /// does not `leads` is a local no-op.
+        #[test]
+        fn the_successor_filters_drop_only_events_the_model_refuses(
+            seed in proptest::prelude::any::<u64>(),
+            crash_weight in 0u32..3,
+        ) {
+            use adore_raft::{random_trace, EventOutcome, ScheduleParams};
+            let conf0 = SingleNode::new([1, 2, 3]);
+            let schedule = ScheduleParams {
+                steps: 40,
+                crash_weight,
+                ..ScheduleParams::default()
+            };
+            let trace = random_trace(&conf0, ReconfigGuard::all(), &schedule, 1, seed);
+            let universe: adore_core::NodeSet = (1..=4).map(NodeId).collect();
+            let mut st: NetState<SingleNode, u32> = NetState::new(conf0, ReconfigGuard::all());
+            for taken in &trace {
+                for &to in &universe {
+                    for (msg, req) in st.messages().iter().enumerate() {
+                        let outcome = st.clone().step(&NetEvent::Deliver {
+                            msg: MsgId(msg as u32),
+                            to,
+                        });
+                        let expected = match st.admits(req, to) {
+                            Ok(()) => EventOutcome::Applied,
+                            Err(why) => EventOutcome::Rejected(why),
+                        };
+                        proptest::prop_assert_eq!(outcome, expected);
+                    }
+                    if st.leads(to) {
+                        continue;
+                    }
+                    let current = st.config_of(to).unwrap_or_else(|| st.conf0().clone());
+                    let local = [NetEvent::Invoke { nid: to, method: METHOD }, NetEvent::Commit { nid: to }]
+                        .into_iter()
+                        .chain(
+                            current
+                                .candidates(&universe)
+                                .into_iter()
+                                .map(|config| NetEvent::Reconfig { nid: to, config }),
+                        );
+                    for ev in local {
+                        proptest::prop_assert_eq!(st.clone().step(&ev), EventOutcome::LocalNoOp);
+                    }
+                }
+                st.step(taken);
+            }
+        }
     }
 }

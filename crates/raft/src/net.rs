@@ -88,6 +88,15 @@ impl<C, M> Server<C, M> {
             abstaining: false,
         }
     }
+
+    /// Whether the server never acted: never elected, never voted, empty
+    /// log, not crashed. Such a server is observationally the same as one
+    /// never instantiated (a refused event may still materialize it), so
+    /// [`NetState::net_relation`] omits it.
+    #[must_use]
+    pub fn is_pristine(&self) -> bool {
+        self.time == Timestamp(0) && self.log.is_empty() && self.commit_len == 0 && !self.crashed
+    }
 }
 
 /// Why a delivery was ignored by its recipient (invalid messages, Def. C.2).
@@ -234,6 +243,80 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
         self.servers.entry(nid).or_insert_with(Server::new)
     }
 
+    /// Whether `nid` is a live leader: the guard `invoke`, `reconfig` and
+    /// `commit` check first. Any of the three at a node where it fails is
+    /// an [`EventOutcome::LocalNoOp`].
+    #[must_use]
+    pub fn leads(&self, nid: NodeId) -> bool {
+        self.servers
+            .get(&nid)
+            .is_some_and(|s| s.role == Role::Leader && !s.crashed)
+    }
+
+    /// Whether `to` would adopt `req` now, or the [`Rejection`] a delivery
+    /// of it to `to` reports. Read-only: a recipient not yet instantiated
+    /// is judged as the pristine server [`Self::receive`] materializes
+    /// before judging.
+    ///
+    /// # Errors
+    ///
+    /// The reason the recipient refuses the request.
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
+    pub fn admits(&self, req: &Request<C, M>, to: NodeId) -> Result<(), Rejection> {
+        let pristine;
+        let recipient = match self.servers.get(&to) {
+            Some(s) => s,
+            None => {
+                pristine = Server::new();
+                &pristine
+            }
+        };
+        if recipient.crashed {
+            return Err(Rejection::RecipientCrashed);
+        }
+        match req {
+            Request::Elect {
+                time,
+                prev_len,
+                log,
+                ..
+            } => {
+                if recipient.abstaining {
+                    return Err(Rejection::Abstaining);
+                }
+                if *time <= recipient.time {
+                    return Err(Rejection::StaleTime);
+                }
+                let last = log.last().map_or(Timestamp(0), |e| e.time);
+                if (last, prev_len + log.len()) < log_key(&recipient.log) {
+                    return Err(Rejection::OutdatedLog);
+                }
+            }
+            Request::Commit {
+                time,
+                prev_len,
+                log,
+                ..
+            } => {
+                if *time < recipient.time {
+                    return Err(Rejection::StaleTime);
+                }
+                let Some(prefix) = recipient.log.get(..*prev_len) else {
+                    return Err(Rejection::MissingPrefix);
+                };
+                // The shipped log must be at least as up-to-date as the
+                // local one (Raft's consistency check, specialized to
+                // full-log shipping): a leader's earlier, shorter broadcast
+                // arriving late must not truncate newer entries.
+                let last = log.last().or(prefix.last()).map_or(Timestamp(0), |e| e.time);
+                if (last, prev_len + log.len()) < log_key(&recipient.log) {
+                    return Err(Rejection::OutdatedLog);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Applies one event, returning what happened.
     ///
     /// Invalid deliveries and unauthorized local operations are no-ops with
@@ -349,12 +432,12 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
 
     /// `invoke(nid, m)`: leaders append a method entry locally.
     fn invoke(&mut self, nid: NodeId, method: M) -> EventOutcome {
+        if !self.leads(nid) {
+            return EventOutcome::LocalNoOp;
+        }
         let Some(s) = self.servers.get_mut(&nid) else {
             return EventOutcome::LocalNoOp;
         };
-        if s.role != Role::Leader || s.crashed {
-            return EventOutcome::LocalNoOp;
-        }
         s.log.push(Entry {
             time: s.time,
             cmd: Command::Method(method),
@@ -365,14 +448,14 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
     /// `reconfig(nid, cf)`: leaders append a config entry locally, subject
     /// to the guard's enabled subset of R1⁺/R2/R3 evaluated on the log.
     fn reconfig(&mut self, nid: NodeId, config: C) -> EventOutcome {
+        if !self.leads(nid) {
+            return EventOutcome::LocalNoOp;
+        }
         let guard = self.guard;
         let conf0 = self.conf0.clone();
         let Some(s) = self.servers.get_mut(&nid) else {
             return EventOutcome::LocalNoOp;
         };
-        if s.role != Role::Leader || s.crashed {
-            return EventOutcome::LocalNoOp;
-        }
         let current = effective_config(&conf0, &s.log);
         if guard.r1 && !current.r1_plus(&config) {
             return EventOutcome::LocalNoOp;
@@ -428,10 +511,10 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
     /// workloads always invoke before committing.
     #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     pub fn commit_local(&mut self, nid: NodeId) -> Option<usize> {
-        let s = self.servers.get_mut(&nid)?;
-        if s.role != Role::Leader || s.crashed {
+        if !self.leads(nid) {
             return None;
         }
+        let s = self.servers.get_mut(&nid)?;
         if s.log.last().map(|e| e.time) != Some(s.time) {
             return None;
         }
@@ -504,24 +587,14 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
     /// in every request the model emits, that is the shipped log itself.
     #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     pub fn receive(&mut self, req: Request<C, M>, to: NodeId, ack_ok: bool) -> EventOutcome {
+        // Materialized first: a refused request still instantiates `to`.
+        self.ensure_server(to);
+        if let Err(why) = self.admits(&req, to) {
+            return EventOutcome::Rejected(why);
+        }
+        let recipient = self.ensure_server(to);
         match req {
-            Request::Elect {
-                from,
-                time,
-                prev_len,
-                log,
-            } => {
-                let recipient = self.ensure_server(to);
-                if recipient.abstaining {
-                    return EventOutcome::Rejected(Rejection::Abstaining);
-                }
-                if time <= recipient.time {
-                    return EventOutcome::Rejected(Rejection::StaleTime);
-                }
-                let last = log.last().map_or(Timestamp(0), |e| e.time);
-                if (last, prev_len + log.len()) < log_key(&recipient.log) {
-                    return EventOutcome::Rejected(Rejection::OutdatedLog);
-                }
+            Request::Elect { from, time, .. } => {
                 recipient.time = time;
                 recipient.role = Role::Follower;
                 if ack_ok {
@@ -536,22 +609,7 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
                 log,
                 commit_len,
             } => {
-                let recipient = self.ensure_server(to);
-                if time < recipient.time {
-                    return EventOutcome::Rejected(Rejection::StaleTime);
-                }
-                let Some(prefix) = recipient.log.get(..prev_len) else {
-                    return EventOutcome::Rejected(Rejection::MissingPrefix);
-                };
-                // The shipped log must be at least as up-to-date as the
-                // local one (Raft's consistency check, specialized to
-                // full-log shipping): a leader's earlier, shorter broadcast
-                // arriving late must not truncate newer entries.
-                let last = log.last().or(prefix.last()).map_or(Timestamp(0), |e| e.time);
                 let len = prev_len + log.len();
-                if (last, len) < log_key(&recipient.log) {
-                    return EventOutcome::Rejected(Rejection::OutdatedLog);
-                }
                 recipient.time = time;
                 if from != to {
                     recipient.role = Role::Follower;
@@ -670,17 +728,12 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
     /// and commit length. Two runs are network-equivalent when these agree
     /// for every server.
     ///
-    /// Pristine servers — never elected, never voted, empty log, not
-    /// crashed — are omitted: they are observationally indistinguishable
-    /// from servers that were never instantiated (a no-op event may still
-    /// materialize a server object as an implementation detail).
+    /// [Pristine](Server::is_pristine) servers are omitted.
     #[must_use]
     pub fn net_relation(&self) -> BTreeMap<NodeId, (Timestamp, Log<C, M>, usize)> {
         self.servers
             .iter()
-            .filter(|(_, s)| {
-                s.time != Timestamp(0) || !s.log.is_empty() || s.commit_len != 0 || s.crashed
-            })
+            .filter(|(_, s)| !s.is_pristine())
             .map(|(nid, s)| (*nid, (s.time, s.log.clone(), s.commit_len)))
             .collect()
     }

@@ -8,7 +8,7 @@ use adore_core::{Configuration, NodeId, Timestamp};
 ///
 /// Configuration entries take effect **immediately upon entering a log**
 /// ("hot" reconfiguration), before being committed.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Command<C, M> {
     /// An opaque application method.
     Method(M),
@@ -29,7 +29,7 @@ impl<C, M> Command<C, M> {
 
 /// One slot of a replica's local log (Fig. 13's
 /// `List(N_time * Method * Config)` with the command folded into a sum).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Entry<C, M> {
     /// The leader term under which the entry was created.
     pub time: Timestamp,
@@ -132,7 +132,7 @@ impl std::fmt::Display for MsgId {
 /// - an `Elect` is judged only on its last entry and its length
 ///   (`prev_len + log.len()`), so a candidate may ship its last entry
 ///   alone.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Request<C, M> {
     /// An election request carrying the candidate's log for the
     /// up-to-dateness check.
