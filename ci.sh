@@ -130,12 +130,13 @@ done
 # cluster on localhost TCP, every peer link behind a fault proxy, the
 # availability monitor journaling every acked write. `netmesis-gate`
 # drops a partition onto a live reconfiguration with a corruption burst
-# and a connection reset; it kills nothing, so the online verdict must
-# equal the batch one. `netmesis-gate-kill` kill -9s the first leader
+# and a connection reset. `netmesis-gate-kill` kill -9s the first leader
 # mid-traffic and restarts it into its data dir. Each run reads every
 # acked key back, self-audits its merged journals (zero acked-write
-# loss, zero duplicate applies, committed-prefix agreement), and the
-# standalone auditor re-certifies them from scratch. `timeout` bounds
+# loss, zero duplicate applies, committed-prefix agreement), holds the
+# online verdict (the nodes export their journal files, every boot's)
+# equal to the batch one on both schedules, and the standalone auditor
+# re-certifies the journals from scratch. `timeout` bounds
 # the gate against a hung cluster (the nodes also self-limit their
 # runtime); the 25-seed campaign with gray pauses, resets and a 5-node
 # kill + 5→3→5 walk in every seed is E14.
@@ -162,8 +163,8 @@ timeout 120 cargo run -q -p adored --release --offline -- \
 # cluster at three fixed offered rates while every node streams its
 # trace to the in-process online auditor over TCP. The bench exits
 # non-zero unless the online audit reports CERTIFIED, every acked key
-# reads back and the batch auditor certifies the journal files too
-# (when zero frames were shed the two verdicts must agree). Small rates
+# reads back and the batch auditor certifies the journal files with
+# the same verdict. Small rates
 # and short phases keep the gate bounded. Its report stays under
 # target/: only E15's command rewrites the committed
 # results/BENCH_live.json.

@@ -31,13 +31,14 @@ pub struct ClientParams {
     pub backoff_cap_ms: u64,
     /// Per-request socket timeout.
     pub request_timeout: Duration,
-    /// Leader-`Redirect` hops followed per operation before the client
-    /// stops trusting hints and falls back to round-robin probing.
-    /// During an election two nodes can hold stale hints pointing at
-    /// each other; without a cap that cycle spins the client through
-    /// its whole attempt budget without ever probing the real leader.
-    pub max_redirect_hops: u32,
 }
+
+/// Leader-`Redirect` hops followed per operation before the client
+/// stops trusting hints and falls back to round-robin probing. During
+/// an election two nodes can hold stale hints pointing at each other;
+/// without a cap that cycle spins the client through its whole attempt
+/// budget without ever probing the real leader.
+const MAX_REDIRECT_HOPS: u32 = 3;
 
 impl Default for ClientParams {
     fn default() -> Self {
@@ -46,7 +47,6 @@ impl Default for ClientParams {
             backoff_base_ms: 40,
             backoff_cap_ms: 1_500,
             request_timeout: Duration::from_secs(3),
-            max_redirect_hops: 3,
         }
     }
 }
@@ -198,7 +198,7 @@ impl NetClient {
     #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     fn follow_redirect(&mut self, leader: Option<u32>, target: u32, hops: u32) -> u32 {
         let hops = hops.saturating_add(1);
-        if hops > self.params.max_redirect_hops {
+        if hops > MAX_REDIRECT_HOPS {
             // Two nodes with stale hints can redirect at each other
             // indefinitely during an election; stop chasing hints and
             // let `pick_target` round-robin over the address book.

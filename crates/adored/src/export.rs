@@ -1,259 +1,145 @@
-//! Streaming trace export: a node's journal, live over TCP.
+//! Streaming trace export: a node's journal files, live over TCP.
 //!
-//! Each node can serve its per-boot [`adore_obs::TraceEvent`] stream
-//! on a side-channel socket, framed with the same `[len][crc32][JSON]`
-//! wire codec as the data plane. The design keeps the protocol loop
-//! honest and the loss model explicit:
+//! The journal files are the stream. A node can serve them on a
+//! side-channel socket, one `[len][crc32][JSON]` frame per journal line
+//! — the data plane's wire codec around the very bytes the journal
+//! wrote. Every subscriber gets its own thread, which sends each
+//! `journal-*.jsonl` in the node's data dir in boot order:
 //!
-//! - **Bounded tee, never blocking**: the journal tees each event into
-//!   a bounded queue with `try_send`. A full queue sheds the event and
-//!   the *next* successful push is preceded by a synthesized
-//!   [`EventKind::TraceDropped`] marker carrying the shed count — so
-//!   backpressure is visible in the stream itself, never silent, and
-//!   the engine loop never waits on a slow observer.
-//! - **Replay on subscribe**: the pump retains this boot's frames (up
-//!   to [`RETAIN_FRAMES`]); a subscriber connecting late — or redialing
-//!   a restarted node — receives the boot's history first, then live
-//!   events. Trimmed history is announced with a leading
-//!   `TraceDropped` marker, same accounting as queue loss.
-//! - **Slow subscribers stall the pump, not the node**: subscriber
-//!   writes carry no deadline, so an unread socket eventually blocks
-//!   the pump thread — at which point the bounded queue fills and
-//!   sheds with markers. The node's event loop is never the party that
-//!   waits.
+//! - an earlier boot's file in full, every line that parses — all of
+//!   them but a last line torn by a kill -9, which is exactly what
+//!   [`adore_obs::merge_journals`] keeps;
+//! - then this boot's file, followed as it grows, complete lines only.
+//!
+//! So whenever a subscriber connects, and to whichever boot, its stream
+//! is the node's journal files concatenated: nothing is shed and
+//! nothing is held in memory. A slow subscriber stalls only its own
+//! thread, and the lines a killed node wrote but never sent are in its
+//! file for the next boot to send.
 //!
 //! The consumer half ([`ExportReader`]) reads frames through its own
 //! buffer with a poll timeout, so a silent stream (a SIGSTOPped node)
 //! is distinguishable from a dead one.
 
+use std::fs;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
 use std::thread;
 use std::time::Duration;
 
-use adore_obs::{EventKind, TraceEvent};
+use adore_obs::TraceEvent;
 
-use crate::det::msg::{decode_msg, encode_msg};
+use crate::det::msg::decode_msg;
 use crate::det::wire;
 
-/// Bound on the export queue between the engine loop's tee and the
-/// pump thread. Deep enough to ride out scheduling hiccups at bench
-/// rates; overflow sheds with `TraceDropped` markers.
-pub const EXPORT_QUEUE_DEPTH: usize = 8_192;
-
-/// Frames of the current boot retained for late subscribers. Above
-/// this the oldest are trimmed and announced via a `TraceDropped`
-/// marker on subscribe.
-const RETAIN_FRAMES: usize = 65_536;
-
-/// How long the pump waits for the next event before re-checking for
-/// new subscribers.
-const PUMP_POLL: Duration = Duration::from_millis(50);
+/// How long a subscriber thread waits at the end of this boot's file
+/// before looking for new lines.
+const FOLLOW_POLL: Duration = Duration::from_millis(20);
 
 /// Read-poll timeout on the consumer side.
 const READ_POLL: Duration = Duration::from_millis(200);
 
-/// Shared export counters, readable from the node's metrics loop.
-#[derive(Debug, Clone, Default)]
-pub struct ExportStats {
-    dropped: Arc<AtomicU64>,
-    depth: Arc<AtomicU64>,
+/// The journal file of the boot that started at `boot_us`.
+#[must_use]
+pub fn journal_path(dir: &Path, boot_us: u64) -> PathBuf {
+    dir.join(format!("journal-{boot_us}.jsonl"))
 }
 
-impl ExportStats {
-    /// Total events shed under backpressure so far (every one of them
-    /// accounted by a `TraceDropped` marker in the stream).
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Events currently queued between the tee and the pump.
-    #[must_use]
-    pub fn depth(&self) -> u64 {
-        self.depth.load(Ordering::Relaxed)
-    }
-}
-
-/// The producer half of an export stream: a bounded, loss-accounting
-/// tee for trace events.
+/// Every journal file in `dir`, in boot order (by name: boot stamps of
+/// one era have the same number of digits).
 ///
-/// Owned by whatever records the journal (the node's [`crate::node`]
-/// event loop, the availability monitor, a harness driver). `push`
-/// never blocks.
-#[derive(Debug)]
-pub struct ExportQueue {
-    nid: u32,
-    tx: SyncSender<TraceEvent>,
-    /// Events shed since the last marker made it into the stream.
-    pending_dropped: u64,
-    stats: ExportStats,
+/// # Errors
+///
+/// The directory cannot be read.
+pub fn journal_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut files: Vec<PathBuf> = fs::read_dir(dir)?
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("journal-") && n.ends_with(".jsonl"))
+        })
+        .collect();
+    files.sort();
+    Ok(files)
 }
 
-impl ExportQueue {
-    /// A fresh queue and its consumer end — the in-process form, used
-    /// for local streams (drivers, monitors) feeding a collector
-    /// directly.
-    #[must_use]
-    pub fn new(nid: u32, depth: usize) -> (ExportQueue, Receiver<TraceEvent>) {
-        let (tx, rx) = mpsc::sync_channel(depth.max(1));
-        (
-            ExportQueue {
-                nid,
-                tx,
-                pending_dropped: 0,
-                stats: ExportStats::default(),
-            },
-            rx,
-        )
-    }
-
-    /// Shared counter handles (clone of the atomics, safe to keep
-    /// after the queue moves into the journal).
-    #[must_use]
-    pub fn stats(&self) -> ExportStats {
-        self.stats.clone()
-    }
-
-    /// Tee one event into the stream; sheds (with accounting) instead
-    /// of blocking when the queue is full.
-    pub fn push(&mut self, ev: &TraceEvent) {
-        if self.pending_dropped > 0 {
-            // Announce prior loss before the event that found room.
-            // The marker borrows the event's stamp so the stream stays
-            // clock-monotone.
-            let marker = TraceEvent::root(
-                ev.at_us,
-                EventKind::TraceDropped {
-                    nid: self.nid,
-                    count: self.pending_dropped,
-                },
-            );
-            match self.tx.try_send(marker) {
-                Ok(()) => {
-                    self.pending_dropped = 0;
-                    self.stats.depth.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
-                    // Still no room: the event below will be shed too.
-                }
-            }
-        }
-        if self.pending_dropped > 0 {
-            self.shed();
-            return;
-        }
-        match self.tx.try_send(ev.clone()) {
-            Ok(()) => {
-                self.stats.depth.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => self.shed(),
-        }
-    }
-
-    fn shed(&mut self) {
-        self.pending_dropped += 1;
-        self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Binds the export listener and spawns the accept + pump threads.
-/// Returns the producer queue for the journal tee and the bound
-/// address.
+/// Binds the export listener and serves every subscriber the journal
+/// files of `dir`, following this boot's ([`journal_path`] of
+/// `boot_us`) as it grows. Returns the bound address.
 ///
 /// # Errors
 ///
 /// Socket bind failure.
-pub fn serve(nid: u32, addr: &str) -> io::Result<(ExportQueue, SocketAddr)> {
+pub fn serve(dir: &Path, boot_us: u64, addr: &str) -> io::Result<SocketAddr> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    let (queue, rx) = ExportQueue::new(nid, EXPORT_QUEUE_DEPTH);
-    let stats = queue.stats();
-    let (sub_tx, sub_rx) = mpsc::sync_channel::<TcpStream>(16);
-    thread::spawn(move || accept_loop(&listener, &sub_tx));
-    thread::spawn(move || pump(&rx, &sub_rx, &stats, nid));
-    Ok((queue, local))
-}
-
-fn accept_loop(listener: &TcpListener, sub_tx: &SyncSender<TcpStream>) {
-    for stream in listener.incoming() {
-        let Ok(stream) = stream else { continue };
-        let _ = stream.set_nodelay(true);
-        match sub_tx.try_send(stream) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
-                // Subscriber burst beyond the handoff bound: the
-                // dropped socket closes, and the consumer's redial
-                // loop tries again.
-            }
-            Err(TrySendError::Disconnected(_)) => return,
+    let (dir, current) = (dir.to_path_buf(), journal_path(dir, boot_us));
+    thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { continue };
+            let (dir, current) = (dir.clone(), current.clone());
+            // A subscriber that hangs up ends its thread; nothing else
+            // is owed it.
+            thread::spawn(move || drop(send_journals(stream, &dir, &current)));
         }
-    }
+    });
+    Ok(local)
 }
 
-/// The pump: single owner of the subscriber set and the replay buffer.
-fn pump(
-    rx: &Receiver<TraceEvent>,
-    sub_rx: &Receiver<TcpStream>,
-    stats: &ExportStats,
-    nid: u32,
-) {
-    let mut subs: Vec<TcpStream> = Vec::new();
-    // (stamp, frame) of every event pumped this boot, for late joiners.
-    let mut retained: Vec<(u64, Vec<u8>)> = Vec::new();
-    let mut trimmed: u64 = 0;
+/// One subscriber: the earlier boots' files, then `current` followed
+/// until the subscriber hangs up (or the node exits).
+fn send_journals(mut stream: TcpStream, dir: &Path, current: &Path) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    // The subscriber never writes: a read is the follow loop's pause
+    // and its hang-up detector at once.
+    stream.set_read_timeout(Some(FOLLOW_POLL))?;
+    for file in journal_files(dir)?
+        .iter()
+        .filter(|f| f.as_path() != current)
+    {
+        let mut text = fs::read(file)?;
+        text.push(b'\n'); // the last line counts whether or not it ended
+        send_lines(&mut stream, &mut text)?;
+    }
+    let mut file = fs::File::open(current)?;
+    let mut pending = Vec::new();
     loop {
-        while let Ok(mut stream) = sub_rx.try_recv() {
-            if replay(&mut stream, &retained, trimmed, nid).is_ok() {
-                subs.push(stream);
-            }
+        if file.read_to_end(&mut pending)? > 0 {
+            send_lines(&mut stream, &mut pending)?;
+            continue;
         }
-        match rx.recv_timeout(PUMP_POLL) {
-            Ok(ev) => {
-                stats.depth.fetch_sub(1, Ordering::Relaxed);
-                let Ok(frame) = encode_msg(&ev) else { continue };
-                subs.retain_mut(|s| s.write_all(&frame).is_ok());
-                retained.push((ev.at_us, frame));
-                if retained.len() > RETAIN_FRAMES {
-                    let excess = retained.len() - RETAIN_FRAMES;
-                    retained.drain(..excess);
-                    trimmed += excess as u64;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
+        match stream.read(&mut [0u8; 64]) {
+            Ok(0) => return Ok(()),
+            Ok(_) => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) => {}
+            Err(e) => return Err(e),
         }
     }
 }
 
-/// Sends a new subscriber the boot's retained history (prefixed with a
-/// loss marker if the buffer was trimmed).
-fn replay(
-    stream: &mut TcpStream,
-    retained: &[(u64, Vec<u8>)],
-    trimmed: u64,
-    nid: u32,
-) -> io::Result<()> {
-    if trimmed > 0 {
-        let at_us = retained.first().map_or(0, |(at, _)| *at);
-        let marker = TraceEvent::root(
-            at_us,
-            EventKind::TraceDropped {
-                nid,
-                count: trimmed,
-            },
-        );
-        let frame = encode_msg(&marker)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        stream.write_all(&frame)?;
+/// Frames and sends every complete line of `buf` that parses as an
+/// event, leaving the unterminated rest in `buf`.
+fn send_lines(stream: &mut TcpStream, buf: &mut Vec<u8>) -> io::Result<()> {
+    let Some(end) = buf.iter().rposition(|&b| b == b'\n') else {
+        return Ok(());
+    };
+    let mut frames = Vec::new();
+    for line in buf[..end].split(|&b| b == b'\n').map(<[u8]>::trim_ascii) {
+        if decode_msg::<TraceEvent>(line).is_ok() {
+            let frame = wire::encode_frame(line)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            frames.extend_from_slice(&frame);
+        }
     }
-    for (_, frame) in retained {
-        stream.write_all(frame)?;
-    }
-    Ok(())
+    buf.drain(..=end);
+    stream.write_all(&frames)
 }
 
 /// The consumer half: connects to a node's export socket and yields
@@ -289,7 +175,7 @@ impl ExportReader {
     ///
     /// A dead link (EOF, reset) or an undecodable frame; either way
     /// the stream is done and the caller should redial (a restarted
-    /// node replays its new boot from the start).
+    /// node serves its journal files from the first boot again).
     pub fn poll_event(&mut self) -> io::Result<Option<TraceEvent>> {
         loop {
             match wire::split_frame(&self.buf) {
@@ -326,6 +212,8 @@ impl ExportReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::det::msg::encode_msg;
+    use adore_obs::EventKind;
 
     fn ev(at_us: u64, nid: u32) -> TraceEvent {
         TraceEvent::root(at_us, EventKind::WalSync { nid })
@@ -338,7 +226,8 @@ mod tests {
     fn export_frame_bytes_are_pinned() {
         let event = TraceEvent::root(7, EventKind::TraceDropped { nid: 2, count: 3 });
         let frame = encode_msg(&event).expect("encodes");
-        let payload = br#"{"seq":0,"at_us":7,"parent":null,"kind":{"TraceDropped":{"nid":2,"count":3}}}"#;
+        let payload =
+            br#"{"seq":0,"at_us":7,"parent":null,"kind":{"TraceDropped":{"nid":2,"count":3}}}"#;
         assert_eq!(&frame[wire::HEADER..], payload.as_slice());
         let header: [u8; wire::HEADER] = frame[..wire::HEADER].try_into().expect("header width");
         let (len, crc) = wire::decode_header(&header).expect("header");
@@ -348,52 +237,40 @@ mod tests {
         assert_eq!(back, event);
     }
 
-    #[test]
-    fn overflow_sheds_with_an_accounting_marker_never_blocks() {
-        let (mut q, rx) = ExportQueue::new(1, 2);
-        q.push(&ev(10, 1));
-        q.push(&ev(20, 1));
-        q.push(&ev(30, 1)); // full: shed
-        q.push(&ev(40, 1)); // full: shed
-        assert_eq!(q.stats().dropped(), 2);
-        // Drain, making room: the next push emits the marker first.
-        let first = rx.recv().expect("queued");
-        assert_eq!(first.at_us, 10);
-        let _ = rx.recv().expect("queued");
-        q.push(&ev(50, 1));
-        let marker = rx.recv().expect("marker");
-        assert!(
-            matches!(marker.kind, EventKind::TraceDropped { nid: 1, count: 2 }),
-            "got {marker:?}"
-        );
-        assert_eq!(marker.at_us, 50, "marker borrows the unblocking stamp");
-        let live = rx.recv().expect("event after marker");
-        assert_eq!(live.at_us, 50);
-    }
-
+    /// A late subscriber gets the boot's history from the file, then
+    /// its live tail as whole lines appear.
     #[test]
     fn served_stream_replays_history_then_streams_live() {
-        let (mut queue, addr) = serve(3, "127.0.0.1:0").expect("bind");
+        let dir = std::env::temp_dir().join(format!("adored-export-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("mkdir");
+        let line = |e: &TraceEvent| serde_json::to_string(e).expect("encodes") + "\n";
+        let path = journal_path(&dir, 5);
+        fs::write(&path, line(&ev(10, 3)) + &line(&ev(20, 3))).expect("history");
+        let addr = serve(&dir, 5, "127.0.0.1:0").expect("bind").to_string();
 
-        // History before anyone subscribes.
-        queue.push(&ev(10, 3));
-        queue.push(&ev(20, 3));
-        thread::sleep(Duration::from_millis(120)); // let the pump retain them
-        let mut reader = ExportReader::connect(&addr.to_string()).expect("connect");
-        let mut got = Vec::new();
-        while got.len() < 2 {
+        let mut reader = ExportReader::connect(&addr).expect("connect");
+        let mut next = || loop {
             if let Some(e) = reader.poll_event().expect("alive") {
-                got.push(e.at_us);
+                return e;
             }
-        }
-        assert_eq!(got, vec![10, 20], "late joiner got the boot history");
-        // Live tail.
-        queue.push(&ev(30, 3));
-        loop {
-            if let Some(e) = reader.poll_event().expect("alive") {
-                assert_eq!(e.at_us, 30);
-                break;
-            }
-        }
+        };
+        assert_eq!(
+            (next(), next()),
+            (ev(10, 3), ev(20, 3)),
+            "the boot's history"
+        );
+        // A line lands in two writes: nothing is sent until it ends.
+        let tail = line(&ev(30, 3));
+        let (head, rest) = tail.split_at(9);
+        let mut file = fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .expect("open");
+        file.write_all(head.as_bytes()).expect("append");
+        thread::sleep(FOLLOW_POLL * 3);
+        file.write_all(rest.as_bytes()).expect("append");
+        assert_eq!(next(), ev(30, 3), "the live tail, whole");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

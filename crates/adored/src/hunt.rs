@@ -116,9 +116,6 @@ struct SeedResult {
     /// going (vs. the batch audit after the fact).
     online_certified: bool,
     online_events: usize,
-    /// Export-channel events shed under backpressure, all accounted by
-    /// `TraceDropped` markers in the online stream.
-    trace_dropped: u64,
     elapsed_ms: u64,
 }
 
@@ -212,9 +209,8 @@ fn seal_result(
         proxy_dropped: live.proxy.dropped,
         proxy_resets: live.proxy.resets,
         audit_events: live.batch.events,
-        online_certified: live.online.report.consistent,
-        online_events: live.online.report.events,
-        trace_dropped: live.online.dropped,
+        online_certified: live.online.as_ref().is_some_and(|o| o.report.consistent),
+        online_events: live.online.as_ref().map_or(0, |o| o.report.events),
         elapsed_ms,
     })
 }
@@ -307,7 +303,6 @@ fn run_live(
             backoff_base_ms: 20,
             backoff_cap_ms: 300,
             request_timeout: Duration::from_millis(1_500),
-            max_redirect_hops: 3,
         },
     );
     let problems = enact_schedule(enacted, &mut live, &mut client);

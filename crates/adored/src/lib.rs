@@ -24,12 +24,13 @@
 //! - [`monitor`] — the availability monitor whose acked writes become
 //!   the audit's zero-loss / zero-duplicate obligations.
 //! - [`export`] — the streaming trace export side-channel: each node's
-//!   journal, live over TCP in the same `[len][crc32][payload]`
-//!   framing, with bounded-queue loss accounted as `TraceDropped`
-//!   markers.
+//!   journal files, every boot's, served over TCP in the same
+//!   `[len][crc32][payload]` framing and followed as they grow.
 //! - [`collect`] — the online collector: merges live export streams on
 //!   a virtual-clock watermark and drives the same T1–T7 audit engine
 //!   incrementally, raising divergence while the cluster still runs.
+//!   Each node's stream carries every journaled event once, across
+//!   kill -9 restarts, so the online verdict is held to the batch one.
 //! - [`scrape`] — the read-only `/metrics` endpoint serving the node's
 //!   metrics registry as Prometheus text.
 

@@ -23,9 +23,9 @@ use adore_obs::{
     audit_events, merge_journals, to_jsonl, AuditReport, EventKind, TraceEvent, Tracer,
 };
 use adored::client::{ClientError, ClientParams, NetClient};
-use adored::collect::{CollectorReport, OnlineCollector};
+use adored::collect::{CollectorReport, LocalStream, OnlineCollector};
 use adored::det::msg::ClientReply;
-use adored::export::ExportQueue;
+use adored::export;
 use adored::monitor::{self, MonitorHandle, MonitorReport};
 use adored::proxy::{LinkTally, ProxyNet};
 
@@ -79,9 +79,7 @@ pub(crate) struct Harness {
     children: BTreeMap<u32, Child>,
     paused: BTreeSet<u32>,
     /// Kills enacted over the whole run (including nodes restarted
-    /// later). A SIGKILL can eat a node's last unpumped export frames,
-    /// so the strict online ≡ batch comparison only applies when this
-    /// stays zero.
+    /// later).
     kills: u64,
     seed: u64,
     /// Extra `adored node` flags appended to every spawn (e.g.
@@ -275,28 +273,19 @@ impl Harness {
     pub(crate) fn await_election(&mut self) -> Option<u32> {
         self.wait_for_leader_above(self.led_term, ELECTION_WAIT)
     }
+}
 
-    /// Reads every journal file the cluster wrote, one string per file.
-    fn journal_texts(&self) -> std::io::Result<Vec<String>> {
-        let mut texts = Vec::new();
-        for &nid in self.addrs.keys() {
-            let data = self.dir.join(format!("n{nid}"));
-            let mut files: Vec<PathBuf> = fs::read_dir(&data)?
-                .filter_map(Result::ok)
-                .map(|e| e.path())
-                .filter(|p| {
-                    p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.starts_with("journal-") && n.ends_with(".jsonl"))
-                })
-                .collect();
-            files.sort();
-            for f in files {
-                texts.push(fs::read_to_string(f)?);
-            }
+/// Reads every journal file nodes `nids` wrote under `dir`, one string
+/// per file, node by node in boot order: the order each node's export
+/// stream sends them.
+fn journal_texts(dir: &Path, nids: &[u32]) -> std::io::Result<Vec<String>> {
+    let mut texts = Vec::new();
+    for nid in nids {
+        for f in export::journal_files(&dir.join(format!("n{nid}")))? {
+            texts.push(fs::read_to_string(f)?);
         }
-        Ok(texts)
     }
+    Ok(texts)
 }
 
 impl Drop for Harness {
@@ -312,7 +301,7 @@ impl Drop for Harness {
 /// stream. One record call, two sinks, no divergence between them.
 pub(crate) struct DriverLog {
     tracer: Tracer,
-    tee: ExportQueue,
+    stream: LocalStream,
     /// Every write the driver saw acknowledged, as `(key, value)`:
     /// each is owed a read-back at close.
     acked: Vec<(String, String)>,
@@ -321,7 +310,7 @@ pub(crate) struct DriverLog {
 impl DriverLog {
     pub(crate) fn record(&mut self, kind: EventKind) {
         let at_us = now_us();
-        self.tee.push(&TraceEvent::root(at_us, kind.clone()));
+        self.stream.push(TraceEvent::root(at_us, kind.clone()));
         self.tracer.record(at_us, kind);
     }
 
@@ -351,13 +340,15 @@ pub(crate) struct LiveRun {
 /// What [`LiveRun::close`] found.
 pub(crate) struct Closed {
     /// Everything that makes the run a violation: what the body
-    /// reported, an acknowledged key that did not read back, an audit
-    /// rejection, an online/batch split. Empty means SAFE.
+    /// reported, a harness thread that panicked, an acknowledged key
+    /// that did not read back, an audit rejection, an online/batch
+    /// split. Empty means SAFE.
     pub(crate) problems: Vec<String>,
     /// The batch audit over the merged journal files.
     pub(crate) batch: AuditReport,
-    /// The online collector's close-out over the live streams.
-    pub(crate) online: CollectorReport,
+    /// The online collector's close-out over the live streams (`None`
+    /// when its auditor panicked, which `problems` names).
+    pub(crate) online: Option<CollectorReport>,
     pub(crate) monitor: Option<MonitorReport>,
     pub(crate) proxy: LinkTally,
     /// The merged trace (also written to `merged.jsonl` in the run dir).
@@ -411,21 +402,22 @@ impl LiveRun {
             Harness::start(dir, addrs.clone(), node_peers, seed, extra).map_err(io)?;
 
         // The online plane: one live stream per node's export channel
-        // (readers redial across restarts, the port is stable), plus
-        // local streams for the driver's and the monitor's journals.
+        // (readers redial across restarts, the port is stable), then
+        // local streams for the monitor's and the driver's journals —
+        // the order `close` hands the batch merge their files in.
         let export_addrs: Vec<String> = harness
             .obs_addrs
             .values()
             .map(|(export, _)| export.clone())
             .collect();
-        let (collector, mut locals) = OnlineCollector::attach(&export_addrs, &[90, 91]);
-        let monitor_tee = locals.pop();
-        let tee = locals.pop().ok_or("collector returned no driver stream")?;
+        let (collector, mut locals) = OnlineCollector::attach(&export_addrs, 2);
+        let stream = locals.pop().ok_or("collector returned no driver stream")?;
+        let monitor_stream = locals.pop().ok_or("collector returned no monitor stream")?;
         let first_leader = harness.wait_for_leader()?;
 
         let mut driver = DriverLog {
             tracer: Tracer::enabled(),
-            tee,
+            stream,
             acked: Vec::new(),
         };
         driver.record(EventKind::RunStart {
@@ -434,10 +426,10 @@ impl LiveRun {
         });
         let monitor = if netmesis {
             let boot_us = now_us();
-            let handle = monitor::start(addrs, dir, boot_us, monitor_tee).map_err(io)?;
-            Some((handle, dir.join(format!("journal-{boot_us}.jsonl"))))
+            let handle = monitor::start(addrs, dir, boot_us, monitor_stream).map_err(io)?;
+            Some((handle, export::journal_path(dir, boot_us)))
         } else {
-            None // dropping the spare tee closes its stream
+            None // dropping the spare stream closes it
         };
         Ok(LiveRun {
             harness,
@@ -451,9 +443,9 @@ impl LiveRun {
 
     /// Quiesces and stops the cluster, then certifies the run: every
     /// acknowledged key reads back, the merged journals pass the batch
-    /// audit, and — when nothing was killed or shed — the online
-    /// verdict equals the batch one. `problems` is what the body
-    /// already holds against the run; `phase` numbers the verdict.
+    /// audit, and the online verdict equals the batch one. `problems`
+    /// is what the body already holds against the run; `phase` numbers
+    /// the verdict.
     pub(crate) fn close(mut self, mut problems: Vec<String>, phase: u32) -> Result<Closed, String> {
         // Quiesce: heal everything, resume and restart everyone, let
         // the cluster converge, then stop the monitor.
@@ -468,11 +460,14 @@ impl LiveRun {
         }
         let leader = self.harness.wait_for_leader();
         thread::sleep(Duration::from_millis(800));
-        let (monitor, monitor_journal) = self
-            .monitor
-            .take()
-            .map(|(h, file)| (h.stop(), file))
-            .unzip();
+        let (mut monitor, mut monitor_journal) = (None, None);
+        if let Some((handle, file)) = self.monitor.take() {
+            match handle.stop() {
+                Ok(report) => monitor = Some(report),
+                Err(e) => problems.push(e),
+            }
+            monitor_journal = Some(file);
+        }
 
         // Read-back: an acknowledged write the cluster cannot return
         // is lost, whatever the journals say.
@@ -515,12 +510,13 @@ impl LiveRun {
         }
         let acked = owed.len();
 
-        // Give the last catch-up journal lines a moment to flush, then
-        // stop the cluster before reading its files.
+        // Give the last catch-up journal lines a moment to reach the
+        // export streams, then stop the cluster and read its files,
+        // final now.
         thread::sleep(Duration::from_millis(400));
-        let mut texts = self.harness.journal_texts().map_err(|e| e.to_string())?;
-        let (kills, merged) = (self.harness.kills, self.harness.dir.join("merged.jsonl"));
+        let (dir, nids) = (self.harness.dir.clone(), self.harness.node_ids());
         drop(self.harness);
+        let mut texts = journal_texts(&dir, &nids).map_err(|e| e.to_string())?;
         let proxy = self.proxy.map_or_else(LinkTally::default, |p| p.totals());
         texts.extend(
             monitor_journal.map(|file: PathBuf| fs::read_to_string(file).unwrap_or_default()),
@@ -539,10 +535,10 @@ impl LiveRun {
         // Close the driver's live stream, then the whole collector: the
         // monitor's stream already closed when its thread was joined.
         drop(self.driver);
-        let online = self.collector.stop();
+        let online = self.collector.stop().map_err(|e| problems.push(e)).ok();
 
         let events = merge_journals(texts.iter().map(String::as_str)).map_err(|e| e.to_string())?;
-        fs::write(merged, to_jsonl(&events)).map_err(|e| e.to_string())?;
+        fs::write(dir.join("merged.jsonl"), to_jsonl(&events)).map_err(|e| e.to_string())?;
         let batch = audit_events(&events);
         if !batch.consistent || batch.divergence.is_some() {
             problems.push(format!(
@@ -550,20 +546,22 @@ impl LiveRun {
                 batch.errors, batch.divergence
             ));
         }
-        // Online ≡ batch: with no kills and nothing shed, the collector
-        // saw the complete trace and the two verdicts must agree. (A
-        // SIGKILL can eat a node's last unpumped export frames — frames
-        // the flushed journal file still has — so kills relax the check.)
-        if kills == 0 && online.dropped == 0 && online.report.consistent != batch.consistent {
+        // Online ≡ batch: each node's stream is its journal files, and
+        // the local streams carry what the driver's and the monitor's
+        // files hold, so the collector audited the trace the batch
+        // merge reads and the two verdicts must agree.
+        if let Some(online) = online.as_ref().filter(|o| o.report.consistent != batch.consistent) {
             problems.push(format!(
                 "online/batch audit verdict mismatch: online={} batch={}",
                 online.report.consistent, batch.consistent
             ));
         }
+        let summary = online.as_ref().map_or("none".into(), |o| o.report.summary());
         println!(
-            "live: {read_back}/{acked} acked keys read back; online audit: {} ({} trace-dropped)",
-            online.report.summary(),
-            online.dropped
+            "live: {read_back}/{acked} acked keys read back; online audit: {summary}; \
+             events online/batch: {}/{}",
+            online.as_ref().map_or(0, |o| o.report.events),
+            batch.events
         );
         Ok(Closed {
             problems,

@@ -274,7 +274,8 @@ struct LiveBenchReport {
     seed: u64,
     secs_per_rate: u64,
     rates: Vec<RatePoint>,
-    online: OnlineVerdict,
+    /// `None` when the online auditor panicked.
+    online: Option<OnlineVerdict>,
     /// The batch auditor's verdict over the same run's journal files,
     /// for the online ≡ batch cross-check.
     batch_consistent: bool,
@@ -304,9 +305,6 @@ struct OnlineVerdict {
     events: usize,
     nodes: usize,
     acked: usize,
-    /// Exporter-shed events, all accounted by `TraceDropped` markers.
-    /// Zero means the online auditor saw every journaled event.
-    trace_dropped: u64,
     flagged_at: Option<u64>,
     errors: Vec<String>,
 }
@@ -449,24 +447,23 @@ fn bench_open_loop(
         seed,
         secs_per_rate: secs,
         rates: points,
-        online: OnlineVerdict {
-            certified: closed.online.report.consistent,
-            events: closed.online.report.events,
-            nodes: closed.online.report.nodes,
-            acked: closed.online.report.acked,
-            trace_dropped: closed.online.dropped,
-            flagged_at: closed.online.flagged_at,
-            errors: closed.online.report.errors.clone(),
-        },
+        online: closed.online.as_ref().map(|o| OnlineVerdict {
+            certified: o.report.consistent,
+            events: o.report.events,
+            nodes: o.report.nodes,
+            acked: o.report.acked,
+            flagged_at: o.flagged_at,
+            errors: o.report.errors.clone(),
+        }),
         batch_consistent: closed.batch.consistent,
     };
     adore_obs::write_json_report(out, &report).map_err(|e| e.to_string())?;
     println!("bench: report -> {}", out.display());
 
-    if !closed.online.report.consistent {
+    if let Some(o) = closed.online.as_ref().filter(|o| !o.report.consistent) {
         return Err(format!(
             "online audit rejected the run: errors={:?} divergence={:?}",
-            closed.online.report.errors, closed.online.report.divergence
+            o.report.errors, o.report.divergence
         ));
     }
     if !closed.problems.is_empty() {

@@ -19,13 +19,8 @@
 //!
 //! Each completed window is journaled as an `AvailabilityWindow` event,
 //! so the merged journal tells the whole availability story alongside
-//! the safety story.
-//!
-//! All counting flows through one metrics registry — the same registry
-//! type the nodes scrape — and the per-window stats are *derived* from
-//! counter deltas at each window roll, which also sets the live
-//! `monitor.acked_per_s` gauge. One number pipeline: the gauge, the
-//! windows, and the report totals cannot disagree.
+//! the safety story, and the report's totals are the windows' sums.
+//! Every journaled event also goes to the online collector.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -35,30 +30,14 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use adore_obs::{EventKind, Metrics, MetricsSnapshot};
-use serde::Serialize;
+use adore_obs::EventKind;
 
 use crate::client::{ClientError, ClientParams, NetClient};
-use crate::export::ExportQueue;
+use crate::collect::LocalStream;
 use crate::node::Journal;
 
-/// One completed availability window.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct WindowStat {
-    /// Window index since the monitor started.
-    pub index: u32,
-    /// Writes attempted in the window.
-    pub attempted: u32,
-    /// Writes acknowledged.
-    pub acked: u32,
-    /// Writes definitively refused.
-    pub refused: u32,
-    /// Writes whose outcome the client never learned.
-    pub lost: u32,
-}
-
 /// A write the cluster acknowledged (and therefore owes the audit).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AckedWrite {
     /// The unique key written.
     pub key: String,
@@ -71,10 +50,8 @@ pub struct AckedWrite {
 }
 
 /// What the monitor observed over its whole run.
-#[derive(Debug, Serialize)]
+#[derive(Debug, Default)]
 pub struct MonitorReport {
-    /// Per-window availability stats.
-    pub windows: Vec<WindowStat>,
     /// Every acknowledged write.
     pub acked: Vec<AckedWrite>,
     /// Total writes attempted.
@@ -83,10 +60,6 @@ pub struct MonitorReport {
     pub refused: u64,
     /// Total writes with unknown outcome.
     pub lost: u64,
-    /// The final registry snapshot: the `monitor.*` counters the
-    /// windows were derived from, plus the last `monitor.acked_per_s`
-    /// gauge value.
-    pub metrics: MetricsSnapshot,
 }
 
 /// A running monitor; [`MonitorHandle::stop`] joins it and returns the
@@ -98,17 +71,16 @@ pub struct MonitorHandle {
 
 impl MonitorHandle {
     /// Signals the monitor to finish its current op and joins it.
-    #[must_use]
-    pub fn stop(self) -> MonitorReport {
+    ///
+    /// # Errors
+    ///
+    /// The monitor thread panicked: which writes it saw acknowledged is
+    /// unknown.
+    pub fn stop(self) -> Result<MonitorReport, String> {
         self.stop.store(true, Ordering::SeqCst);
-        self.join.join().unwrap_or_else(|_| MonitorReport {
-            windows: Vec::new(),
-            acked: Vec::new(),
-            attempted: 0,
-            refused: 0,
-            lost: 0,
-            metrics: Metrics::new().snapshot(),
-        })
+        self.join
+            .join()
+            .map_err(|_| "the availability monitor panicked: its acked writes are unknown".into())
     }
 }
 
@@ -128,69 +100,41 @@ fn client_params() -> ClientParams {
         backoff_base_ms: 20,
         backoff_cap_ms: 400,
         request_timeout: Duration::from_millis(1_500),
-        max_redirect_hops: 3,
     }
 }
 
-/// Running totals read from the registry at the last window roll.
-#[derive(Clone, Copy, Default)]
-struct Totals {
-    attempted: u64,
-    acked: u64,
-    refused: u64,
-    lost: u64,
+/// The outcomes counted in the window still open.
+#[derive(Default)]
+struct Window {
+    attempted: u32,
+    acked: u32,
+    refused: u32,
+    lost: u32,
 }
 
-/// One registry read: the four `monitor.*` counters.
-fn totals(m: &Metrics) -> Totals {
-    Totals {
-        attempted: m.counter("monitor.attempted"),
-        acked: m.counter("monitor.acked"),
-        refused: m.counter("monitor.refused"),
-        lost: m.counter("monitor.lost"),
-    }
-}
-
-/// Rolls one window closed: derives its stats from the counter deltas
-/// since the previous roll, refreshes the live `monitor.acked_per_s`
-/// gauge from the same delta, journals the window, and returns the new
-/// baseline.
-fn roll_window(
-    metrics: &mut Metrics,
-    journal: &mut Journal,
-    windows: &mut Vec<WindowStat>,
+/// Closes window `index`: journals it, streams the record to the
+/// collector, and adds it to the run's totals.
+fn roll(
+    w: Window,
     index: u32,
-    prev: Totals,
-) -> Totals {
-    let now = totals(metrics);
-    let delta = |a: u64, b: u64| u32::try_from(a.saturating_sub(b)).unwrap_or(u32::MAX);
-    let stat = WindowStat {
+    journal: &mut Journal,
+    stream: &LocalStream,
+    report: &mut MonitorReport,
+) {
+    report.attempted += u64::from(w.attempted);
+    report.refused += u64::from(w.refused);
+    report.lost += u64::from(w.lost);
+    stream.push(journal.record(EventKind::AvailabilityWindow {
         index,
-        attempted: delta(now.attempted, prev.attempted),
-        acked: delta(now.acked, prev.acked),
-        refused: delta(now.refused, prev.refused),
-        lost: delta(now.lost, prev.lost),
-    };
-    let per_s = now
-        .acked
-        .saturating_sub(prev.acked)
-        .saturating_mul(1_000)
-        / WINDOW_MS;
-    metrics.set_gauge("monitor.acked_per_s", i64::try_from(per_s).unwrap_or(i64::MAX));
-    journal.record(EventKind::AvailabilityWindow {
-        index: stat.index,
-        attempted: stat.attempted,
-        acked: stat.acked,
-        refused: stat.refused,
-        lost: stat.lost,
-    });
-    windows.push(stat);
-    now
+        attempted: w.attempted,
+        acked: w.acked,
+        refused: w.refused,
+        lost: w.lost,
+    }));
 }
 
 /// Starts the monitor against the cluster's (un-proxied) address book,
-/// journaling into `dir`. When `tee` is given, every journaled event
-/// also streams to the online collector behind it.
+/// journaling into `dir` and onto `stream`.
 ///
 /// # Errors
 ///
@@ -199,34 +143,26 @@ pub fn start(
     addrs: BTreeMap<u32, String>,
     dir: &Path,
     boot_us: u64,
-    tee: Option<ExportQueue>,
+    stream: LocalStream,
 ) -> io::Result<MonitorHandle> {
     let mut journal = Journal::open(dir, boot_us)?;
-    if let Some(queue) = tee {
-        journal.attach_export(queue);
-    }
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
     let join = thread::spawn(move || {
-        // The registry lives and dies on this thread; the report
-        // carries its final snapshot out.
-        let mut registry = Metrics::new();
         let mut client = NetClient::new(addrs, CLIENT_ID, client_params());
         let started = Instant::now();
-        let window = Duration::from_millis(WINDOW_MS);
-        let mut windows: Vec<WindowStat> = Vec::new();
-        let mut acked: Vec<AckedWrite> = Vec::new();
-        let mut prev = Totals::default();
+        let mut report = MonitorReport::default();
+        let mut window = Window::default();
         let mut index: u32 = 0;
         let mut op: u64 = 0;
         loop {
             // Roll windows forward to wherever the clock is now (an op
             // stalled in retries can span several windows).
             #[allow(clippy::cast_possible_truncation)]
-            let now_index =
-                (started.elapsed().as_millis() / window.as_millis().max(1)) as u32;
+            let now_index = (started.elapsed().as_millis() / u128::from(WINDOW_MS)) as u32;
             while index < now_index {
-                prev = roll_window(&mut registry, &mut journal, &mut windows, index, prev);
+                let closed = std::mem::take(&mut window);
+                roll(closed, index, &mut journal, &stream, &mut report);
                 index += 1;
             }
             if stop_flag.load(Ordering::SeqCst) {
@@ -235,16 +171,16 @@ pub fn start(
             op += 1;
             let key = format!("mon-{CLIENT_ID}-{op}");
             let value = format!("v{op}");
-            registry.inc("monitor.attempted");
+            window.attempted += 1;
             match client.put(&key, &value) {
                 Ok(ack) => {
-                    registry.inc("monitor.acked");
-                    journal.record(EventKind::SessionAck {
+                    window.acked += 1;
+                    stream.push(journal.record(EventKind::SessionAck {
                         client: CLIENT_ID,
                         seq: ack.seq,
                         dup: ack.duplicate,
-                    });
-                    acked.push(AckedWrite {
+                    }));
+                    report.acked.push(AckedWrite {
                         key,
                         value,
                         seq: ack.seq,
@@ -252,25 +188,32 @@ pub fn start(
                     });
                 }
                 Err(ClientError::Rejected { .. } | ClientError::SessionStale { .. }) => {
-                    registry.inc("monitor.refused");
+                    window.refused += 1;
                 }
-                Err(ClientError::Exhausted { .. }) => {
-                    registry.inc("monitor.lost");
-                }
+                Err(ClientError::Exhausted { .. }) => window.lost += 1,
             }
             thread::sleep(Duration::from_millis(OP_GAP_MS));
         }
         // Flush the final, partial window.
-        let _ = roll_window(&mut registry, &mut journal, &mut windows, index, prev);
-        let snap = registry.snapshot();
-        MonitorReport {
-            windows,
-            acked,
-            attempted: snap.counter("monitor.attempted"),
-            refused: snap.counter("monitor.refused"),
-            lost: snap.counter("monitor.lost"),
-            metrics: snap,
-        }
+        roll(window, index, &mut journal, &stream, &mut report);
+        report
     });
     Ok(MonitorHandle { stop, join })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A panicked monitor is reported as such, not as a report with no
+    /// acked writes that would silently owe the read-back nothing.
+    #[test]
+    fn a_panicked_monitor_is_an_error_not_an_empty_report() {
+        let handle = MonitorHandle {
+            stop: Arc::new(AtomicBool::new(false)),
+            join: thread::spawn(|| panic!("monitor bug")),
+        };
+        let err = handle.stop().expect_err("no report to give");
+        assert!(err.contains("availability monitor panicked"), "{err}");
+    }
 }

@@ -33,8 +33,9 @@
 //!   file whole, and media loss leaves an `Abstain` record in it for
 //!   good.
 //! - **Journals**: one JSONL file per boot (`journal-<boot_us>.jsonl`),
-//!   flushed per line, so a SIGKILL can tear at most the final line —
-//!   which `adore-obs`'s journal merge drops by design.
+//!   written a line at a time, so a SIGKILL can tear at most the final
+//!   line — which `adore-obs`'s journal merge drops by design. The
+//!   files are also the node's trace export stream ([`crate::export`]).
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -48,7 +49,7 @@ use std::thread;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use adore_core::NodeId;
-use adore_obs::{series_count, EventKind, Metrics, MetricsSnapshot, Tracer};
+use adore_obs::{series_count, EventKind, Metrics, MetricsSnapshot, TraceEvent};
 use adore_schemes::SingleNode;
 use adore_storage::{DurabilityPolicy, Wal};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -58,7 +59,7 @@ use serde::Serialize;
 use crate::det::engine::{Engine, EngineConfig, EngineParams, Input, Output};
 use crate::det::msg::{decode_msg, encode_msg, ClientMsg, ClientReply, Hello, PeerMsg};
 use crate::det::wire;
-use crate::export::{self, ExportQueue, ExportStats};
+use crate::export;
 use crate::scrape;
 
 /// Write timeout on every socket: a hung peer fails fast instead of
@@ -110,7 +111,7 @@ pub struct NodeConfig {
     /// (SIGSTOP) longer than this reap the link and force a redial.
     pub peer_read_deadline_ms: u64,
     /// Optional listen address for the streaming trace export
-    /// side-channel (the journal, live over TCP — see
+    /// side-channel (the journal files, live over TCP — see
     /// [`crate::export`]). `None` disables export.
     pub export_addr: Option<String>,
     /// Optional listen address for the read-only `/metrics` scrape
@@ -178,43 +179,26 @@ fn now_us() -> u64 {
         .unwrap_or(0)
 }
 
-/// The per-boot journal: every event is stamped, serialized, and
-/// flushed immediately, so a SIGKILL tears at most the last line.
+/// The per-boot journal file: every event is stamped, serialized and
+/// written in one append, so a SIGKILL tears at most the last line.
 pub(crate) struct Journal {
-    tracer: Tracer,
     file: fs::File,
-    /// Optional live tee: every journaled event is also pushed (non-
-    /// blocking, loss-accounted) to the streaming export channel.
-    export: Option<ExportQueue>,
 }
 
 impl Journal {
     pub(crate) fn open(dir: &Path, boot_us: u64) -> io::Result<Journal> {
-        let path = dir.join(format!("journal-{boot_us}.jsonl"));
-        Ok(Journal {
-            tracer: Tracer::enabled(),
-            file: fs::File::create(path)?,
-            export: None,
-        })
+        let file = fs::File::create(export::journal_path(dir, boot_us))?;
+        Ok(Journal { file })
     }
 
-    /// Attaches the streaming export tee. Do this before the first
-    /// `record` so subscribers see the whole boot.
-    pub(crate) fn attach_export(&mut self, queue: ExportQueue) {
-        self.export = Some(queue);
-    }
-
-    pub(crate) fn record(&mut self, kind: EventKind) {
-        self.tracer.record(now_us(), kind);
-        for ev in self.tracer.take() {
-            if let Ok(line) = serde_json::to_string(&ev) {
-                let _ = writeln!(self.file, "{line}");
-                let _ = self.file.flush();
-            }
-            if let Some(queue) = &mut self.export {
-                queue.push(&ev);
-            }
+    /// Appends `kind`, stamped now, and returns the event as written.
+    pub(crate) fn record(&mut self, kind: EventKind) -> TraceEvent {
+        let ev = TraceEvent::root(now_us(), kind);
+        if let Ok(mut line) = serde_json::to_string(&ev) {
+            line.push('\n');
+            let _ = self.file.write_all(line.as_bytes());
         }
+        ev
     }
 }
 
@@ -317,17 +301,9 @@ pub fn run(cfg: NodeConfig) -> io::Result<()> {
     let nid = NodeId(cfg.nid);
     let boot_us = now_us();
     let mut journal = Journal::open(&cfg.data_dir, boot_us)?;
-    // Attach the streaming export tee before recovery runs, so a
-    // subscriber sees this boot's Crash/WalRecover pair too.
-    let export_stats: Option<ExportStats> = match &cfg.export_addr {
-        Some(addr) => {
-            let (queue, _bound) = export::serve(cfg.nid, addr)?;
-            let stats = queue.stats();
-            journal.attach_export(queue);
-            Some(stats)
-        }
-        None => None,
-    };
+    if let Some(addr) = &cfg.export_addr {
+        export::serve(&cfg.data_dir, boot_us, addr)?;
+    }
     let members: Vec<u32> = cfg.peers.iter().map(|(n, _)| *n).collect();
     let engine_cfg = EngineConfig {
         nid,
@@ -402,15 +378,7 @@ pub fn run(cfg: NodeConfig) -> io::Result<()> {
         });
     }
 
-    engine_loop(
-        cfg.nid,
-        engine,
-        &inbox_rx,
-        &outboxes,
-        journal,
-        wal_file,
-        export_stats.as_ref(),
-    )
+    engine_loop(cfg.nid, engine, &inbox_rx, &outboxes, journal, wal_file)
 }
 
 /// The engine loop: the single deterministic thread, and the owner of
@@ -425,7 +393,6 @@ fn engine_loop(
     outboxes: &BTreeMap<u32, Outbox>,
     mut journal: Journal,
     mut wal_file: fs::File,
-    export_stats: Option<&ExportStats>,
 ) -> io::Result<()> {
     let mut clients: BTreeMap<u64, TcpStream> = BTreeMap::new();
     let mut metrics = Metrics::new();
@@ -468,7 +435,7 @@ fn engine_loop(
             Event::Scrape { reply } => {
                 // The gauges are filled here and nowhere else: a step
                 // that nobody scrapes pays nothing for them.
-                fill_gauges(&mut metrics, &engine, export_stats);
+                fill_gauges(&mut metrics, &engine);
                 let snap = metrics.snapshot();
                 let series = series_count(&snap);
                 if reply.try_send(snap).is_ok() {
@@ -488,7 +455,9 @@ fn engine_loop(
                     wal_file.flush()?;
                     journal.record(EventKind::WalSync { nid });
                 }
-                Output::Journal(kind) => journal.record(kind),
+                Output::Journal(kind) => {
+                    journal.record(kind);
+                }
                 Output::Send { to, msg } => {
                     if let Some(outbox) = outboxes.get(&to.0) {
                         match outbox.try_send(msg) {
@@ -541,17 +510,12 @@ fn engine_loop(
     Ok(())
 }
 
-/// Fills the scrapeable gauges from the engine and the export queue.
-fn fill_gauges(metrics: &mut Metrics, engine: &Engine, export_stats: Option<&ExportStats>) {
+/// Fills the scrapeable gauges from the engine.
+fn fill_gauges(metrics: &mut Metrics, engine: &Engine) {
     let gauge = |v: usize| i64::try_from(v).unwrap_or(i64::MAX);
     metrics.set_gauge("node.commit_index", gauge(engine.commit_len()));
     metrics.set_gauge("node.config_epoch", gauge(engine.config_epoch()));
     metrics.set_gauge("node.session_occupancy", gauge(engine.session_occupancy()));
-    if let Some(stats) = export_stats {
-        let wide = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        metrics.set_gauge("export.queue_depth", wide(stats.depth()));
-        metrics.set_gauge("export.dropped_total", wide(stats.dropped()));
-    }
 }
 
 /// Milliseconds to wait before redialling after `failures` consecutive

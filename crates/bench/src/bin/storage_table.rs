@@ -30,10 +30,7 @@ use adore_nemesis::{
 };
 
 fn main() {
-    let params = EngineParams {
-        certify_storage: true,
-        ..EngineParams::default()
-    };
+    let params = EngineParams { certify_storage: true };
     let seeds: u64 = std::env::var("STORAGE_TABLE_SEEDS")
         .ok()
         .and_then(|s| s.parse().ok())

@@ -103,11 +103,12 @@ pub struct EngineParams {
     /// Maximum client requests waiting for commit before the engine
     /// sheds new ones as [`ClientReply::Overloaded`].
     pub inflight_cap: usize,
-    /// Session dedup window in sequence numbers.
-    pub session_window: u64,
-    /// Maximum distinct client sessions retained.
-    pub session_clients: usize,
 }
+
+/// Session dedup window in sequence numbers.
+const SESSION_WINDOW: u64 = 128;
+/// Maximum distinct client sessions retained.
+const SESSION_CLIENTS: usize = 64;
 
 impl Default for EngineParams {
     fn default() -> Self {
@@ -116,8 +117,6 @@ impl Default for EngineParams {
             election_ticks_min: 20,
             election_ticks_max: 40,
             inflight_cap: 64,
-            session_window: 128,
-            session_clients: 64,
         }
     }
 }
@@ -304,7 +303,7 @@ impl Engine {
     /// replica that lost its media must never vote again (it has
     /// forgotten promises), though it still replicates.
     fn install(cfg: EngineConfig, state: DurableState<Cfg, SessionCmd>) -> Self {
-        let mut sessions = SessionTable::new(cfg.params.session_window, cfg.params.session_clients);
+        let mut sessions = SessionTable::new(SESSION_WINDOW, SESSION_CLIENTS);
         index_sessions(&mut sessions, &state.log, 0);
         let mut applied = KvStore::new();
         apply_entries(
@@ -1682,7 +1681,6 @@ mod tests {
             election_ticks_min: 2,
             election_ticks_max: 6,
             inflight_cap: usize::MAX,
-            ..EngineParams::default()
         };
         let mut b = Beside::new(params, guard);
         let memberships: [&[u32]; 5] = [&[1, 2, 3], &[1, 2], &[2, 3], &[1, 3], &[1]];

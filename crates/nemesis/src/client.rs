@@ -17,30 +17,15 @@ use serde::{Deserialize, Serialize};
 use adore_kv::det::msg::ClientMsg;
 use adore_kv::{Cluster, ClusterError};
 
-/// Client-side robustness knobs.
-#[derive(Debug, Clone)]
-pub struct ClientParams {
-    /// Heartbeat periods granted to one attempt before it times out (the
-    /// per-request timeout; heartbeats are the engines' retransmission).
-    pub request_rounds: u32,
-    /// Attempts per operation (1 = no retry).
-    pub max_attempts: u32,
-    /// Base backoff before the second attempt, in virtual microseconds.
-    pub backoff_base_us: u64,
-    /// Backoff growth cap.
-    pub backoff_cap_us: u64,
-}
-
-impl Default for ClientParams {
-    fn default() -> Self {
-        ClientParams {
-            request_rounds: 4,
-            max_attempts: 4,
-            backoff_base_us: 800,
-            backoff_cap_us: 12_000,
-        }
-    }
-}
+/// Heartbeat periods granted to one attempt before it times out (the
+/// per-request timeout; heartbeats are the engines' retransmission).
+const REQUEST_ROUNDS: u32 = 4;
+/// Attempts per operation (1 = no retry).
+const MAX_ATTEMPTS: u32 = 4;
+/// Base backoff before the second attempt, in virtual microseconds.
+const BACKOFF_BASE_US: u64 = 800;
+/// Backoff growth cap, in virtual microseconds.
+const BACKOFF_CAP_US: u64 = 12_000;
 
 /// The terminal outcome of one client operation (after retries).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -195,7 +180,6 @@ struct GhostKey {
 /// The retrying, redirecting client driver.
 #[derive(Debug)]
 pub struct RobustClient {
-    params: ClientParams,
     rng: StdRng,
     ghost: BTreeMap<String, GhostKey>,
     /// This client's session id, embedded in every submitted write.
@@ -214,9 +198,8 @@ impl RobustClient {
     /// engine and the simulator reserve: 0 (the no-op barrier's) and
     /// `u64::MAX` (the simulator's own session).
     #[must_use]
-    pub fn new(params: ClientParams, seed: u64) -> Self {
+    pub fn new(seed: u64) -> Self {
         RobustClient {
-            params,
             rng: StdRng::seed_from_u64(seed ^ 0xc11e_4475),
             ghost: BTreeMap::new(),
             client_id: seed.clamp(1, u64::MAX - 1),
@@ -228,11 +211,9 @@ impl RobustClient {
     /// Capped exponential backoff with seeded jitter, spent as idle
     /// virtual time (the network keeps draining meanwhile).
     fn backoff(&mut self, cluster: &mut Cluster, attempt: u32) {
-        let exp = self
-            .params
-            .backoff_base_us
+        let exp = BACKOFF_BASE_US
             .saturating_mul(1 << attempt.min(10))
-            .min(self.params.backoff_cap_us);
+            .min(BACKOFF_CAP_US);
         let jitter = self.rng.gen_range(0..=exp / 4);
         cluster.run_idle(exp + jitter);
     }
@@ -254,7 +235,7 @@ impl RobustClient {
         let seq = self.next_seq;
         self.next_seq += 1;
         let mut last = OpOutcome::NoLeader;
-        for attempt in 0..self.params.max_attempts {
+        for attempt in 0..MAX_ATTEMPTS {
             if attempt > 0 {
                 self.backoff(cluster, attempt - 1);
             }
@@ -268,7 +249,7 @@ impl RobustClient {
                 key: key.to_string(),
                 value: value.to_string(),
             };
-            match cluster.request(put, self.params.request_rounds) {
+            match cluster.request(put, REQUEST_ROUNDS) {
                 Ok(_) => {
                     let ghost = self.ghost.entry(key.to_string()).or_default();
                     ghost.acked = Some(value.to_string());
@@ -393,7 +374,7 @@ mod tests {
     #[test]
     fn healthy_cluster_acks_everything() {
         let mut cluster = cluster(&[1, 2, 3], 21);
-        let mut client = RobustClient::new(ClientParams::default(), 21);
+        let mut client = RobustClient::new(21);
         for i in 0..10 {
             let out = client.put(&mut cluster, &format!("k{i}"), "v");
             assert!(matches!(out, OpOutcome::Acked { .. }));
@@ -405,7 +386,7 @@ mod tests {
     #[test]
     fn client_redirects_to_a_new_leader_after_a_crash() {
         let mut cluster = cluster(&[1, 2, 3, 4, 5], 22);
-        let mut client = RobustClient::new(ClientParams::default(), 22);
+        let mut client = RobustClient::new(22);
         assert!(matches!(
             client.put(&mut cluster, "a", "1"),
             OpOutcome::Acked { .. }
@@ -431,7 +412,7 @@ mod tests {
     #[test]
     fn stalled_retries_commit_one_entry_not_one_per_attempt() {
         let mut cluster = cluster(&[1, 2, 3, 4, 5], 24);
-        let mut client = RobustClient::new(ClientParams::default(), 24);
+        let mut client = RobustClient::new(24);
         assert!(matches!(
             client.put(&mut cluster, "a", "1"),
             OpOutcome::Acked { .. }
@@ -455,7 +436,7 @@ mod tests {
     #[test]
     fn timed_out_writes_are_tracked_in_doubt_not_lost() {
         let mut cluster = cluster(&[1, 2, 3, 4, 5], 23);
-        let mut client = RobustClient::new(ClientParams::default(), 23);
+        let mut client = RobustClient::new(23);
         client.put(&mut cluster, "a", "1");
         // Partition the leader into a minority; the write times out but
         // stays in the leader's log.

@@ -22,16 +22,13 @@ use adore_obs::{EventKind, TraceEvent};
 use adore_schemes::SingleNode;
 use adore_storage::StorageViolation;
 
-use crate::client::{ClientParams, OpOutcome, RobustClient, ViolationKind};
+use crate::client::{OpOutcome, RobustClient, ViolationKind};
 use crate::schedule::{Fault, FaultSchedule};
 
-/// Engine knobs (everything else comes from the schedule).
+/// Engine knobs (everything else comes from the schedule; the network
+/// runs [`LatencyModel::default`], the client its fixed retry policy).
 #[derive(Debug, Clone, Default)]
 pub struct EngineParams {
-    /// The simulated network's latency model.
-    pub latency: LatencyModel,
-    /// Client-side robustness parameters.
-    pub client: ClientParams,
     /// Run the storage certification checker: at every ack point, assert
     /// the acked state is a projection of the synced WAL mirror; at every
     /// recovery, assert the installed state is exactly the replay.
@@ -398,7 +395,7 @@ fn run_campaign(
 ) -> (NemesisReport, Vec<TraceEvent>) {
     let members = members_of(schedule);
     let conf0 = SingleNode::new(schedule.members.iter().copied());
-    let latency = params.latency.clone();
+    let latency = LatencyModel::default();
     let mut cluster = Cluster::build(conf0, &[], schedule.guard, latency, schedule.seed);
     cluster.set_durability(schedule.durability);
     cluster.set_certify_storage(params.certify_storage);
@@ -409,7 +406,7 @@ fn run_campaign(
             members: schedule.members.clone(),
         });
     }
-    let mut client = RobustClient::new(params.client.clone(), schedule.seed);
+    let mut client = RobustClient::new(schedule.seed);
     let mut write_seq = 0u64;
 
     // Boot: elect the lowest member so every schedule starts from a
@@ -590,10 +587,7 @@ mod tests {
     #[test]
     fn random_campaigns_under_the_sound_guard_stay_safe() {
         let params = RandomScheduleParams::default();
-        let engine = EngineParams {
-            certify_storage: true,
-            ..EngineParams::default()
-        };
+        let engine = EngineParams { certify_storage: true };
         for seed in 0..8 {
             let schedule = random_schedule(&params, seed);
             let report = run_schedule(&schedule, &engine);
@@ -612,10 +606,7 @@ mod tests {
     /// on a follower that never learned it committed.
     #[test]
     fn campaigns_whose_membership_shrank_keep_every_acked_write() {
-        let engine = EngineParams {
-            certify_storage: true,
-            ..EngineParams::default()
-        };
+        let engine = EngineParams { certify_storage: true };
         for steps in [8, 12, 16] {
             let params = RandomScheduleParams {
                 members: vec![1, 2, 3],

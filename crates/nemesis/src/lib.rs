@@ -62,7 +62,7 @@ mod netmesis;
 mod schedule;
 mod scripted;
 
-pub use client::{ClientParams, OpOutcome, OpRecord, RobustClient, ViolationKind};
+pub use client::{OpOutcome, OpRecord, RobustClient, ViolationKind};
 pub use engine::{
     hunt, replay, run_schedule, run_schedule_traced, Counterexample, DegradedReport, EngineParams,
     NemesisReport, PhaseStat,

@@ -309,8 +309,7 @@ fn kill_and_restart_first_leader(writes: u32) -> [Fault; 4] {
 /// The two fixed 3-node CI gate schedules, small enough to complete
 /// (run + audit) inside the ci.sh budget. The first is one
 /// partition-during-reconfig with a corruption burst and a connection
-/// reset: it kills nothing, so the harness holds it to the strict
-/// online ≡ batch comparison. The second is the kill -9 leg: ten
+/// reset; it kills nothing. The second is the kill -9 leg: ten
 /// writes, the first leader dies on the heels of the tenth's ack, ten
 /// writes through the failover, the corpse restarts into its WAL,
 /// three more.
@@ -491,8 +490,8 @@ mod tests {
                 s.name
             );
         }
-        // The first kills nothing (the strict online ≡ batch run); the
-        // second kills and restarts node 1 with bursts on either side.
+        // The first kills nothing; the second kills and restarts node 1
+        // with bursts on either side.
         let kill = |f: &Fault| {
             matches!(
                 f,

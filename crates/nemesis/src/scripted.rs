@@ -396,10 +396,7 @@ mod tests {
         // schedules under the strict policy not only preserve the
         // committed prefix, they satisfy the per-ack storage
         // certification checker.
-        let params = EngineParams {
-            certify_storage: true,
-            ..EngineParams::default()
-        };
+        let params = EngineParams { certify_storage: true };
         for (label, schedule) in storage_ablation_suite() {
             let strict = schedule.with_durability(DurabilityPolicy::strict());
             assert!(

@@ -62,10 +62,7 @@ fn sound_guard_runs_of_the_same_schedules_audit_clean() {
 
 #[test]
 fn storage_ablation_traces_are_audit_consistent() {
-    let engine = EngineParams {
-        certify_storage: true,
-        ..EngineParams::default()
-    };
+    let engine = EngineParams { certify_storage: true };
     for (label, schedule) in storage_ablation_suite() {
         let (report, events) = run_schedule_traced(&schedule, &engine);
         assert!(!report.is_safe(), "{label}: ablation must violate");

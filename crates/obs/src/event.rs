@@ -270,13 +270,12 @@ pub enum EventKind {
         /// Entries committed over the run.
         committed: u64,
     },
-    /// The streaming trace exporter shed `count` events under
-    /// backpressure (its bounded queue was full). The marker makes
-    /// export loss *visible in the stream itself*: an online consumer
-    /// can account for every missing event, so silent trace loss is
-    /// impossible by construction. The marker carries the stamp of the
-    /// event whose arrival flushed it, preserving per-stream clock
-    /// monotonicity.
+    /// A streaming trace exporter shed `count` events under
+    /// backpressure (its bounded queue was full). No current build
+    /// writes this: a node's export stream is its journal files
+    /// themselves, so there is nothing to shed. The variant stays
+    /// because journals are a pinned compatibility surface and an old
+    /// journal must still parse and audit.
     TraceDropped {
         /// The exporting node.
         nid: u32,
@@ -334,11 +333,10 @@ impl TraceEvent {
     /// Construct a parentless event at the given stamp with `seq` 0.
     ///
     /// For events that live outside a [`crate::Tracer`]'s dense journal
-    /// — synthesized stream markers such as
-    /// [`EventKind::TraceDropped`], or locally teed copies fed to a
-    /// stream merger that renumbers on release. Journal events should
-    /// keep coming from the tracer, which owns dense numbering and
-    /// causal parents.
+    /// — a node's per-line journal records, or events streamed to a
+    /// merger that renumbers on release. A run's own trace should keep
+    /// coming from the tracer, which owns dense numbering and causal
+    /// parents.
     #[must_use]
     pub fn root(at_us: u64, kind: EventKind) -> Self {
         TraceEvent { seq: 0, at_us, parent: None, kind }

@@ -19,8 +19,10 @@
 //!   reproducing) the live run's verdict. `adore-obs --audit
 //!   trace.jsonl` is the CLI form, wired into CI.
 //! - [`OnlineAuditor`] / [`StreamMerger`] — the same audit engine
-//!   driven incrementally over live exported streams, merged
-//!   deterministically under a virtual-clock watermark; and
+//!   driven incrementally over live exported streams (each a node's
+//!   journal files, in full), merged deterministically under a
+//!   virtual-clock watermark into [`merge_journals`]'s order, so the
+//!   online report is the batch one; and
 //!   [`render_prometheus`] — the pure text-exposition renderer behind
 //!   each node's `/metrics` endpoint.
 //!

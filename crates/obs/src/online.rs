@@ -20,17 +20,11 @@
 //!   on the exact merged event that completes its evidence — the
 //!   detection lag is bounded by the watermark buffer (events still
 //!   in flight from slower streams), never by journal length.
-//!
-//! Export loss is part of the model, not an exception: a
-//! [`EventKind::TraceDropped`] marker in a stream is counted into
-//! [`OnlineAuditor::dropped`], so a consumer can always distinguish "no
-//! divergence in everything exported" from "no divergence, and nothing
-//! was left unexported".
 
 use std::collections::VecDeque;
 
 use crate::audit::{AuditEngine, AuditReport, Divergence};
-use crate::event::{EventKind, TraceEvent};
+use crate::event::TraceEvent;
 
 /// The online auditor's answer after ingesting one event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,7 +61,6 @@ impl Verdict {
 #[derive(Debug, Default)]
 pub struct OnlineAuditor {
     engine: AuditEngine,
-    dropped: u64,
     flagged_at: Option<u64>,
 }
 
@@ -80,9 +73,6 @@ impl OnlineAuditor {
 
     /// Ingest the next merged event and report the stream's verdict.
     pub fn ingest(&mut self, ev: &TraceEvent) -> Verdict {
-        if let EventKind::TraceDropped { count, .. } = &ev.kind {
-            self.dropped += count;
-        }
         self.engine.ingest(ev);
         let v = self.verdict();
         if self.flagged_at.is_none() && !v.is_clean() {
@@ -100,14 +90,6 @@ impl OnlineAuditor {
         } else {
             Verdict::Clean
         }
-    }
-
-    /// Total events the exporters shed, summed from
-    /// [`EventKind::TraceDropped`] markers. Zero means the audited
-    /// stream is complete — nothing was silently unexported.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Merged position of the first event whose ingestion left the
@@ -276,7 +258,7 @@ impl StreamMerger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit_events;
+    use crate::{audit_events, EventKind};
 
     fn ev(at_us: u64, nid: u32) -> TraceEvent {
         TraceEvent::root(at_us, EventKind::WalSync { nid })
@@ -367,15 +349,6 @@ mod tests {
         };
         assert_eq!((d.a, d.b, d.seq), (1, 2, 1));
         assert_eq!(a.flagged_at(), Some(1), "raised on the completing event");
-    }
-
-    #[test]
-    fn trace_dropped_markers_are_accounted_not_silent() {
-        let mut a = OnlineAuditor::new();
-        let mut e = TraceEvent::root(5, EventKind::TraceDropped { nid: 1, count: 3 });
-        e.seq = 0;
-        let _ = a.ingest(&e);
-        assert_eq!(a.dropped(), 3);
     }
 
     /// The keystone: driving the engine event-by-event (online) and
