@@ -5,7 +5,7 @@
 //! monitor's), merges the streams deterministically through
 //! [`adore_obs::StreamMerger`]'s virtual-clock watermark, and drives
 //! [`adore_obs::OnlineAuditor`] over the merged order — the same
-//! T1–T7 engine the batch auditor runs, fed as events arrive.
+//! T1–T8 engine the batch auditor runs, fed as events arrive.
 //!
 //! A node's export stream is its journal files from the first boot on,
 //! whichever boot serves it ([`crate::export`]), so the reader counts

@@ -224,10 +224,10 @@ mod tests {
     /// loudly.
     #[test]
     fn export_frame_bytes_are_pinned() {
-        let event = TraceEvent::root(7, EventKind::TraceDropped { nid: 2, count: 3 });
+        let event = TraceEvent::root(7, EventKind::MetricsScrape { nid: 2, series: 3 });
         let frame = encode_msg(&event).expect("encodes");
         let payload =
-            br#"{"seq":0,"at_us":7,"parent":null,"kind":{"TraceDropped":{"nid":2,"count":3}}}"#;
+            br#"{"seq":0,"at_us":7,"parent":null,"kind":{"MetricsScrape":{"nid":2,"series":3}}}"#;
         assert_eq!(&frame[wire::HEADER..], payload.as_slice());
         let header: [u8; wire::HEADER] = frame[..wire::HEADER].try_into().expect("header width");
         let (len, crc) = wire::decode_header(&header).expect("header");

@@ -10,10 +10,11 @@
 //! the simulator writes, and an availability monitor
 //! ([`adored::monitor`]) drives sessioned writes whose acks become
 //! audit obligations. Each run is a body between
-//! [`LiveRun::boot`] and [`LiveRun::close`], which reads every acked
-//! key back, merges every journal (nodes, monitor, driver) and audits
-//! the trace with `adore-obs`: zero acked-write loss, zero duplicate
-//! applies, committed-prefix agreement.
+//! [`LiveRun::boot`] and [`LiveRun::close`], which reads every written
+//! key once more, merges every journal (nodes, monitor, driver) and
+//! audits the trace with `adore-obs`: zero acked-write loss, zero
+//! duplicate applies, committed-prefix agreement, and a linearizable
+//! client history.
 //!
 //! Three modes:
 //!
@@ -38,6 +39,7 @@ use adore_nemesis::{
 };
 use adore_obs::{to_jsonl, EventKind};
 use adored::client::{ClientParams, NetClient};
+use adored::node::now_us;
 
 use crate::live::{reconfigure, Closed, LiveRun};
 use crate::Args;
@@ -200,7 +202,7 @@ fn seal_result(
         pass: violation.is_none(),
         violation,
         attempted: monitor.map_or(0, |m| m.attempted),
-        acked: monitor.map_or(0, |m| m.acked.len() as u64),
+        acked: monitor.map_or(0, |m| m.acked),
         refused: monitor.map_or(0, |m| m.refused),
         lost: monitor.map_or(0, |m| m.lost),
         crc_rejections: count_crc_rejections(&live),
@@ -418,10 +420,11 @@ fn enact_schedule(
                     let value = format!("hv{burst_no}");
                     // An exhausted or refused write under active
                     // faults is an availability cost, not a safety
-                    // problem: nothing was acked, nothing is owed.
-                    if let Ok(acked) = client.put(&key, &value) {
-                        driver.ack(client.client_id(), acked.seq, acked.duplicate, key, value);
-                    }
+                    // problem: it stays pending in the history.
+                    let invoked_at_us = now_us();
+                    let result = client.put(&key, &value);
+                    let at = (invoked_at_us, now_us());
+                    driver.put(client.client_id(), (&key, &value), at, &result);
                 }
             }
             Fault::Idle { .. } => thread::sleep(Duration::from_millis(dwell_ms(&fault))),

@@ -22,12 +22,14 @@
 //!   proxy per directed peer link (partitions, loss, CRC-preserving
 //!   corruption, delay, reorder, slow-loris, resets).
 //! - [`monitor`] — the availability monitor whose acked writes become
-//!   the audit's zero-loss / zero-duplicate obligations.
+//!   the audit's zero-loss / zero-duplicate obligations, and whose
+//!   every write joins the client history T8 holds to
+//!   linearizability.
 //! - [`export`] — the streaming trace export side-channel: each node's
 //!   journal files, every boot's, served over TCP in the same
 //!   `[len][crc32][payload]` framing and followed as they grow.
 //! - [`collect`] — the online collector: merges live export streams on
-//!   a virtual-clock watermark and drives the same T1–T7 audit engine
+//!   a virtual-clock watermark and drives the same T1–T8 audit engine
 //!   incrementally, raising divergence while the cluster still runs.
 //!   Each node's stream carries every journaled event once, across
 //!   kill -9 restarts, so the online verdict is held to the batch one.

@@ -5,11 +5,12 @@
 //! availability monitor), attaches the online collector to every
 //! node's export stream and opens the driver's journal. A body — the
 //! `hunt` fault walk, the `bench --open-loop` rate sweep — then
-//! disturbs or loads the cluster, recording what it does and what was
-//! acknowledged on [`LiveRun::driver`]. [`LiveRun::close`] is the only
-//! way out: quiesce, read every acknowledged key back, merge every
-//! journal, audit the merged trace, and hold the online verdict to the
-//! batch one.
+//! disturbs or loads the cluster, journaling what it does and every
+//! client operation on [`LiveRun::driver`]. [`LiveRun::close`] is the
+//! only way out: quiesce, read every written key once through the
+//! cluster, merge every journal, audit the merged trace — whose client
+//! history must be linearizable (T8) — and hold the online verdict to
+//! the batch one.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -17,16 +18,17 @@ use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::thread;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 use adore_obs::{
-    audit_events, merge_journals, to_jsonl, AuditReport, EventKind, TraceEvent, Tracer,
+    audit_events, merge_journals, parse_jsonl, to_jsonl, AuditReport, EventKind, TraceEvent, Tracer,
 };
-use adored::client::{ClientError, ClientParams, NetClient};
+use adored::client::{Acked, ClientError, ClientParams, NetClient};
 use adored::collect::{CollectorReport, LocalStream, OnlineCollector};
 use adored::det::msg::ClientReply;
 use adored::export;
 use adored::monitor::{self, MonitorHandle, MonitorReport};
+use adored::node::now_us;
 use adored::proxy::{LinkTally, ProxyNet};
 
 /// How long the harness waits for a leader before declaring the
@@ -41,14 +43,6 @@ pub(crate) const CHILD_TICK_MS: u64 = 20;
 /// Peer read deadline handed to every netmesis node: long enough that
 /// a sub-second gray pause resumes on the same sockets.
 const NETMESIS_PEER_DEADLINE_MS: u64 = 120_000;
-
-/// Microseconds since the UNIX epoch, for the driver's own journal.
-fn now_us() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX))
-        .unwrap_or(0)
-}
 
 /// Reserves `n` distinct ephemeral localhost ports.
 fn pick_ports(n: usize) -> std::io::Result<Vec<u16>> {
@@ -299,27 +293,57 @@ impl Drop for Harness {
 /// The driver's journal, written twice at once: into the batch tracer
 /// (merged and audited after the run) and onto the collector's live
 /// stream. One record call, two sinks, no divergence between them.
+/// Stamps must not decrease, or the online merge would reorder them.
 pub(crate) struct DriverLog {
     tracer: Tracer,
     stream: LocalStream,
-    /// Every write the driver saw acknowledged, as `(key, value)`:
-    /// each is owed a read-back at close.
-    acked: Vec<(String, String)>,
 }
 
 impl DriverLog {
     pub(crate) fn record(&mut self, kind: EventKind) {
-        let at_us = now_us();
+        self.record_at(now_us(), kind);
+    }
+
+    fn record_at(&mut self, at_us: u64, kind: EventKind) {
         self.stream.push(TraceEvent::root(at_us, kind.clone()));
         self.tracer.record(at_us, kind);
     }
 
-    /// Journals one acknowledged write as an audit obligation (T7) and
-    /// notes its key for the read-back.
-    pub(crate) fn ack(&mut self, client: u64, seq: u64, dup: bool, key: String, value: String) {
-        self.record(EventKind::SessionAck { client, seq, dup });
-        self.acked.push((key, value));
+    /// Journals one finished put at its completion `done_us`: its
+    /// session ack when acked (T7's obligation), and the call itself
+    /// either way (T8's history).
+    pub(crate) fn put(
+        &mut self,
+        client: u64,
+        (key, value): (&str, &str),
+        at: (u64, u64),
+        result: &Result<Acked, ClientError>,
+    ) {
+        if let Ok(acked) = result {
+            let (seq, dup) = (acked.seq, acked.duplicate);
+            self.record_at(at.1, EventKind::SessionAck { client, seq, dup });
+        }
+        let outcome = if result.is_ok() { "acked" } else { "failed" };
+        let call = EventKind::client_op("put", key, Some(value.to_string()), at, outcome);
+        self.record_at(at.1, call);
     }
+}
+
+/// Every key a journaled put names, and how many puts were acked.
+fn written_keys<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> (BTreeSet<String>, u64) {
+    let (mut keys, mut acked) = (BTreeSet::new(), 0);
+    for ev in events {
+        if let EventKind::ClientOp {
+            op, key, outcome, ..
+        } = &ev.kind
+        {
+            if op == "put" {
+                keys.insert(key.clone());
+                acked += u64::from(outcome == "acked");
+            }
+        }
+    }
+    (keys, acked)
 }
 
 /// A booted cluster under the online collector, between `boot` and
@@ -340,9 +364,10 @@ pub(crate) struct LiveRun {
 /// What [`LiveRun::close`] found.
 pub(crate) struct Closed {
     /// Everything that makes the run a violation: what the body
-    /// reported, a harness thread that panicked, an acknowledged key
-    /// that did not read back, an audit rejection, an online/batch
-    /// split. Empty means SAFE.
+    /// reported, a harness thread that panicked, a final read the
+    /// cluster could not serve, an audit rejection (a client history
+    /// that is not linearizable among them), an online/batch split.
+    /// Empty means SAFE.
     pub(crate) problems: Vec<String>,
     /// The batch audit over the merged journal files.
     pub(crate) batch: AuditReport,
@@ -418,7 +443,6 @@ impl LiveRun {
         let mut driver = DriverLog {
             tracer: Tracer::enabled(),
             stream,
-            acked: Vec::new(),
         };
         driver.record(EventKind::RunStart {
             name: name.to_string(),
@@ -442,10 +466,11 @@ impl LiveRun {
     }
 
     /// Quiesces and stops the cluster, then certifies the run: every
-    /// acknowledged key reads back, the merged journals pass the batch
-    /// audit, and the online verdict equals the batch one. `problems`
-    /// is what the body already holds against the run; `phase` numbers
-    /// the verdict.
+    /// written key is read once more (the final observations of the
+    /// client history), the merged journals pass the batch audit, T8
+    /// included, and the online verdict equals the batch one.
+    /// `problems` is what the body already holds against the run;
+    /// `phase` numbers the verdict.
     pub(crate) fn close(mut self, mut problems: Vec<String>, phase: u32) -> Result<Closed, String> {
         // Quiesce: heal everything, resume and restart everyone, let
         // the cluster converge, then stop the monitor.
@@ -460,55 +485,43 @@ impl LiveRun {
         }
         let leader = self.harness.wait_for_leader();
         thread::sleep(Duration::from_millis(800));
-        let (mut monitor, mut monitor_journal) = (None, None);
+        let (mut monitor, mut monitor_text) = (None, None);
         if let Some((handle, file)) = self.monitor.take() {
             match handle.stop() {
                 Ok(report) => monitor = Some(report),
                 Err(e) => problems.push(e),
             }
-            monitor_journal = Some(file);
+            monitor_text = Some(fs::read_to_string(file).unwrap_or_default());
         }
 
-        // Read-back: an acknowledged write the cluster cannot return
-        // is lost, whatever the journals say.
-        let watched = monitor
-            .iter()
-            .flat_map(|m| &m.acked)
-            .map(|w| (&w.key, &w.value));
-        let owed: Vec<(&String, &String)> = self
-            .driver
-            .acked
-            .iter()
-            .map(|(k, v)| (k, v))
-            .chain(watched)
-            .collect();
-        let mut read_back = 0;
+        // Final reads: every key any client wrote, once, through the
+        // cluster. They complete the history T8 judges; a read that
+        // fails observes nothing, and a cluster that cannot serve one
+        // after quiesce is a failed run.
+        let monitor_events =
+            parse_jsonl(monitor_text.as_deref().unwrap_or_default()).map_err(|e| e.to_string())?;
+        let (keys, acked) = written_keys(self.driver.tracer.events().iter().chain(&monitor_events));
+        let mut reads = 0;
         match leader {
             Ok(_) => {
                 let mut reader = self.harness.client(998, ClientParams::default());
-                let mut lost = Vec::new();
-                for (k, v) in &owed {
-                    match reader.get(k) {
-                        Ok(Some(got)) if got == **v => read_back += 1,
-                        Ok(got) => lost.push(format!("{k}: acked {v:?}, read {got:?}")),
-                        Err(e) => {
-                            lost.push(format!("{k}: read failed: {e}"));
-                            break;
-                        }
+                for key in &keys {
+                    let invoked_at_us = now_us();
+                    let result = reader.get(key);
+                    let at = (invoked_at_us, now_us());
+                    let value = result.as_ref().ok().cloned().flatten();
+                    let outcome = if result.is_ok() { "acked" } else { "failed" };
+                    let call = EventKind::client_op("get", key, value, at, outcome);
+                    self.driver.record_at(at.1, call);
+                    if let Err(e) = result {
+                        problems.push(format!("final read of {key} failed: {e}"));
+                        break;
                     }
-                }
-                if !lost.is_empty() {
-                    let failed = lost.len();
-                    lost.truncate(5);
-                    problems.push(format!(
-                        "{failed} acked writes did not read back: {} ...",
-                        lost.join("; ")
-                    ));
+                    reads += 1;
                 }
             }
             Err(e) => problems.push(format!("after quiesce: {e}")),
         }
-        let acked = owed.len();
 
         // Give the last catch-up journal lines a moment to reach the
         // export streams, then stop the cluster and read its files,
@@ -518,9 +531,7 @@ impl LiveRun {
         drop(self.harness);
         let mut texts = journal_texts(&dir, &nids).map_err(|e| e.to_string())?;
         let proxy = self.proxy.map_or_else(LinkTally::default, |p| p.totals());
-        texts.extend(
-            monitor_journal.map(|file: PathBuf| fs::read_to_string(file).unwrap_or_default()),
-        );
+        texts.extend(monitor_text);
 
         self.driver.record(EventKind::Verdict {
             safe: problems.is_empty(),
@@ -528,9 +539,7 @@ impl LiveRun {
             detail: (!problems.is_empty()).then(|| problems.join("; ")),
             phase,
         });
-        self.driver.record(EventKind::RunEnd {
-            committed: acked as u64,
-        });
+        self.driver.record(EventKind::RunEnd { committed: acked });
         texts.push(self.driver.tracer.to_jsonl());
         // Close the driver's live stream, then the whole collector: the
         // monitor's stream already closed when its thread was joined.
@@ -541,8 +550,9 @@ impl LiveRun {
         fs::write(dir.join("merged.jsonl"), to_jsonl(&events)).map_err(|e| e.to_string())?;
         let batch = audit_events(&events);
         if !batch.consistent || batch.divergence.is_some() {
+            let history = batch.not_linearizable.as_ref().map(ToString::to_string);
             problems.push(format!(
-                "audit rejected the run: errors={:?} divergence={:?}",
+                "audit rejected the run: errors={:?} divergence={:?} history={history:?}",
                 batch.errors, batch.divergence
             ));
         }
@@ -558,8 +568,9 @@ impl LiveRun {
         }
         let summary = online.as_ref().map_or("none".into(), |o| o.report.summary());
         println!(
-            "live: {read_back}/{acked} acked keys read back; online audit: {summary}; \
+            "live: {reads}/{} written keys read; online audit: {summary}; \
              events online/batch: {}/{}",
+            keys.len(),
             online.as_ref().map_or(0, |o| o.report.events),
             batch.events
         );

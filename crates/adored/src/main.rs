@@ -16,8 +16,9 @@
 //!   sim-minimized counterexample artifact.
 //!
 //! `bench` and `hunt` are two bodies inside one skeleton, [`live`]:
-//! boot the cluster under the online collector, run, then read back
-//! every acknowledged key and audit the merged journals.
+//! boot the cluster under the online collector, run, then read every
+//! written key once more and audit the merged journals, the client
+//! history's linearizability included.
 
 #![deny(clippy::disallowed_methods)] // L12a: as the library
 
@@ -29,9 +30,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use adore_obs::{EventKind, Histogram};
-use adored::client::{ClientParams, NetClient};
+use adored::client::{Acked, ClientError, ClientParams, NetClient};
 use adored::det::engine::EngineParams;
-use adored::node::{run, NodeConfig};
+use adored::node::{now_us, run, NodeConfig};
 
 use crate::live::LiveRun;
 
@@ -300,7 +301,7 @@ struct RatePoint {
 /// The online collector's close-out, serialized.
 #[derive(serde::Serialize)]
 struct OnlineVerdict {
-    /// The headline: the live T1–T7 audit certified the run.
+    /// The headline: the live T1–T8 audit certified the run.
     certified: bool,
     events: usize,
     nodes: usize,
@@ -326,9 +327,10 @@ fn scrape_series(addr: &str) -> Option<u64> {
     )
 }
 
-/// What one open-loop worker measured: the `(latency_us, seq, dup,
-/// key)` of every acked write, and its error count.
-type WorkerTake = (Vec<(u64, u64, bool, String)>, u64);
+/// One write an open-loop worker finished: its key, its latency from
+/// the intended start, when it was dispatched and finished (for the
+/// driver's journal), and its result.
+type Finished = (String, u64, (u64, u64), Result<Acked, ClientError>);
 
 /// Issues `total` writes on a fixed schedule shared across workers
 /// (worker `w` owns indices `w, w+W, w+2W, ...`). Latency is charged
@@ -342,9 +344,8 @@ fn open_loop_worker(
     total: u64,
     w: u64,
     label: usize,
-) -> WorkerTake {
-    let mut acks = Vec::new();
-    let mut errors = 0u64;
+) -> Vec<Finished> {
+    let mut finished = Vec::new();
     let mut i = w;
     while i < total {
         let intended = start + Duration::from_micros(i.saturating_mul(1_000_000) / rate.max(1));
@@ -353,13 +354,13 @@ fn open_loop_worker(
             thread::sleep(intended - now);
         }
         let key = format!("ol{label}-{w}-{i}");
-        match client.put(&key, "x") {
-            Ok(acked) => acks.push((dur_us(intended.elapsed()), acked.seq, acked.duplicate, key)),
-            Err(_) => errors += 1,
-        }
+        let dispatched = now_us();
+        let result = client.put(&key, "x");
+        let at = (dispatched, now_us());
+        finished.push((key, dur_us(intended.elapsed()), at, result));
         i += OPEN_LOOP_WORKERS;
     }
-    (acks, errors)
+    finished
 }
 
 /// The open-loop campaign: a 3-node cluster with the online auditor
@@ -393,20 +394,28 @@ fn bench_open_loop(
                 open_loop_worker(client, start, rate, total, w, ri)
             }));
         }
+        let mut writes = Vec::new();
+        for (w, handle) in (0..).zip(workers) {
+            let finished = handle
+                .join()
+                .map_err(|_| format!("open-loop worker {w} panicked"))?;
+            writes.extend(finished.into_iter().map(|f| (w, f)));
+        }
+        // Journaled in completion order: the driver's stamps must not
+        // decrease.
+        writes.sort_by_key(|(_, (_, _, at, _))| at.1);
         let mut hist = Histogram::default();
         let mut latencies = Vec::new();
         let mut errors = 0u64;
-        for (w, handle) in (0..).zip(workers) {
-            let (acks, errs) = handle
-                .join()
-                .map_err(|_| format!("open-loop worker {w} panicked"))?;
-            errors += errs;
-            for (latency_us, seq, dup, key) in acks {
-                hist.observe(latency_us);
-                latencies.push(latency_us);
-                live.driver
-                    .ack(client_id(w), seq, dup, key, "x".to_string());
+        for (w, (key, latency_us, at, result)) in &writes {
+            match result {
+                Ok(_) => {
+                    hist.observe(*latency_us);
+                    latencies.push(*latency_us);
+                }
+                Err(_) => errors += 1,
             }
+            live.driver.put(client_id(*w), (key, "x"), *at, result);
         }
         let elapsed_us = dur_us(start.elapsed());
         let acked = latencies.len() as u64;

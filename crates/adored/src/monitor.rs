@@ -17,6 +17,10 @@
 //!   reply. The op's fate is unknown; nothing is claimed about it, so
 //!   it cannot create an audit obligation.
 //!
+//! Every write, whatever its outcome, is also journaled as a
+//! `ClientOp` event: one call of the client history the auditor holds
+//! to linearizability (T8), which the run's final reads complete.
+//!
 //! Each completed window is journaled as an `AvailabilityWindow` event,
 //! so the merged journal tells the whole availability story alongside
 //! the safety story, and the report's totals are the windows' sums.
@@ -34,26 +38,13 @@ use adore_obs::EventKind;
 
 use crate::client::{ClientError, ClientParams, NetClient};
 use crate::collect::LocalStream;
-use crate::node::Journal;
-
-/// A write the cluster acknowledged (and therefore owes the audit).
-#[derive(Debug, Clone)]
-pub struct AckedWrite {
-    /// The unique key written.
-    pub key: String,
-    /// The value written.
-    pub value: String,
-    /// The session sequence number acknowledged.
-    pub seq: u64,
-    /// Whether the ack was a dedup of a retried write.
-    pub duplicate: bool,
-}
+use crate::node::{now_us, Journal};
 
 /// What the monitor observed over its whole run.
 #[derive(Debug, Default)]
 pub struct MonitorReport {
-    /// Every acknowledged write.
-    pub acked: Vec<AckedWrite>,
+    /// Total writes acknowledged.
+    pub acked: u64,
     /// Total writes attempted.
     pub attempted: u64,
     /// Total writes refused.
@@ -122,6 +113,7 @@ fn roll(
     report: &mut MonitorReport,
 ) {
     report.attempted += u64::from(w.attempted);
+    report.acked += u64::from(w.acked);
     report.refused += u64::from(w.refused);
     report.lost += u64::from(w.lost);
     stream.push(journal.record(EventKind::AvailabilityWindow {
@@ -172,7 +164,9 @@ pub fn start(
             let key = format!("mon-{CLIENT_ID}-{op}");
             let value = format!("v{op}");
             window.attempted += 1;
-            match client.put(&key, &value) {
+            let invoked_at_us = now_us();
+            let result = client.put(&key, &value);
+            match &result {
                 Ok(ack) => {
                     window.acked += 1;
                     stream.push(journal.record(EventKind::SessionAck {
@@ -180,18 +174,16 @@ pub fn start(
                         seq: ack.seq,
                         dup: ack.duplicate,
                     }));
-                    report.acked.push(AckedWrite {
-                        key,
-                        value,
-                        seq: ack.seq,
-                        duplicate: ack.duplicate,
-                    });
                 }
                 Err(ClientError::Rejected { .. } | ClientError::SessionStale { .. }) => {
                     window.refused += 1;
                 }
                 Err(ClientError::Exhausted { .. }) => window.lost += 1,
             }
+            let at = (invoked_at_us, now_us());
+            let outcome = if result.is_ok() { "acked" } else { "failed" };
+            let call = EventKind::client_op("put", &key, Some(value), at, outcome);
+            stream.push(journal.record(call));
             thread::sleep(Duration::from_millis(OP_GAP_MS));
         }
         // Flush the final, partial window.
@@ -206,7 +198,7 @@ mod tests {
     use super::*;
 
     /// A panicked monitor is reported as such, not as a report with no
-    /// acked writes that would silently owe the read-back nothing.
+    /// acked writes that would silently owe the audit nothing.
     #[test]
     fn a_panicked_monitor_is_an_error_not_an_empty_report() {
         let handle = MonitorHandle {

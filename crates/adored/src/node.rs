@@ -172,7 +172,8 @@ use outbox::Outbox;
 
 /// Microseconds since the UNIX epoch; journal stamps must be
 /// comparable across the processes of one host-local cluster.
-fn now_us() -> u64 {
+#[must_use]
+pub fn now_us() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX))

@@ -18,6 +18,11 @@
 //!    while the client is stuck behind the minority leader and recovers
 //!    after redirect and heal, with committed-prefix agreement
 //!    throughout.
+//! 4. **Fixed-seed sweep**: 2,000 sound-guard campaigns (seeds 0–499 ×
+//!    3 or 5 members × 8 or 16 steps) with zero violations, every
+//!    client history read back and linearizable; the campaigns whose
+//!    quiesce finds no leader are named, and their count may not rise
+//!    above its pin.
 //!
 //! Usage: `cargo run -p adore-bench --bin nemesis_table --release`
 
@@ -27,6 +32,12 @@ use adore_nemesis::{
     ablation_suite, hunt, random_schedule, replay, run_schedule, Counterexample,
     DurabilityPolicy, EngineParams, Fault, FaultSchedule, NetHarness, RandomScheduleParams,
 };
+
+/// Campaigns of the fixed-seed sweep whose quiesce finds no leader
+/// (seeds 79 at 8 and 16 steps, 111, 310 and 312 at 16, all with 3
+/// members): a liveness finding, not a safety one. More is a
+/// regression.
+const SWEEP_LEADERLESS_PIN: usize = 5;
 
 /// The availability demo: the client starts behind a minority-side
 /// leader, the majority elects around it and reconfigures it away, and
@@ -185,5 +196,40 @@ fn main() {
     println!(
         "committed prefix agreed across all replicas throughout ({} entries committed).",
         report.committed_entries
+    );
+
+    // 4. The fixed-seed sweep.
+    println!("\nfixed-seed sweep — seeds 0-499 x 3|5 members x 8|16 steps, sound guard\n");
+    let start = std::time::Instant::now();
+    let (mut campaigns, mut leaderless) = (0usize, Vec::new());
+    for seed in 0..500 {
+        for members in [3, 5] {
+            for steps in [8, 16] {
+                let random = RandomScheduleParams {
+                    members: (1..=members).collect(),
+                    steps,
+                    guard: ReconfigGuard::all(),
+                };
+                let report = run_schedule(&random_schedule(&random, seed), &params);
+                campaigns += 1;
+                if let Some((v, i)) = &report.violation {
+                    panic!("seed {seed}, {members} members, {steps} steps: phase {i}: {v}");
+                }
+                if report.leaderless {
+                    leaderless.push(format!("{seed}/{members}/{steps}"));
+                }
+            }
+        }
+    }
+    println!(
+        "{campaigns} campaigns, 0 violations, {} leaderless after quiesce (seed/members/steps: {}); {}",
+        leaderless.len(),
+        leaderless.join(", "),
+        fmt_duration(start.elapsed())
+    );
+    assert!(
+        leaderless.len() <= SWEEP_LEADERLESS_PIN,
+        "{} campaigns leaderless after quiesce, pinned at {SWEEP_LEADERLESS_PIN}",
+        leaderless.len()
     );
 }

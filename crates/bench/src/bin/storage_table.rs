@@ -103,7 +103,7 @@ fn main() {
         "the strict policy must certify every campaign"
     );
     println!(
-        "\n{} campaigns, 0 violations (committed-prefix, read-your-writes, ack-durability, \
+        "\n{} campaigns, 0 violations (committed-prefix, linearizability, ack-durability, \
          recovery-faithfulness); {} WAL records, {} syncs; total {}\n",
         campaigns.len(),
         total_records,

@@ -466,8 +466,8 @@ impl Cluster {
     // ---- client traffic -------------------------------------------------
 
     /// Sends `msg` to the leader and waits up to `rounds` heartbeat
-    /// periods for its ack; returns the time taken and whether the engine
-    /// acked a retry (`duplicate`).
+    /// periods for its ack, or for the value a `Get` reads, which it
+    /// returns.
     ///
     /// # Errors
     ///
@@ -476,7 +476,7 @@ impl Cluster {
     /// session refusal, [`ClusterError::Stalled`] on no ack in time — or
     /// on a redirect from a leader that took the request and then stepped
     /// down, which leaves the write's fate open.
-    pub fn request(&mut self, msg: ClientMsg, rounds: u32) -> Result<(u64, bool), ClusterError> {
+    pub fn request(&mut self, msg: ClientMsg, rounds: u32) -> Result<ClientReply, ClusterError> {
         let leader = self
             .leader
             .filter(|l| self.is_up(*l))
@@ -496,12 +496,13 @@ impl Cluster {
             c.replies.contains_key(&conn)
         });
         match self.replies.remove(&conn) {
-            Some(ClientReply::Acked { duplicate: dup, .. }) => {
+            Some(reply @ ClientReply::Acked { duplicate: dup, .. }) => {
                 if let Some((client, seq)) = session {
                     self.trace(EventKind::SessionAck { client, seq, dup });
                 }
-                Ok((self.now_us - start, dup))
+                Ok(reply)
             }
+            Some(reply @ ClientReply::Value { .. }) => Ok(reply),
             Some(ClientReply::Redirect { leader }) => {
                 self.leader = leader.map(NodeId);
                 Err(if taken {
@@ -522,6 +523,20 @@ impl Cluster {
         }
     }
 
+    /// Reads `key` as an `adored` client does: a `Get` the leader answers
+    /// from its applied store.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Cluster::request`].
+    pub fn get(&mut self, key: &str) -> Result<Option<String>, ClusterError> {
+        let key = key.to_string();
+        match self.request(ClientMsg::Get { key }, PATIENCE_ROUNDS)? {
+            ClientReply::Value { value, .. } => Ok(value),
+            _ => Err(ClusterError::Stalled),
+        }
+    }
+
     /// Submits one write and waits for its commit; returns the latency in
     /// virtual microseconds.
     ///
@@ -529,9 +544,9 @@ impl Cluster {
     ///
     /// As for [`Cluster::request`].
     pub fn submit(&mut self, cmd: KvCommand) -> Result<u64, ClusterError> {
-        let msg = write_msg(self.next_conn + 1, cmd);
-        self.request(msg, PATIENCE_ROUNDS)
-            .map(|(latency, _)| latency)
+        let (msg, start) = (write_msg(self.next_conn + 1, cmd), self.now_us);
+        self.request(msg, PATIENCE_ROUNDS)?;
+        Ok(self.now_us - start)
     }
 
     /// Performs a live ("hot") reconfiguration — the paper's path, guarded
@@ -547,8 +562,9 @@ impl Cluster {
             seq: self.next_conn + 1,
             members: new_config.members().iter().map(|n| n.0).collect(),
         };
-        self.request(msg, PATIENCE_ROUNDS)
-            .map(|(latency, _)| latency)
+        let start = self.now_us;
+        self.request(msg, PATIENCE_ROUNDS)?;
+        Ok(self.now_us - start)
     }
 
     /// Performs a **stop-the-world** reconfiguration (§8's Stoppable
@@ -624,6 +640,19 @@ impl Cluster {
         } else {
             Err(ClusterError::Stalled)
         }
+    }
+
+    /// The running nodes, freshest log first: by the term of the last
+    /// entry, then by length (the order in which voters rank
+    /// candidates' logs).
+    #[must_use]
+    pub fn freshest_first(&self) -> Vec<NodeId> {
+        let mut up: Vec<(&NodeId, &Node)> = self.nodes.iter().filter(|(_, n)| n.up).collect();
+        up.sort_by_key(|(_, n)| {
+            let log = n.engine.log();
+            std::cmp::Reverse((log.last().map(|e| e.time), log.len()))
+        });
+        up.into_iter().map(|(nid, _)| *nid).collect()
     }
 
     /// Targets client requests at the running leader with the newest
@@ -839,19 +868,6 @@ impl Cluster {
         store
     }
 
-    /// Serves a read from the leader's applied store.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::NoLeader`] without an established leader.
-    pub fn get(&self, key: &str) -> Result<Option<String>, ClusterError> {
-        let node = self
-            .leader
-            .and_then(|l| self.nodes.get(&l))
-            .ok_or(ClusterError::NoLeader)?;
-        Ok(node.engine.get(key).map(str::to_string))
-    }
-
     /// Checks committed-prefix agreement across every node.
     ///
     /// # Errors
@@ -1032,8 +1048,9 @@ mod tests {
         c.fail(NodeId(1));
         c.links_mut().heal_all();
         c.elect(NodeId(2)).unwrap();
-        let (_, duplicate) = c.request(put(9, 1, "a"), 50).unwrap();
-        assert!(duplicate, "the retry is recognized, not re-appended");
+        let reply = c.request(put(9, 1, "a"), 50).unwrap();
+        let dup = matches!(reply, ClientReply::Acked { duplicate, .. } if duplicate);
+        assert!(dup, "the retry is recognized, not re-appended");
         c.run_idle(10_000);
         assert_eq!(c.committed_store().get("a"), Some("v"));
         for n in 2..=5 {

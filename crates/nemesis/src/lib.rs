@@ -13,14 +13,16 @@
 //!   deterministically.
 //! - [`RobustClient`] — a production-shaped client driver (per-request
 //!   timeout, capped exponential backoff with seeded jitter,
-//!   leader-redirect retry) that records an operation history and a ghost
-//!   state of what its acknowledgements oblige the cluster to return.
+//!   leader-redirect retry) that records its operation history as the
+//!   `ClientOp` events the trace journals.
 //! - [`run_schedule`] / [`hunt`] — the engine: boots an
 //!   [`adore_kv::Cluster`], applies each fault, asserts
-//!   committed-prefix agreement and read-your-committed-writes after
-//!   every phase and at quiesce, reports per-phase availability in a
-//!   [`DegradedReport`], and on violation minimizes the schedule with the
-//!   checker's delta-debugging into a replayable [`Counterexample`].
+//!   committed-prefix agreement after every phase and at quiesce, reads
+//!   every written key back through the engine and holds the whole
+//!   client history to linearizability ([`adore_obs::linearize`]),
+//!   reports per-phase availability in a [`DegradedReport`], and on
+//!   violation minimizes the schedule with the checker's
+//!   delta-debugging into a replayable [`Counterexample`].
 //! - [`NetHarness`] — the same schedules against the untimed
 //!   network-level model ([`adore_raft::NetState`]), for
 //!   cross-validation that a violation is a protocol property, not a
@@ -62,7 +64,7 @@ mod netmesis;
 mod schedule;
 mod scripted;
 
-pub use client::{OpOutcome, OpRecord, RobustClient, ViolationKind};
+pub use client::{OpOutcome, RobustClient, ViolationKind};
 pub use engine::{
     hunt, replay, run_schedule, run_schedule_traced, Counterexample, DegradedReport, EngineParams,
     NemesisReport, PhaseStat,

@@ -34,8 +34,12 @@
 //!   applies). Session pairs are extracted generically from the
 //!   canonical-JSON committed entries, so the auditor needs no protocol
 //!   types.
+//! - **T8 linearizability** — the client history the trace recorded
+//!   ([`EventKind::ClientOp`] events) is linearizable, key by key
+//!   ([`crate::linearize`]).
 
 use crate::event::{EventKind, TraceEvent};
+use crate::linearize::{linearize, NotLinearizable};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How many structural errors the auditor collects before truncating
@@ -93,6 +97,11 @@ pub struct AuditReport {
     pub divergence: Option<Divergence>,
     /// Distinct `(client, seq)` session pairs the trace acknowledged.
     pub acked: usize,
+    /// Client operations the trace recorded (T8's input).
+    pub client_ops: usize,
+    /// T8's verdict: the first key whose client history is not
+    /// linearizable.
+    pub not_linearizable: Option<NotLinearizable>,
     /// Wire frames the trace recorded as rejected
     /// ([`EventKind::BadFrame`]): checksum, length-cap, or payload
     /// failures. A fault campaign that injects corruption asserts this
@@ -118,6 +127,13 @@ impl AuditReport {
             Some(d) => format!("divergence: {d}"),
             None => "no divergence".to_string(),
         };
+        let history = match &self.not_linearizable {
+            Some(v) => format!(" | {v}"),
+            None if self.client_ops > 0 => {
+                format!(" | {} client ops linearizable", self.client_ops)
+            }
+            None => String::new(),
+        };
         let wire = if self.bad_frames > 0 || self.acked > 0 {
             format!(
                 " | {} acked sessions, {} rejected frames",
@@ -127,7 +143,7 @@ impl AuditReport {
             String::new()
         };
         format!(
-            "{} events, {} nodes | live verdict: {live} | audit: {audit} | {} structural errors{wire} | {}",
+            "{} events, {} nodes | live verdict: {live} | audit: {audit}{history} | {} structural errors{wire} | {}",
             self.events,
             self.nodes,
             self.errors.len(),
@@ -175,7 +191,7 @@ impl Node {
     }
 }
 
-/// The incremental T1–T7 audit engine.
+/// The incremental T1–T8 audit engine.
 ///
 /// One event at a time via [`AuditEngine::ingest`], then
 /// [`AuditEngine::finish`] for the final report. The batch entry point
@@ -187,9 +203,9 @@ impl Node {
 /// journal length: T3 re-compares only the slots past a per-pair
 /// watermark of verified agreement, a `WalSync` copies only the slots
 /// changed since the last one, and the engine retains no event history
-/// beyond a position-indexed map of sends for T2. (Comparing whole
-/// prefixes and copying whole logs instead made an audit quadratic in
-/// log length.)
+/// beyond a position-indexed map of sends for T2 and the client
+/// operations T8 judges at the end. (Comparing whole prefixes and
+/// copying whole logs instead made an audit quadratic in log length.)
 #[derive(Debug, Default)]
 pub struct AuditEngine {
     nodes: BTreeMap<u32, Node>,
@@ -209,6 +225,8 @@ pub struct AuditEngine {
     acks: BTreeSet<(u64, u64)>,
     /// Rejected wire frames counted from [`EventKind::BadFrame`].
     bad_frames: u64,
+    /// The client history: every [`EventKind::ClientOp`], for T8.
+    client_ops: Vec<TraceEvent>,
     /// `(send.seq, msg, to)` of every `MsgSend`, keyed by journal
     /// position, for T2 parent lookups without the event history.
     sends: BTreeMap<u64, (u64, u32, u32)>,
@@ -230,10 +248,11 @@ impl AuditEngine {
     /// T1 (density, clock monotonicity), T2 (causality), T3 (committed-
     /// prefix agreement), T4 (commit monotonicity) and T5 (recovery
     /// faithfulness) are all evaluated here, on arrival; only T7's
-    /// final sweep and the T6 consistency verdict wait for
-    /// [`AuditEngine::finish`]. A divergence is therefore raised on the
-    /// *exact* event that completes its evidence — the online auditor's
-    /// bounded-window claim rests on this.
+    /// final sweep, T8 over the whole client history and the T6
+    /// consistency verdict wait for [`AuditEngine::finish`]. A
+    /// divergence is therefore raised on the *exact* event that
+    /// completes its evidence — the online auditor's bounded-window
+    /// claim rests on this.
     pub fn ingest(&mut self, ev: &TraceEvent) {
         let i = self.pos;
         self.pos += 1;
@@ -489,6 +508,7 @@ impl AuditEngine {
             EventKind::BadFrame { .. } => {
                 self.bad_frames += 1;
             }
+            EventKind::ClientOp { .. } => self.client_ops.push(ev.clone()),
             _ => {}
         }
     }
@@ -538,10 +558,10 @@ impl AuditEngine {
     }
 
     /// Close out the audit: run T7's final sweep over the
-    /// reconstruction, settle T6 verdict consistency, and produce the
-    /// report. Certification semantics are documented on
-    /// [`audit_events`], which is exactly this engine driven over a
-    /// whole journal.
+    /// reconstruction and T8 over the client history, settle T6
+    /// verdict consistency, and produce the report. Certification
+    /// semantics are documented on [`audit_events`], which is exactly
+    /// this engine driven over a whole journal.
     pub fn finish(mut self) -> AuditReport {
         if self.pos == 0 {
             self.error("empty trace".to_string());
@@ -554,24 +574,29 @@ impl AuditEngine {
         // T6 consumes below.
         self.certify_sessions();
 
+        // T8: the recorded client history must be linearizable.
+        if !self.client_ops.is_empty() {
+            *self.checks.entry("T8.linearizable").or_insert(0) += self.client_ops.len() as u64;
+        }
+        let not_linearizable = linearize(&self.client_ops).err();
+
         // T6: does the audit's independent verdict agree with the live
         // one?
         let consistent = match self.live_safe {
-            Some(true) | None => self.divergence.is_none() && self.errors.is_empty(),
-            Some(false) => {
-                if self.live_kind.as_deref() == Some("LogDivergence") {
-                    // The trace must exhibit the divergence on its own.
-                    self.divergence.is_some()
-                } else {
-                    // Other violation kinds (lost writes, stale reads,
-                    // durability breaches) are found by checkers whose
-                    // evidence (client ghost state, WAL mirrors) is
-                    // beyond the protocol-state reconstruction; the
-                    // trace is consistent as long as it does not
-                    // *contradict* the verdict.
-                    true
-                }
+            Some(true) | None => {
+                self.divergence.is_none() && self.errors.is_empty() && not_linearizable.is_none()
             }
+            // The trace must exhibit a divergence or a history anomaly
+            // on its own.
+            Some(false) => match self.live_kind.as_deref() {
+                Some("LogDivergence") => self.divergence.is_some(),
+                Some("NotLinearizable") => not_linearizable.is_some(),
+                // Durability breaches are found by a checker whose
+                // evidence (WAL mirrors) is beyond the reconstruction;
+                // the trace is consistent as long as it does not
+                // *contradict* the verdict.
+                _ => true,
+            },
         };
 
         AuditReport {
@@ -587,6 +612,8 @@ impl AuditEngine {
             live_kind: self.live_kind,
             divergence: self.divergence,
             acked: self.acks.len(),
+            client_ops: self.client_ops.len(),
+            not_linearizable,
             bad_frames: self.bad_frames,
             consistent,
         }
@@ -631,10 +658,11 @@ fn session_in(v: &serde_json::JsonValue) -> Option<(u64, u64)> {
 ///   linked (T1/T2), with no T4/T5 structural errors, **when** the live
 ///   run recorded itself safe — an unsafe run is past the protocol's
 ///   guarantees, so only its divergence must be reproduced; and
-/// - the audit's independent committed-prefix verdict matches the live
-///   one: a live `LogDivergence` verdict is reproduced from the
-///   reconstruction alone, and a live safe verdict is confirmed by
-///   finding no divergence.
+/// - the audit's independent verdicts match the live one: a live
+///   `LogDivergence` verdict is reproduced from the reconstruction
+///   alone, a live `NotLinearizable` verdict from the recorded client
+///   history alone, and a live safe verdict is confirmed by finding
+///   neither.
 pub fn audit_events(events: &[TraceEvent]) -> AuditReport {
     let mut engine = AuditEngine::new();
     for ev in events {
@@ -866,7 +894,7 @@ mod tests {
     fn non_divergence_violations_do_not_require_trace_evidence() {
         let events = vec![
             delta(0, 1, &["x"], Some(1)),
-            verdict(1, false, Some("LostWrite")),
+            verdict(1, false, Some("AckNotDurable")),
         ];
         assert!(audit_events(&events).consistent);
     }
@@ -1119,6 +1147,61 @@ mod tests {
             errored > 30 && certified > 30,
             "{errored} errored, {certified} certified"
         );
+    }
+
+    fn client_op(seq: u64, at: u64, op: &str, value: Option<&str>, invoked: u64) -> TraceEvent {
+        ev(
+            seq,
+            at,
+            None,
+            EventKind::ClientOp {
+                op: op.into(),
+                key: "k".into(),
+                outcome: "acked".into(),
+                latency_us: None,
+                value: value.map(str::to_string),
+                invoked_at_us: invoked,
+            },
+        )
+    }
+
+    /// T8 on a journal: a final read that misses the last acked write
+    /// makes a run that called itself safe inconsistent, and a live
+    /// `NotLinearizable` verdict is reproduced from the history alone
+    /// (and only when the history shows it).
+    #[test]
+    fn t8_holds_the_client_history_to_linearizability() {
+        let stale = vec![
+            client_op(0, 10, "put", Some("v1"), 0),
+            client_op(1, 30, "put", Some("v2"), 20),
+            client_op(2, 50, "get", Some("v1"), 40),
+        ];
+        let with_verdict = |mut events: Vec<TraceEvent>, safe, kind| {
+            let mut last = verdict(events.len() as u64, safe, kind);
+            last.at_us = 100;
+            events.push(last);
+            audit_events(&events)
+        };
+        let report = with_verdict(stale.clone(), true, None);
+        assert!(!report.consistent);
+        assert!(
+            report.summary().contains("key k is not linearizable"),
+            "{}",
+            report.summary()
+        );
+        let v = report.not_linearizable.expect("T8 finds the stale read");
+        assert_eq!((v.key.as_str(), v.history.len()), ("k", 3));
+        assert!(with_verdict(stale, false, Some("NotLinearizable")).consistent);
+
+        let fresh = vec![
+            client_op(0, 10, "put", Some("v1"), 0),
+            client_op(1, 30, "put", Some("v2"), 20),
+            client_op(2, 50, "get", Some("v2"), 40),
+        ];
+        let report = with_verdict(fresh.clone(), true, None);
+        assert!(report.consistent, "{:?}", report.not_linearizable);
+        assert_eq!(report.client_ops, 3);
+        assert!(!with_verdict(fresh, false, Some("NotLinearizable")).consistent);
     }
 
     #[test]

@@ -90,20 +90,6 @@ pub enum EventKind {
         /// Whether the protocol applied it (vs. rejected/ignored).
         applied: bool,
     },
-    /// A local protocol step was attempted (election start, commit
-    /// round, client invoke, reconfiguration proposal). No current build
-    /// writes this: the engine journals the step's outcome instead
-    /// (`StateDelta`, `LeaderElected`, ...). The variant stays because
-    /// journals are a pinned compatibility surface and an old journal
-    /// must still parse and audit.
-    LocalStep {
-        /// Operation kind ("elect", "commit", "invoke", "reconfig").
-        op: String,
-        /// The stepping replica.
-        nid: u32,
-        /// Whether the protocol applied it.
-        applied: bool,
-    },
     /// A candidate won its election.
     LeaderElected {
         /// The new leader.
@@ -134,19 +120,6 @@ pub enum EventKind {
         append: Vec<String>,
         /// New commit watermark, if advanced (or regressed).
         commit_len: Option<u64>,
-    },
-    /// Records were appended to a replica's WAL (volatile tail). No
-    /// current build writes this: the engine's `StateDelta` carries the
-    /// appended entries and the shell journals the `WalSync` that makes
-    /// them durable. The variant stays for the same compatibility
-    /// reason as `LocalStep`.
-    WalAppend {
-        /// The replica.
-        nid: u32,
-        /// Number of records appended.
-        records: u64,
-        /// Framed bytes written.
-        bytes: u64,
     },
     /// A replica's WAL was synced (one modeled `fsync`).
     WalSync {
@@ -183,16 +156,25 @@ pub enum EventKind {
     },
     /// The fault engine healed all standing network faults.
     Heal,
-    /// A client operation completed (or definitively failed).
+    /// A client operation completed (or definitively failed). The
+    /// event's own stamp is the completion time; with `invoked_at_us`
+    /// and `value` it is one call of the history the auditor's
+    /// linearizability check (T8) judges.
     ClientOp {
         /// Operation kind ("put", "get").
         op: String,
         /// Key touched.
         key: String,
-        /// Outcome ("acked", "timed-out", "no-leader", "rejected").
+        /// Outcome ("acked" for a put that was acknowledged or a get
+        /// that returned; "timed-out", "no-leader", "rejected", ...
+        /// otherwise).
         outcome: String,
-        /// Request latency in virtual microseconds, when acked.
+        /// Request latency in microseconds, when acked.
         latency_us: Option<u64>,
+        /// The value written, or the value read (`None`: absent).
+        value: Option<String>,
+        /// When the client invoked the operation, on the stamp's clock.
+        invoked_at_us: u64,
     },
     /// A sessioned write was acknowledged to a client. The auditor's
     /// session certification (T7) demands that every acknowledged
@@ -234,18 +216,6 @@ pub enum EventKind {
         /// Why ("corrupt", "oversized", "bad-payload").
         reason: String,
     },
-    /// A thread found a mutex poisoned (a peer thread panicked while
-    /// holding it) and *adopted* the value instead of propagating the
-    /// panic. No current build writes this: the runtime shares no lock
-    /// any more (each piece of state has one owning thread). The
-    /// variant stays because journals are a pinned compatibility
-    /// surface and an old journal must still parse and audit.
-    LockPoisoned {
-        /// The recovering node.
-        nid: u32,
-        /// The lock's name (e.g. "clients").
-        lock: String,
-    },
     /// The live run evaluated an invariant.
     InvariantEval {
         /// Invariant name (e.g. "log-safety").
@@ -270,18 +240,6 @@ pub enum EventKind {
         /// Entries committed over the run.
         committed: u64,
     },
-    /// A streaming trace exporter shed `count` events under
-    /// backpressure (its bounded queue was full). No current build
-    /// writes this: a node's export stream is its journal files
-    /// themselves, so there is nothing to shed. The variant stays
-    /// because journals are a pinned compatibility surface and an old
-    /// journal must still parse and audit.
-    TraceDropped {
-        /// The exporting node.
-        nid: u32,
-        /// Events shed since the previous marker (or stream start).
-        count: u64,
-    },
     /// A read-only `/metrics` scrape was served by a node's endpoint.
     /// Journaled through the node's single-writer event loop so the
     /// scrape layer (the only place wall clocks are allowed) never
@@ -295,6 +253,28 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    /// The [`EventKind::ClientOp`] of one call that ran from
+    /// `invoked_at_us` to `done_us` (its writer stamps it then):
+    /// `outcome` is "acked", or why the call was not; only an acked call
+    /// has a latency.
+    #[must_use]
+    pub fn client_op(
+        op: &str,
+        key: &str,
+        value: Option<String>,
+        (invoked_at_us, done_us): (u64, u64),
+        outcome: &str,
+    ) -> EventKind {
+        EventKind::ClientOp {
+            op: op.to_string(),
+            key: key.to_string(),
+            outcome: outcome.to_string(),
+            latency_us: (outcome == "acked").then(|| done_us.saturating_sub(invoked_at_us)),
+            value,
+            invoked_at_us,
+        }
+    }
+
     /// A short machine-readable tag for the event kind (used by
     /// metrics and summaries).
     #[must_use]
@@ -305,11 +285,9 @@ impl EventKind {
             EventKind::MsgSend { .. } => "msg-send",
             EventKind::MsgDrop { .. } => "msg-drop",
             EventKind::MsgRecv { .. } => "msg-recv",
-            EventKind::LocalStep { .. } => "local-step",
             EventKind::LeaderElected { .. } => "leader-elected",
             EventKind::ReconfigCommitted { .. } => "reconfig-committed",
             EventKind::StateDelta { .. } => "state-delta",
-            EventKind::WalAppend { .. } => "wal-append",
             EventKind::WalSync { .. } => "wal-sync",
             EventKind::Crash { .. } => "crash",
             EventKind::WalRecover { .. } => "wal-recover",
@@ -319,11 +297,9 @@ impl EventKind {
             EventKind::SessionAck { .. } => "session-ack",
             EventKind::AvailabilityWindow { .. } => "availability-window",
             EventKind::BadFrame { .. } => "bad-frame",
-            EventKind::LockPoisoned { .. } => "lock-poisoned",
             EventKind::InvariantEval { .. } => "invariant-eval",
             EventKind::Verdict { .. } => "verdict",
             EventKind::RunEnd { .. } => "run-end",
-            EventKind::TraceDropped { .. } => "trace-dropped",
             EventKind::MetricsScrape { .. } => "metrics-scrape",
         }
     }

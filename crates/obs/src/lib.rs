@@ -18,6 +18,9 @@
 //!   agreement over the reconstruction, confirming (or independently
 //!   reproducing) the live run's verdict. `adore-obs --audit
 //!   trace.jsonl` is the CLI form, wired into CI.
+//! - [`linearize`] — the one client-visible check: is a recorded client
+//!   history (its `ClientOp` events) linearizable? The auditor runs it
+//!   as T8; the simulated fault harness calls it directly.
 //! - [`OnlineAuditor`] / [`StreamMerger`] — the same audit engine
 //!   driven incrementally over live exported streams (each a node's
 //!   journal files, in full), merged deterministically under a
@@ -37,6 +40,7 @@
 
 mod audit;
 mod event;
+mod linearize;
 mod metrics;
 mod online;
 mod prom;
@@ -45,6 +49,7 @@ mod trace;
 
 pub use audit::{audit_events, AuditEngine, AuditReport, Divergence};
 pub use event::{EventKind, TraceEvent};
+pub use linearize::{linearize, Anomaly, Call, NotLinearizable};
 pub use metrics::{
     Histogram, HistogramSnapshot, Metrics, MetricsSnapshot, LATENCY_BOUNDS_US,
 };

@@ -1,4 +1,4 @@
-//! The online auditor: live T1–T7 certification over streaming
+//! The online auditor: live T1–T8 certification over streaming
 //! journals.
 //!
 //! The batch auditor ([`crate::audit_events`]) certifies a run from a
@@ -51,7 +51,7 @@ impl Verdict {
     }
 }
 
-/// Streaming T1–T7 auditor over a merged event stream.
+/// Streaming T1–T8 auditor over a merged event stream.
 ///
 /// Feed merged events (from a [`StreamMerger`] or any single journal)
 /// through [`OnlineAuditor::ingest`]; every call answers with the
@@ -105,7 +105,7 @@ impl OnlineAuditor {
         self.engine.events_ingested()
     }
 
-    /// Close the audit and produce the full report (T7 sweep + T6
+    /// Close the audit and produce the full report (T7 sweep, T8, T6
     /// consistency), exactly as the batch auditor would.
     pub fn finish(self) -> AuditReport {
         self.engine.finish()

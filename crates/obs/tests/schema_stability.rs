@@ -62,14 +62,6 @@ fn pinned_kinds() -> Vec<(EventKind, &'static str)> {
             r#"{"MsgRecv":{"msg":7,"to":3,"applied":true}}"#,
         ),
         (
-            EventKind::LocalStep {
-                op: "elect".into(),
-                nid: 2,
-                applied: true,
-            },
-            r#"{"LocalStep":{"op":"elect","nid":2,"applied":true}}"#,
-        ),
-        (
             EventKind::LeaderElected { nid: 2, term: 5 },
             r#"{"LeaderElected":{"nid":2,"term":5}}"#,
         ),
@@ -89,14 +81,6 @@ fn pinned_kinds() -> Vec<(EventKind, &'static str)> {
                 commit_len: None,
             },
             r#"{"StateDelta":{"nid":3,"term":5,"truncate":2,"append":["{\"k\":\"a\"}"],"commit_len":null}}"#,
-        ),
-        (
-            EventKind::WalAppend {
-                nid: 3,
-                records: 2,
-                bytes: 96,
-            },
-            r#"{"WalAppend":{"nid":3,"records":2,"bytes":96}}"#,
         ),
         (EventKind::WalSync { nid: 3 }, r#"{"WalSync":{"nid":3}}"#),
         (
@@ -129,8 +113,10 @@ fn pinned_kinds() -> Vec<(EventKind, &'static str)> {
                 key: "k0".into(),
                 outcome: "acked".into(),
                 latency_us: Some(800),
+                value: Some("v3".into()),
+                invoked_at_us: 1_200,
             },
-            r#"{"ClientOp":{"op":"put","key":"k0","outcome":"acked","latency_us":800}}"#,
+            r#"{"ClientOp":{"op":"put","key":"k0","outcome":"acked","latency_us":800,"value":"v3","invoked_at_us":1200}}"#,
         ),
         (
             EventKind::SessionAck {
@@ -158,13 +144,6 @@ fn pinned_kinds() -> Vec<(EventKind, &'static str)> {
             r#"{"BadFrame":{"nid":2,"reason":"corrupt"}}"#,
         ),
         (
-            EventKind::LockPoisoned {
-                nid: 1,
-                lock: "clients".into(),
-            },
-            r#"{"LockPoisoned":{"nid":1,"lock":"clients"}}"#,
-        ),
-        (
             EventKind::InvariantEval {
                 name: "log-safety".into(),
                 ok: true,
@@ -183,10 +162,6 @@ fn pinned_kinds() -> Vec<(EventKind, &'static str)> {
         (
             EventKind::RunEnd { committed: 12 },
             r#"{"RunEnd":{"committed":12}}"#,
-        ),
-        (
-            EventKind::TraceDropped { nid: 2, count: 17 },
-            r#"{"TraceDropped":{"nid":2,"count":17}}"#,
         ),
         (
             EventKind::MetricsScrape { nid: 1, series: 14 },
