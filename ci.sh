@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate for the workspace: build, test, clippy, two short runs of
+# Tier-1 gate for the workspace: build, test, clippy, four short runs of
 # the repository benchmark, the fixed-seed nemesis, storage and
 # observability table runs, two live-cluster gates (`adored hunt
 # --gate`, `adored bench --open-loop`) and one live run that must fail
@@ -28,15 +28,19 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # 2000-entry log takes puts for 3 s (`write_long_log`: suffix frames and
 # heartbeats), then the same with the leader killed and restarted
 # (`failover`: a restart with no `source`, a whole-log first frame, a
-# one-entry election). Each run must report correct output — every acked
+# one-entry election), then a 5-node cluster walked 5→4→3→4→5 under
+# puts (`reconfig_walk`: the one live path where config entries are
+# appended, committed and superseded under load, which is what each
+# node's cached config position must follow). Each run must report
+# correct output — every acked
 # key read back, the merged journals certified by the auditor — and no
 # failed operation. `timeout` also catches an audit that goes quadratic
 # in the log again. `certify` runs no cluster: it is the only step that
 # checks the checker's deep pinned counts (27,398/34,380 for `explore`
 # at depth 7, 47,951/104,176 for `explore_net` at depth 9); an
 # exploration off its pin is a failed operation.
-echo "== bench smoke (write_long_log, failover, certify) =="
-for workload in write_long_log failover certify; do
+echo "== bench smoke (write_long_log, failover, reconfig_walk, certify) =="
+for workload in write_long_log failover reconfig_walk certify; do
     if ! result=$(timeout 240 benchmark/run.sh --workload "$workload" --seconds 3 | tail -n 1); then
         echo "ci: $workload: the run failed: $result" >&2
         exit 1

@@ -432,6 +432,53 @@ mod tests {
         assert_eq!(reached.difference(&seen).count(), 48);
     }
 
+    /// Every server's cached config position (`config_of`, a lookup)
+    /// names the configuration a full scan of its log finds, in every
+    /// state the workspace-suite shape reaches — `{1,2}` + 1 spare to
+    /// depth 7 — under the full guard and with each leg ablated. The
+    /// walk is `explore_net`'s own BFS without its stop at a violation;
+    /// under the full guard it visits exactly the states the pinned
+    /// count names.
+    #[test]
+    fn cached_config_positions_match_a_full_scan_in_every_reachable_state() {
+        let conf0 = SingleNode::new([1, 2]);
+        let universe: adore_core::NodeSet = (1..=3).map(NodeId).collect();
+        let all = ReconfigGuard::all();
+        for guard in [all, all.without_r1(), all.without_r2(), all.without_r3()] {
+            let params = NetExploreParams {
+                max_depth: 7,
+                max_states: usize::MAX,
+                guard,
+                ..NetExploreParams::default()
+            };
+            let initial: NetState<SingleNode, u32> = NetState::new(conf0.clone(), guard);
+            let mut logs = BTreeMap::new();
+            let mut visited = BTreeSet::from([state_key(&initial, &mut logs)]);
+            let mut queue = VecDeque::from([(initial, 0usize)]);
+            let mut config_entries = 0;
+            while let Some((st, depth)) = queue.pop_front() {
+                for (nid, s) in st.servers() {
+                    let scanned = adore_raft::effective_config(st.conf0(), &s.log);
+                    assert_eq!(st.config_of(nid), Some(scanned), "{guard:?} {nid:?} {:?}", s.log);
+                    config_entries += s.log.iter().filter(|e| e.cmd.config().is_some()).count();
+                }
+                if depth == params.max_depth {
+                    continue;
+                }
+                for ev in net_successors(&st, &params, &universe) {
+                    let mut next = st.clone();
+                    if next.step(&ev).applied() && visited.insert(state_key(&next, &mut logs)) {
+                        queue.push_back((next, depth + 1));
+                    }
+                }
+            }
+            assert!(config_entries > 0, "{guard:?}: no config entry was ever checked");
+            if guard == all {
+                assert_eq!(visited.len(), explore_net(&conf0, &params).states);
+            }
+        }
+    }
+
     #[test]
     fn network_state_space_dominates_at_equal_protocol_progress() {
         use crate::explore::{explore, ExploreParams};

@@ -5,7 +5,10 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-/// A client command against the replicated store.
+use crate::compact::CompactStr;
+
+/// A client command against the replicated store. Keys and values are
+/// [`CompactStr`]s: a command with short ones owns no heap.
 ///
 /// # Examples
 ///
@@ -23,21 +26,21 @@ pub enum KvCommand {
     /// Insert or replace a mapping.
     Put {
         /// The key.
-        key: String,
+        key: CompactStr,
         /// The value.
-        value: String,
+        value: CompactStr,
     },
     /// Remove a mapping.
     Delete {
         /// The key.
-        key: String,
+        key: CompactStr,
     },
 }
 
 impl KvCommand {
     /// Builds a `Put` command.
     #[must_use]
-    pub fn put(key: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn put(key: impl Into<CompactStr>, value: impl Into<CompactStr>) -> Self {
         KvCommand::Put {
             key: key.into(),
             value: value.into(),
@@ -46,7 +49,7 @@ impl KvCommand {
 
     /// Builds a `Delete` command.
     #[must_use]
-    pub fn delete(key: impl Into<String>) -> Self {
+    pub fn delete(key: impl Into<CompactStr>) -> Self {
         KvCommand::Delete { key: key.into() }
     }
 }
@@ -57,7 +60,7 @@ impl KvCommand {
 /// application-level consequence of replicated state safety.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct KvStore {
-    map: BTreeMap<String, String>,
+    map: BTreeMap<CompactStr, CompactStr>,
 }
 
 impl KvStore {
@@ -89,7 +92,7 @@ impl KvStore {
     /// Reads a key.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.map.get(key).map(String::as_str)
+        self.map.get(key).map(CompactStr::as_str)
     }
 
     /// Number of live mappings.

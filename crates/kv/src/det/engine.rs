@@ -75,9 +75,7 @@ use std::collections::BTreeMap;
 
 use adore_core::{Configuration, NodeId, NodeSet, ReconfigGuard, Timestamp};
 use adore_obs::EventKind;
-use adore_raft::{
-    effective_config, Command, EventOutcome, NetEvent, NetState, Rejection, Request, Role, Server,
-};
+use adore_raft::{Command, EventOutcome, NetEvent, NetState, Rejection, Request, Role, Server};
 use adore_schemes::SingleNode;
 use adore_storage::{encode_record, DurabilityPolicy, DurableState, Recovery, Wal, WalRecord};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -726,7 +724,7 @@ impl Engine {
     fn refusal_reason(&self, next: &Cfg) -> String {
         let (me, guard) = (self.me(), self.model.guard());
         let in_flight = me.log.get(me.commit_len..).unwrap_or(&[]);
-        if guard.r1 && !effective_config(self.model.conf0(), &me.log).r1_plus(next) {
+        if guard.r1 && !me.config(self.model.conf0()).r1_plus(next) {
             "R1+: membership may change by at most one node"
         } else if guard.r2 && in_flight.iter().any(|e| e.cmd.config().is_some()) {
             "R2: an uncommitted config entry is already in flight"
@@ -901,7 +899,7 @@ impl Engine {
     /// Members of the effective configuration.
     #[must_use]
     pub fn members(&self) -> NodeSet {
-        effective_config(self.model.conf0(), &self.me().log).members()
+        self.me().config(self.model.conf0()).members()
     }
 
     /// A committed value, from the applied store.

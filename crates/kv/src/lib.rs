@@ -5,7 +5,8 @@
 //! of the paper's OCaml extraction evaluated on EC2 (§7, Fig. 16). It
 //! provides:
 //!
-//! * [`KvCommand`]/[`KvStore`] — the replicated application,
+//! * [`KvCommand`]/[`KvStore`] — the replicated application, keyed by
+//!   [`CompactStr`] (short keys and values own no heap),
 //! * [`det`] — the deterministic per-node protocol engine (exactly-once
 //!   sessions, suffix replication, the WAL records it persists) and its
 //!   wire codec; `adored` runs one engine per process,
@@ -44,6 +45,7 @@
 
 mod churn;
 mod command;
+mod compact;
 pub mod det;
 mod fig16;
 mod links;
@@ -51,6 +53,7 @@ mod sim;
 
 pub use churn::{run_churn, ChurnParams, ChurnReport};
 pub use command::{KvCommand, KvStore};
+pub use compact::CompactStr;
 pub use fig16::{aggregate, run_fig16, Fig16Params, Fig16Run, RequestRecord};
 pub use links::LinkMatrix;
 pub use sim::{Cluster, ClusterError, LatencyModel};

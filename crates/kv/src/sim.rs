@@ -917,10 +917,14 @@ fn write_msg(seq: u64, cmd: KvCommand) -> ClientMsg {
         KvCommand::Put { key, value } => ClientMsg::Put {
             client,
             seq,
-            key,
-            value,
+            key: key.into(),
+            value: value.into(),
         },
-        KvCommand::Delete { key } => ClientMsg::Delete { client, seq, key },
+        KvCommand::Delete { key } => ClientMsg::Delete {
+            client,
+            seq,
+            key: key.into(),
+        },
     }
 }
 

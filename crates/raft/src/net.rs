@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 
 use adore_core::{Configuration, NodeId, NodeSet, ReconfigGuard, Timestamp};
 
-use crate::types::{effective_config, log_key, Command, Entry, Log, MsgId, NetEvent, Request};
+use crate::types::{log_key, Command, Entry, Log, MsgId, NetEvent, Request};
 
 /// A replica's role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -44,7 +44,7 @@ pub enum Role {
 }
 
 /// One replica's local state (Fig. 13's `Server`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Server<C, M> {
     /// Largest observed term.
     pub time: Timestamp,
@@ -73,6 +73,13 @@ pub struct Server<C, M> {
     /// same term. It still adopts logs and acknowledges commits, so it
     /// catches back up purely by retransmission.
     pub abstaining: bool,
+    /// Where `log`'s last config entry sits, as index + 1; 0 when the
+    /// log holds none and the server acts under the genesis
+    /// configuration. Every `NetState` move that changes `log` keeps it,
+    /// so [`Self::config`] is a lookup, not a scan of the log. A `u32`
+    /// fills padding the fields above leave, so a `Server` (cloned per
+    /// explored state) is no larger for it.
+    config_at: u32,
 }
 
 impl<C, M> Server<C, M> {
@@ -86,7 +93,72 @@ impl<C, M> Server<C, M> {
             acks: BTreeMap::new(),
             crashed: false,
             abstaining: false,
+            config_at: 0,
         }
+    }
+
+    /// The configuration this server acts under: its log's last config
+    /// entry (configurations take effect on entering a log), or `conf0`
+    /// when the log holds none. O(1); equal to
+    /// [`effective_config`](crate::effective_config)`(conf0, &self.log)`,
+    /// which debug builds check on every call.
+    #[must_use]
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug-build self-check of the cache against a scan; release builds compile it out"
+    )]
+    pub fn config<'a>(&'a self, conf0: &'a C) -> &'a C {
+        debug_assert_eq!(
+            self.config_at,
+            last_config_at(&self.log, self.log.len()),
+            "cached config position"
+        );
+        config_entry(&self.log, self.config_at).unwrap_or(conf0)
+    }
+
+    /// The configuration in effect at the end of `log[..len]`: a lookup
+    /// unless an entry at or past `len` holds the log's last config
+    /// (an acked prefix ending below an uncommitted reconfiguration),
+    /// which takes a scan of the prefix.
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
+    fn config_below<'a>(&'a self, conf0: &'a C, len: usize) -> &'a C {
+        let at = if self.config_at as usize <= len {
+            self.config_at
+        } else {
+            last_config_at(&self.log, len)
+        };
+        config_entry(&self.log, at).unwrap_or(conf0)
+    }
+
+    /// Appends one entry.
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
+    fn push(&mut self, entry: Entry<C, M>) {
+        if entry.cmd.config().is_some() {
+            self.config_at = narrow(self.log.len() + 1);
+        }
+        self.log.push(entry);
+    }
+
+    /// Keeps `log[..prev_len]` and appends `shipped` (a `Commit`'s
+    /// adoption).
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
+    fn splice(&mut self, prev_len: usize, shipped: Log<C, M>) {
+        self.log.truncate(prev_len);
+        if self.config_at as usize > self.log.len() {
+            self.config_at = last_config_at(&self.log, self.log.len());
+        }
+        if let Some(i) = shipped.iter().rposition(|e| e.cmd.config().is_some()) {
+            self.config_at = narrow(self.log.len() + i + 1);
+        }
+        self.log.extend(shipped);
+    }
+
+    /// Replaces the whole log (a recovery).
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
+    fn install_log(&mut self, log: Log<C, M>) {
+        self.config_at = last_config_at(&log, log.len());
+        self.log = log;
     }
 
     /// Whether the server never acted: never elected, never voted, empty
@@ -97,6 +169,31 @@ impl<C, M> Server<C, M> {
     pub fn is_pristine(&self) -> bool {
         self.time == Timestamp(0) && self.log.is_empty() && self.commit_len == 0 && !self.crashed
     }
+}
+
+/// A log position as the `u32` [`Server`] keeps, saturating (a log of
+/// four billion entries is out of reach).
+fn narrow(pos: usize) -> u32 {
+    u32::try_from(pos).unwrap_or(u32::MAX)
+}
+
+/// Where the last config entry of `log[..below]` sits, as index + 1; 0
+/// when there is none.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
+fn last_config_at<C, M>(log: &[Entry<C, M>], below: usize) -> u32 {
+    let prefix = log.get(..below).unwrap_or(log);
+    prefix
+        .iter()
+        .rposition(|e| e.cmd.config().is_some())
+        .map_or(0, |i| narrow(i + 1))
+}
+
+/// The configuration held by the entry at position `at` (index + 1), if
+/// it is a config entry; `None` for 0.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
+fn config_entry<C, M>(log: &[Entry<C, M>], at: u32) -> Option<&C> {
+    let i = (at as usize).checked_sub(1)?;
+    log.get(i)?.cmd.config()
 }
 
 /// Why a delivery was ignored by its recipient (invalid messages, Def. C.2).
@@ -145,7 +242,7 @@ impl EventOutcome {
 
 /// The network-based system state: servers plus sent/delivered request
 /// bags (Fig. 13's `Σ_net`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetState<C, M> {
     conf0: C,
     guard: ReconfigGuard,
@@ -229,12 +326,11 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
         &self.delivered
     }
 
-    /// The configuration in effect at `nid` (from its log).
+    /// The configuration in effect at `nid` (from its log; O(1), see
+    /// [`Server::config`]).
     #[must_use]
     pub fn config_of(&self, nid: NodeId) -> Option<C> {
-        self.servers
-            .get(&nid)
-            .map(|s| effective_config(&self.conf0, &s.log))
+        self.servers.get(&nid).map(|s| s.config(&self.conf0).clone())
     }
 
     /// Ensures a server object exists for `nid` (new members join with an
@@ -389,7 +485,7 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
         // by frame replay — the guard lives in another crate (storage),
         // outside the call-graph reach L6 has from raft.
         s.commit_len = commit_len.min(log.len());
-        s.log = log;
+        s.install_log(log);
         s.role = Role::Follower;
         s.votes.clear();
         s.acks.clear();
@@ -404,13 +500,9 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
     /// A replica outside its own effective configuration does not campaign
     /// (it has been removed, or never added): the event is a no-op.
     fn elect(&mut self, nid: NodeId) -> EventOutcome {
-        let conf0 = self.conf0.clone();
         {
-            let s = self.ensure_server(nid);
-            if s.crashed
-                || s.abstaining
-                || !effective_config(&conf0, &s.log).members().contains(&nid)
-            {
+            let s = self.servers.entry(nid).or_insert_with(Server::new);
+            if s.crashed || s.abstaining || !s.config(&self.conf0).members().contains(&nid) {
                 return EventOutcome::LocalNoOp;
             }
             s.time = s.time.next();
@@ -438,8 +530,9 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
         let Some(s) = self.servers.get_mut(&nid) else {
             return EventOutcome::LocalNoOp;
         };
-        s.log.push(Entry {
-            time: s.time,
+        let time = s.time;
+        s.push(Entry {
+            time,
             cmd: Command::Method(method),
         });
         EventOutcome::Applied
@@ -452,12 +545,10 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
             return EventOutcome::LocalNoOp;
         }
         let guard = self.guard;
-        let conf0 = self.conf0.clone();
         let Some(s) = self.servers.get_mut(&nid) else {
             return EventOutcome::LocalNoOp;
         };
-        let current = effective_config(&conf0, &s.log);
-        if guard.r1 && !current.r1_plus(&config) {
+        if guard.r1 && !s.config(&self.conf0).r1_plus(&config) {
             return EventOutcome::LocalNoOp;
         }
         // R2: no uncommitted config entry in the log.
@@ -472,8 +563,9 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
         if guard.r3 && !s.log[..s.commit_len].iter().any(|e| e.time == s.time) {
             return EventOutcome::LocalNoOp;
         }
-        s.log.push(Entry {
-            time: s.time,
+        let time = s.time;
+        s.push(Entry {
+            time,
             cmd: Command::Config(config),
         });
         EventOutcome::Applied
@@ -614,8 +706,7 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
                 if from != to {
                     recipient.role = Role::Follower;
                 }
-                recipient.log.truncate(prev_len);
-                recipient.log.extend(log);
+                recipient.splice(prev_len, log);
                 recipient.commit_len = recipient.commit_len.max(commit_len.min(len));
                 if ack_ok {
                     self.credit_ack(from, to, time, len);
@@ -688,16 +779,14 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
     /// configuration) to leader.
     #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     fn maybe_win(&mut self, nid: NodeId) {
-        let conf0 = self.conf0.clone();
         let Some(s) = self.servers.get_mut(&nid) else {
             return;
         };
         if s.role != Role::Candidate {
             return;
         }
-        let config = effective_config(&conf0, &s.log);
         adore_core::telemetry::count_quorum_check();
-        if config.is_quorum(&s.votes) {
+        if s.config(&self.conf0).is_quorum(&s.votes) {
             s.role = Role::Leader;
         }
     }
@@ -706,7 +795,6 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
     /// configuration effective at the acked prefix) acknowledged `len`.
     #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     fn maybe_advance_commit(&mut self, nid: NodeId, len: usize) {
-        let conf0 = self.conf0.clone();
         let Some(s) = self.servers.get_mut(&nid) else {
             return;
         };
@@ -716,8 +804,7 @@ impl<C: Configuration, M: Clone + Eq> NetState<C, M> {
         let Some(ackers) = s.acks.get(&len) else {
             return;
         };
-        let acked_prefix = s.log.get(..len.min(s.log.len())).unwrap_or(&[]);
-        let config = effective_config(&conf0, acked_prefix);
+        let config = s.config_below(&self.conf0, len);
         adore_core::telemetry::count_quorum_check();
         if config.is_quorum(ackers) && len > s.commit_len {
             s.commit_len = len;
@@ -1152,6 +1239,59 @@ mod tests {
         }
         // Every branch of the recipient's check was taken.
         assert_eq!(outcomes.len(), 3, "{outcomes:?}");
+    }
+
+    /// The cached config position costs no space: it sits in padding,
+    /// so the per-state clone of the checker does not grow.
+    #[test]
+    fn a_server_stays_96_bytes() {
+        assert_eq!(std::mem::size_of::<Server<SingleNode, u32>>(), 96);
+    }
+
+    /// A commit that cuts a follower's log below its last config entry
+    /// sends it back to the config entry before, and a shipped config
+    /// entry takes effect on adoption; an acked prefix that ends below
+    /// an uncommitted config entry is judged under the earlier
+    /// configuration.
+    #[test]
+    fn the_config_follows_truncation_adoption_and_the_acked_prefix() {
+        let mut st = three();
+        let e = |time: u64, cmd| Entry {
+            time: Timestamp(time),
+            cmd,
+        };
+        let (four, five) = (SingleNode::new([1, 2, 3, 4]), SingleNode::new([1, 2, 3, 4, 5]));
+        let held = vec![
+            e(1, Command::Config(four.clone())),
+            e(1, Command::Method("a")),
+            e(1, Command::Config(five.clone())),
+        ];
+        st.install_recovery(NodeId(2), Timestamp(1), held, 1, false);
+        assert_eq!(st.config_of(NodeId(2)), Some(five));
+        let cut = Request::Commit {
+            from: NodeId(1),
+            time: Timestamp(2),
+            prev_len: 2,
+            log: vec![e(2, Command::Method("b"))],
+            commit_len: 0,
+        };
+        assert_eq!(st.receive(cut, NodeId(2), false), EventOutcome::Applied);
+        assert_eq!(st.config_of(NodeId(2)), Some(four.clone()));
+        let two = SingleNode::new([1, 2]);
+        let grow = Request::Commit {
+            from: NodeId(1),
+            time: Timestamp(2),
+            prev_len: 3,
+            log: vec![e(2, Command::Config(two.clone())), e(2, Command::Method("c"))],
+            commit_len: 0,
+        };
+        assert_eq!(st.receive(grow, NodeId(2), false), EventOutcome::Applied);
+        assert_eq!(st.config_of(NodeId(2)), Some(two.clone()));
+        let s2 = st.server(NodeId(2)).unwrap();
+        assert_eq!(s2.config_below(st.conf0(), 0), st.conf0());
+        assert_eq!(s2.config_below(st.conf0(), 3), &four);
+        assert_eq!(s2.config_below(st.conf0(), 4), &two);
+        assert_eq!(s2.config_below(st.conf0(), 5), &two);
     }
 
     #[test]

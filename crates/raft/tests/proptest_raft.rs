@@ -7,10 +7,11 @@
 #![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)] // L5
 #![deny(clippy::let_underscore_must_use)] // L4/L8: no `let _ =` on a verdict or a recovery result
 
-use adore_core::{NodeId, ReconfigGuard};
+use adore_core::{NodeId, ReconfigGuard, Timestamp};
 use adore_raft::{
-    atomicize, check_refinement, filter_invalid, globally_order, normalize, segment_counts, MsgId,
-    NetEvent, NetState, SraftStep,
+    atomicize, check_refinement, effective_config, filter_invalid, globally_order, normalize,
+    random_trace, segment_counts, Command, Entry, MsgId, NetEvent, NetState, Request,
+    ScheduleParams, SraftStep,
 };
 use adore_schemes::SingleNode;
 use proptest::prelude::*;
@@ -158,4 +159,92 @@ proptest! {
             .expect("equivalence holds");
         prop_assert!(report.is_clean(), "{:?}", report.violations.first());
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The cached config position matches a full scan on every server
+    /// after every step of a random trace with crashes and guard
+    /// ablations, interleaved with the log moves the model's own
+    /// whole-log traces rarely make: suffix commits that append config
+    /// entries, and recoveries and suffix commits that cut a log at one
+    /// of its config entries.
+    #[test]
+    fn cached_config_positions_match_a_full_scan(
+        seed in any::<u64>(),
+        ablate in 0u8..4,
+        moves in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..48),
+    ) {
+        let conf0 = SingleNode::new([1, 2, 3]);
+        let guard = match ablate {
+            0 => ReconfigGuard::all(),
+            1 => ReconfigGuard::all().without_r1(),
+            2 => ReconfigGuard::all().without_r2(),
+            _ => ReconfigGuard::all().without_r3(),
+        };
+        let params = ScheduleParams {
+            steps: 160,
+            reconfig_weight: 3,
+            crash_weight: 1,
+            ..ScheduleParams::default()
+        };
+        let trace = random_trace(&conf0, guard, &params, 1, seed);
+        let mut st: NetState<SingleNode, u32> = NetState::new(conf0, guard);
+        let mut moves = moves.into_iter();
+        for (i, ev) in trace.iter().enumerate() {
+            st.step(ev);
+            if i % 3 == 2 {
+                if let Some((kind, who, at)) = moves.next() {
+                    move_a_log(&mut st, kind, who, at);
+                }
+            }
+            for (nid, s) in st.servers() {
+                let scanned = effective_config(st.conf0(), &s.log);
+                prop_assert_eq!(st.config_of(nid), Some(scanned), "{:?} after {:?}", nid, ev);
+            }
+        }
+    }
+}
+
+/// One log move on a server picked by `who`: by `kind`, a recovery that
+/// lost the tail from a config entry on (or from anywhere, when the log
+/// holds none), a one-method suffix from a higher term shipped with
+/// `prev_len` at that cut, or a one-config suffix appended at the end.
+/// Half the cuts take the last config entry: only there can a stale
+/// position name an entry that is gone or no longer a config.
+fn move_a_log(st: &mut NetState<SingleNode, u32>, kind: u8, who: u8, at: u8) {
+    let ids: Vec<NodeId> = st.servers().map(|(nid, _)| nid).collect();
+    let nid = ids[usize::from(who) % ids.len()];
+    let s = st.server(nid).expect("listed");
+    let configs: Vec<usize> = (0..s.log.len())
+        .filter(|i| s.log[*i].cmd.config().is_some())
+        .collect();
+    let cut = match configs.len() {
+        0 => usize::from(at) % (s.log.len() + 1),
+        n if at.is_multiple_of(2) => configs[n - 1],
+        n => configs[usize::from(at / 2) % n],
+    };
+    let (time, len, commit_len) = (s.time, s.log.len(), s.commit_len);
+    let next = Timestamp(time.0 + 1);
+    let ship = |prev_len, cmd| Request::Commit {
+        from: ids[(usize::from(who) + 1) % ids.len()],
+        time: next,
+        prev_len,
+        log: vec![Entry { time: next, cmd }],
+        commit_len: 0,
+    };
+    let req = match kind % 3 {
+        0 => {
+            let log = s.log[..cut].to_vec();
+            st.install_recovery(nid, time, log, commit_len, false);
+            return;
+        }
+        1 => ship(cut, Command::Method(u32::MAX)),
+        _ => ship(len, Command::Config(SingleNode::new(1..=2 + u32::from(at % 3)))),
+    };
+    // Crashed recipients refuse; everyone else adopts.
+    let outcome = st.receive(req, nid, false);
+    let crashed = st.server(nid).is_some_and(|s| s.crashed);
+    assert!(outcome.applied() || crashed, "{outcome:?}");
 }
