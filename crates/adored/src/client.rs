@@ -1,11 +1,11 @@
-//! The retrying cluster client with exactly-once write semantics.
-//!
-//! A write allocates its `(client, seq)` pair **once** and reuses it on
-//! every retry — across redirects, timeouts, and leader changes — so an
-//! ambiguous outcome (the classic "acked but the reply was lost" case)
-//! resolves to [`ClientReply::Acked`]` { duplicate: true }` instead of
-//! a second application. This is the real-wire twin of the simulated
-//! `nemesis` client's sessioned retry path.
+//! The cluster client over TCP: a driver of [`adore_kv::det::client`],
+//! the core the simulated client drives too. The core decides where each
+//! attempt goes, which reply ends an operation and how long to back off;
+//! this driver keeps a connection cache, makes one request/reply
+//! exchange per attempt and sleeps the core's waits. A write's message is
+//! built once, with the seq the core took for it, and sent verbatim on
+//! every attempt: a retry of a write already applied is acked as a
+//! duplicate, never applied twice.
 
 #![cfg_attr(not(test), deny(clippy::let_underscore_must_use))] // L8: no `let _ =` on a result in a recovery scope
 
@@ -15,41 +15,11 @@ use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
-
+use crate::det::client::{Action, Client, Input};
 use crate::det::msg::{decode_msg, ClientMsg, ClientReply, Hello};
 use crate::node::{read_frame, write_frame};
 
-/// Client-side retry tunables.
-#[derive(Debug, Clone)]
-pub struct ClientParams {
-    /// Total attempts per operation before giving up.
-    pub max_attempts: u32,
-    /// Base backoff between attempts (milliseconds).
-    pub backoff_base_ms: u64,
-    /// Backoff cap (milliseconds).
-    pub backoff_cap_ms: u64,
-    /// Per-request socket timeout.
-    pub request_timeout: Duration,
-}
-
-/// Leader-`Redirect` hops followed per operation before the client
-/// stops trusting hints and falls back to round-robin probing. During
-/// an election two nodes can hold stale hints pointing at each other;
-/// without a cap that cycle spins the client through its whole attempt
-/// budget without ever probing the real leader.
-const MAX_REDIRECT_HOPS: u32 = 3;
-
-impl Default for ClientParams {
-    fn default() -> Self {
-        ClientParams {
-            max_attempts: 12,
-            backoff_base_ms: 40,
-            backoff_cap_ms: 1_500,
-            request_timeout: Duration::from_secs(3),
-        }
-    }
-}
+pub use crate::det::client::ClientParams;
 
 /// Why an operation definitively failed.
 #[derive(Debug)]
@@ -100,37 +70,29 @@ pub struct Acked {
     pub attempts: u32,
 }
 
-/// A cluster client: tracks the leader hint, retries with capped
-/// backoff, and never re-allocates a sequence number mid-operation.
+/// A cluster client: the client core behind a connection cache.
 pub struct NetClient {
     addrs: BTreeMap<u32, String>,
-    client_id: u64,
-    next_seq: u64,
-    leader: Option<u32>,
     conns: BTreeMap<u32, TcpStream>,
-    params: ClientParams,
-    rng: StdRng,
+    core: Client,
 }
 
 impl NetClient {
     /// Creates a client over the cluster's address book.
     #[must_use]
     pub fn new(addrs: BTreeMap<u32, String>, client_id: u64, params: ClientParams) -> Self {
+        let core = Client::new(addrs.keys().copied(), client_id, params);
         NetClient {
             addrs,
-            client_id,
-            next_seq: 1,
-            leader: None,
             conns: BTreeMap::new(),
-            params,
-            rng: StdRng::seed_from_u64(client_id ^ 0x5e55_10f5),
+            core,
         }
     }
 
     /// The client's id (embedded in every sessioned write).
     #[must_use]
     pub fn client_id(&self) -> u64 {
-        self.client_id
+        self.core.client_id()
     }
 
     fn conn(&mut self, nid: u32) -> io::Result<&mut TcpStream> {
@@ -140,14 +102,11 @@ impl NetClient {
             })?;
             let mut stream = TcpStream::connect(addr)?;
             stream.set_nodelay(true).ok();
-            stream.set_read_timeout(Some(self.params.request_timeout))?;
-            stream.set_write_timeout(Some(self.params.request_timeout))?;
-            write_frame(
-                &mut stream,
-                &Hello::Client {
-                    client: self.client_id,
-                },
-            )?;
+            let timeout = self.core.params().request_timeout;
+            stream.set_read_timeout(Some(timeout))?;
+            stream.set_write_timeout(Some(timeout))?;
+            let client = self.core.client_id();
+            write_frame(&mut stream, &Hello::Client { client })?;
             self.conns.insert(nid, stream);
         }
         Ok(self.conns.get_mut(&nid).expect("just inserted"))
@@ -178,65 +137,49 @@ impl NetClient {
         result
     }
 
-    /// The node to try next: the leader hint if any, else rotate
-    /// through the address book.
+    /// Runs the core's operation, sending `msg` on every attempt.
     #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
-    fn pick_target(&mut self, attempt: u32) -> u32 {
-        if let Some(l) = self.leader {
-            return l;
+    fn run(&mut self, msg: &ClientMsg) -> Result<ClientReply, ClientError> {
+        let (mut input, mut last) = (None, None);
+        loop {
+            match self.core.poll(input.take()) {
+                Action::Send { to } => {
+                    input = Some(self.request(to, msg).map_or_else(
+                        |e| {
+                            last = Some(e);
+                            Input::NoReply
+                        },
+                        Input::Reply,
+                    ));
+                }
+                Action::Wait(us) => thread::sleep(Duration::from_micros(us)),
+                Action::Done(Some(ClientReply::Rejected { reason })) => {
+                    return Err(ClientError::Rejected { reason })
+                }
+                Action::Done(Some(ClientReply::SessionStale { floor })) => {
+                    return Err(ClientError::SessionStale { floor })
+                }
+                Action::Done(Some(reply)) => return Ok(reply),
+                Action::Done(None) => return Err(ClientError::Exhausted { last }),
+            }
         }
-        let n = self.addrs.len().max(1);
-        self.addrs
-            .keys()
-            .copied()
-            .nth(attempt as usize % n)
-            .unwrap_or_default()
     }
 
-    /// Follows (or, past the hop cap, discards) a leader hint from a
-    /// `Redirect` reply. Returns the updated hop count.
-    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
-    fn follow_redirect(&mut self, leader: Option<u32>, target: u32, hops: u32) -> u32 {
-        let hops = hops.saturating_add(1);
-        if hops > MAX_REDIRECT_HOPS {
-            // Two nodes with stale hints can redirect at each other
-            // indefinitely during an election; stop chasing hints and
-            // let `pick_target` round-robin over the address book.
-            self.leader = None;
-        } else {
-            self.leader = leader.filter(|l| *l != target);
-        }
-        hops
-    }
-
-    fn backoff(&mut self, attempt: u32) {
-        let exp = self
-            .params
-            .backoff_base_ms
-            .saturating_mul(1 << attempt.min(5));
-        let cap = exp.min(self.params.backoff_cap_ms);
-        let jitter = self.rng.gen_range(0..=cap / 2 + 1);
-        thread::sleep(Duration::from_millis(cap / 2 + jitter));
-    }
-
-    /// Writes `key = value` exactly once. The sequence number is
-    /// allocated here, before the first attempt, and reused verbatim on
-    /// every retry.
+    /// Writes `key = value` exactly once.
     ///
     /// # Errors
     ///
     /// [`ClientError`] when attempts are exhausted or the cluster
     /// definitively refuses.
     pub fn put(&mut self, key: &str, value: &str) -> Result<Acked, ClientError> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let msg = ClientMsg::Put {
-            client: self.client_id,
+        let seq = self.core.start_write();
+        let (client, key, value) = (self.client_id(), key.to_string(), value.to_string());
+        self.write(&ClientMsg::Put {
+            client,
             seq,
-            key: key.to_string(),
-            value: value.to_string(),
-        };
-        self.retry_write(seq, &msg)
+            key,
+            value,
+        })
     }
 
     /// Proposes a membership change exactly once (same session
@@ -247,60 +190,25 @@ impl NetClient {
     /// [`ClientError`]; guard refusals surface as
     /// [`ClientError::Rejected`].
     pub fn reconfigure(&mut self, members: &[u32]) -> Result<Acked, ClientError> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let msg = ClientMsg::Reconfigure {
-            client: self.client_id,
+        let seq = self.core.start_write();
+        let (client, members) = (self.client_id(), members.to_vec());
+        self.write(&ClientMsg::Reconfigure {
+            client,
             seq,
-            members: members.to_vec(),
-        };
-        self.retry_write(seq, &msg)
+            members,
+        })
     }
 
-    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
-    fn retry_write(&mut self, seq: u64, msg: &ClientMsg) -> Result<Acked, ClientError> {
-        let mut last_err: Option<io::Error> = None;
-        let mut hops = 0u32;
-        for attempt in 0..self.params.max_attempts {
-            if attempt > 0 {
-                self.backoff(attempt - 1);
-            }
-            let target = self.pick_target(attempt);
-            match self.request(target, msg) {
-                Ok(ClientReply::Acked { seq: s, duplicate }) if s == seq => {
-                    return Ok(Acked {
-                        seq,
-                        duplicate,
-                        attempts: attempt + 1,
-                    });
-                }
-                Ok(ClientReply::Acked { .. }) => {
-                    // A reply for some other request on this connection:
-                    // treat as transport confusion and re-dial.
-                    self.conns.remove(&target);
-                }
-                Ok(ClientReply::Redirect { leader }) => {
-                    hops = self.follow_redirect(leader, target, hops);
-                }
-                Ok(ClientReply::Overloaded) => {
-                    // Shed under load: back off harder, same leader.
-                }
-                Ok(ClientReply::SessionStale { floor }) => {
-                    return Err(ClientError::SessionStale { floor });
-                }
-                Ok(ClientReply::Rejected { reason }) => {
-                    return Err(ClientError::Rejected { reason });
-                }
-                Ok(ClientReply::Value { .. } | ClientReply::Status { .. }) => {
-                    self.conns.remove(&target);
-                }
-                Err(e) => {
-                    last_err = Some(e);
-                    self.leader = None;
-                }
-            }
+    fn write(&mut self, msg: &ClientMsg) -> Result<Acked, ClientError> {
+        match self.run(msg)? {
+            ClientReply::Acked { seq, duplicate } => Ok(Acked {
+                seq,
+                duplicate,
+                attempts: self.core.attempts(),
+            }),
+            // The core ends a write on its own ack only.
+            _ => Err(ClientError::Exhausted { last: None }),
         }
-        Err(ClientError::Exhausted { last: last_err })
     }
 
     /// Reads a key from the committed store (retries through redirects).
@@ -308,31 +216,13 @@ impl NetClient {
     /// # Errors
     ///
     /// [`ClientError::Exhausted`] when no leader answers in time.
-    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::disallowed_macros)] // L2: panic-free recovery scope
     pub fn get(&mut self, key: &str) -> Result<Option<String>, ClientError> {
-        let msg = ClientMsg::Get {
-            key: key.to_string(),
-        };
-        let mut last_err: Option<io::Error> = None;
-        let mut hops = 0u32;
-        for attempt in 0..self.params.max_attempts {
-            if attempt > 0 {
-                self.backoff(attempt - 1);
-            }
-            let target = self.pick_target(attempt);
-            match self.request(target, &msg) {
-                Ok(ClientReply::Value { value, .. }) => return Ok(value),
-                Ok(ClientReply::Redirect { leader }) => {
-                    hops = self.follow_redirect(leader, target, hops);
-                }
-                Ok(_) => self.backoff(attempt),
-                Err(e) => {
-                    last_err = Some(e);
-                    self.leader = None;
-                }
-            }
+        self.core.start_read();
+        match self.run(&ClientMsg::Get { key: key.into() })? {
+            ClientReply::Value { value, .. } => Ok(value),
+            // The core ends a read on a value only.
+            _ => Err(ClientError::Exhausted { last: None }),
         }
-        Err(ClientError::Exhausted { last: last_err })
     }
 
     /// Asks one node about itself.
@@ -376,8 +266,8 @@ mod tests {
 
     fn fast_params() -> ClientParams {
         ClientParams {
-            backoff_base_ms: 1,
-            backoff_cap_ms: 2,
+            backoff_base_us: 1_000,
+            backoff_cap_us: 2_000,
             ..ClientParams::default()
         }
     }
@@ -429,16 +319,5 @@ mod tests {
         let mut client = NetClient::new(addrs, 8, fast_params());
         let value = client.get("k").expect("read resolves past the cycle");
         assert_eq!(value.as_deref(), Some("v"));
-    }
-
-    #[test]
-    fn without_a_leader_hint_targets_rotate_through_the_address_book() {
-        let addrs: BTreeMap<u32, String> = [1, 2, 5]
-            .into_iter()
-            .map(|nid| (nid, String::new()))
-            .collect();
-        let mut client = NetClient::new(addrs, 1, ClientParams::default());
-        let order: Vec<u32> = (0..4).map(|a| client.pick_target(a)).collect();
-        assert_eq!(order, vec![1, 2, 5, 1]);
     }
 }

@@ -302,8 +302,8 @@ fn run_live(
         77,
         ClientParams {
             max_attempts: 6,
-            backoff_base_ms: 20,
-            backoff_cap_ms: 300,
+            backoff_base_us: 20_000,
+            backoff_cap_us: 300_000,
             request_timeout: Duration::from_millis(1_500),
         },
     );

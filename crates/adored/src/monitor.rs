@@ -88,8 +88,8 @@ const OP_GAP_MS: u64 = 50;
 fn client_params() -> ClientParams {
     ClientParams {
         max_attempts: 8,
-        backoff_base_ms: 20,
-        backoff_cap_ms: 400,
+        backoff_base_us: 20_000,
+        backoff_cap_us: 400_000,
         request_timeout: Duration::from_millis(1_500),
     }
 }

@@ -52,10 +52,11 @@ use adore_core::NodeId;
 use adore_obs::{series_count, EventKind, Metrics, MetricsSnapshot, TraceEvent};
 use adore_schemes::SingleNode;
 use adore_storage::{DurabilityPolicy, Wal};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::{rngs::StdRng, SeedableRng};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
+use crate::det::client::backoff;
 use crate::det::engine::{Engine, EngineConfig, EngineParams, Input, Output};
 use crate::det::msg::{decode_msg, encode_msg, ClientMsg, ClientReply, Hello, PeerMsg};
 use crate::det::wire;
@@ -316,6 +317,18 @@ pub fn run(cfg: NodeConfig) -> io::Result<()> {
     };
     let (engine, wal_file) = boot(engine_cfg, &cfg.data_dir.join("wal.bin"), &mut journal)?;
 
+    // Bound before the timer and the peer connectors start: a node that
+    // cannot take its port fails here, having dialled no peer.
+    let listen_addr = cfg
+        .peers
+        .iter()
+        .find(|(n, _)| *n == cfg.nid)
+        .map(|(_, a)| a.clone())
+        .ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, "own nid missing from peer list")
+        })?;
+    let listener = TcpListener::bind(&listen_addr)?;
+
     let (inbox_tx, inbox_rx) = mpsc::sync_channel::<Event>(INBOX_DEPTH);
     if let Some(addr) = &cfg.metrics_addr {
         scrape::serve(addr, inbox_tx.clone())?;
@@ -354,15 +367,6 @@ pub fn run(cfg: NodeConfig) -> io::Result<()> {
     }
 
     // Listener: inbound peer links and client sessions.
-    let listen_addr = cfg
-        .peers
-        .iter()
-        .find(|(n, _)| *n == cfg.nid)
-        .map(|(_, a)| a.clone())
-        .ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "own nid missing from peer list")
-        })?;
-    let listener = TcpListener::bind(&listen_addr)?;
     {
         let tx = inbox_tx;
         let peer_deadline = Duration::from_millis(cfg.peer_read_deadline_ms.max(1));
@@ -520,14 +524,10 @@ fn fill_gauges(metrics: &mut Metrics, engine: &Engine) {
 }
 
 /// Milliseconds to wait before redialling after `failures` consecutive
-/// failed attempts: exponential in the count, capped at
-/// [`BACKOFF_CAP_MS`], the upper half jittered so peers that lost the
-/// same node do not redial it in lockstep.
+/// failed attempts: the client core's [`backoff`], capped at
+/// [`BACKOFF_CAP_MS`].
 fn backoff_ms(failures: u32, rng: &mut StdRng) -> u64 {
-    let cap = BACKOFF_BASE_MS
-        .saturating_mul(1 << failures.min(6))
-        .min(BACKOFF_CAP_MS);
-    cap / 2 + rng.gen_range(0..=cap / 2 + 1)
+    backoff(BACKOFF_BASE_MS, BACKOFF_CAP_MS, failures, rng)
 }
 
 /// Supervised outbound link: dial, introduce, pump messages; on any
@@ -970,6 +970,40 @@ mod tests {
         .expect_err("a WAL that cannot be read must not boot");
         assert!(err.to_string().contains("cannot read WAL"), "{err}");
         assert!(wal_path.join("keep").is_dir(), "the path was left as found");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A node whose listen port is taken fails with the bind error
+    /// before its peer connectors start: its peer is never dialled.
+    #[test]
+    fn an_occupied_listen_port_fails_the_boot_before_any_peer_is_dialled() {
+        let dir = std::env::temp_dir().join(format!("adored-bind-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let taken = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peer = TcpListener::bind("127.0.0.1:0").expect("bind");
+        peer.set_nonblocking(true).expect("nonblocking");
+        let addr = |l: &TcpListener| l.local_addr().expect("addr").to_string();
+        let err = run(NodeConfig {
+            nid: 1,
+            peers: vec![(1, addr(&taken)), (2, addr(&peer))],
+            data_dir: dir.clone(),
+            seed: 1,
+            tick_ms: 10,
+            max_runtime_ms: Some(1_000),
+            params: EngineParams::default(),
+            guard: adore_core::ReconfigGuard::all(),
+            peer_read_deadline_ms: DEFAULT_PEER_READ_DEADLINE_MS,
+            export_addr: None,
+            metrics_addr: None,
+        })
+        .expect_err("the port is taken");
+        assert_eq!(err.kind(), io::ErrorKind::AddrInUse, "{err}");
+        thread::sleep(Duration::from_millis(300));
+        let dialled = peer.accept();
+        assert!(
+            matches!(&dialled, Err(e) if e.kind() == io::ErrorKind::WouldBlock),
+            "the peer was dialled: {dialled:?}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -9,7 +9,12 @@
 //! executes. The crate-level clippy bans (`disallowed_types`,
 //! `disallowed_methods`) keep it replayable: no hash order, no ambient
 //! clock, no lock, no unbounded channel.
+//!
+//! [`client`] is the client side in the same style: one retry policy
+//! (redirects, backoff, one seq per write) that the wire client and the
+//! simulated one both drive.
 
+pub mod client;
 pub mod engine;
 pub mod msg;
 pub mod session;

@@ -465,61 +465,62 @@ impl Cluster {
 
     // ---- client traffic -------------------------------------------------
 
-    /// Sends `msg` to the leader and waits up to `rounds` heartbeat
-    /// periods for its ack, or for the value a `Get` reads, which it
-    /// returns.
+    /// Sends `msg` to `nid` as a client connection does and waits up to
+    /// `rounds` heartbeat periods for the reply: the one place a client
+    /// request reaches an engine.
     ///
     /// # Errors
     ///
-    /// [`ClusterError::NoLeader`] with no leader or on a redirect (whose
-    /// hint becomes the target), [`ClusterError::Rejected`] on a guard or
-    /// session refusal, [`ClusterError::Stalled`] on no ack in time — or
-    /// on a redirect from a leader that took the request and then stepped
-    /// down, which leaves the write's fate open.
-    pub fn request(&mut self, msg: ClientMsg, rounds: u32) -> Result<ClientReply, ClusterError> {
-        let leader = self
-            .leader
-            .filter(|l| self.is_up(*l))
-            .ok_or(ClusterError::NoLeader)?;
-        let session = match &msg {
-            ClientMsg::Put { client, seq, .. } | ClientMsg::Delete { client, seq, .. } => {
-                Some((*client, *seq))
-            }
+    /// [`ClusterError::NoLeader`] when `nid` is down (a refused connect),
+    /// [`ClusterError::Stalled`] when no reply comes in time.
+    pub fn request_to(
+        &mut self,
+        nid: NodeId,
+        msg: ClientMsg,
+        rounds: u32,
+    ) -> Result<ClientReply, ClusterError> {
+        if !self.is_up(nid) {
+            return Err(ClusterError::NoLeader);
+        }
+        let client = match &msg {
+            ClientMsg::Put { client, .. } | ClientMsg::Delete { client, .. } => Some(*client),
             _ => None,
         };
-        let (conn, start) = (self.next_conn, self.now_us);
+        let (conn, deadline) = (self.next_conn, self.now_us + self.patience(rounds));
         self.next_conn += 1;
-        let outs = self.feed(leader, Input::Client { conn, msg });
-        self.carry(leader, outs, None);
-        let taken = !self.replies.contains_key(&conn);
-        self.run_until(start + self.patience(rounds), |c| {
-            c.replies.contains_key(&conn)
-        });
-        match self.replies.remove(&conn) {
-            Some(reply @ ClientReply::Acked { duplicate: dup, .. }) => {
-                if let Some((client, seq)) = session {
-                    self.trace(EventKind::SessionAck { client, seq, dup });
-                }
-                Ok(reply)
-            }
-            Some(reply @ ClientReply::Value { .. }) => Ok(reply),
-            Some(ClientReply::Redirect { leader }) => {
-                self.leader = leader.map(NodeId);
-                Err(if taken {
-                    ClusterError::Stalled
-                } else {
-                    ClusterError::NoLeader
-                })
-            }
-            Some(ClientReply::Rejected { .. } | ClientReply::SessionStale { .. }) => {
-                Err(ClusterError::Rejected)
-            }
-            _ => {
-                // Nobody waits any more: drop the engine's waiter.
-                let outs = self.feed(leader, Input::ClientGone { conn });
-                self.carry(leader, outs, None);
-                Err(ClusterError::Stalled)
-            }
+        let outs = self.feed(nid, Input::Client { conn, msg });
+        self.carry(nid, outs, None);
+        self.run_until(deadline, |c| c.replies.contains_key(&conn));
+        let Some(reply) = self.replies.remove(&conn) else {
+            // Nobody waits any more: drop the engine's waiter.
+            let outs = self.feed(nid, Input::ClientGone { conn });
+            self.carry(nid, outs, None);
+            return Err(ClusterError::Stalled);
+        };
+        if let (ClientReply::Acked { seq, duplicate }, Some(client)) = (&reply, client) {
+            let (seq, dup) = (*seq, *duplicate);
+            self.trace(EventKind::SessionAck { client, seq, dup });
+        }
+        Ok(reply)
+    }
+
+    /// [`Cluster::request_to`] the leader; returns its ack, or the value
+    /// a `Get` reads.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::NoLeader`] with no leader or on a redirect,
+    /// [`ClusterError::Rejected`] on a guard or session refusal,
+    /// [`ClusterError::Stalled`] on no ack in time, or on a redirect from
+    /// a leader that took the request and stepped down (its fate is open).
+    pub fn request(&mut self, msg: ClientMsg, rounds: u32) -> Result<ClientReply, ClusterError> {
+        let leader = self.leader.ok_or(ClusterError::NoLeader)?;
+        let took = self.role(leader) == Some(Role::Leader);
+        match self.request_to(leader, msg, rounds)? {
+            reply @ (ClientReply::Acked { .. } | ClientReply::Value { .. }) => Ok(reply),
+            ClientReply::Redirect { .. } if !took => Err(ClusterError::NoLeader),
+            ClientReply::Redirect { .. } | ClientReply::Overloaded => Err(ClusterError::Stalled),
+            _ => Err(ClusterError::Rejected),
         }
     }
 
@@ -530,8 +531,7 @@ impl Cluster {
     ///
     /// As for [`Cluster::request`].
     pub fn get(&mut self, key: &str) -> Result<Option<String>, ClusterError> {
-        let key = key.to_string();
-        match self.request(ClientMsg::Get { key }, PATIENCE_ROUNDS)? {
+        match self.request(ClientMsg::Get { key: key.into() }, PATIENCE_ROUNDS)? {
             ClientReply::Value { value, .. } => Ok(value),
             _ => Err(ClusterError::Stalled),
         }
@@ -655,8 +655,8 @@ impl Cluster {
         up.into_iter().map(|(nid, _)| *nid).collect()
     }
 
-    /// Targets client requests at the running leader with the newest
-    /// term (or at none): the client-side redirect.
+    /// Targets the harness's own requests at the running leader with the
+    /// newest term (or at none), read off every engine's role.
     pub fn adopt_leader(&mut self) -> Option<NodeId> {
         let leaders = self
             .nodes

@@ -1,32 +1,36 @@
-//! A fault-tolerant client driver that records its history.
-//!
-//! [`RobustClient`] is what a production client library does in front of a
-//! flaky replicated store: per-request timeouts (bounded retransmission
-//! patience), capped exponential backoff with seeded jitter, and
-//! leader-redirect retry after elections. Every operation is recorded as
-//! the `ClientOp` event the trace journals for it, so
+//! The simulated client: a driver of [`adore_kv::det::client`], the core
+//! the wire client runs, on the simulator's virtual clock. Each attempt
+//! reaches one node through [`Cluster::request_to`] and the core's waits
+//! pass as idle virtual time, so [`RobustClient`] finds a new leader as a
+//! real client does, by redirect. Every operation is recorded as the
+//! `ClientOp` event the trace journals for it, so
 //! [`adore_obs::linearize`] judges an untraced run's history exactly as
 //! the trace auditor's T8 judges a traced one.
 
 use std::collections::BTreeSet;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use adore_kv::det::msg::ClientMsg;
+use adore_core::NodeId;
+use adore_kv::det::client::{Action, Client, ClientParams, Input};
+use adore_kv::det::msg::{ClientMsg, ClientReply};
 use adore_kv::{Cluster, ClusterError};
 use adore_obs::{EventKind, NotLinearizable, TraceEvent};
 
 /// Heartbeat periods granted to one attempt before it times out (the
 /// per-request timeout; heartbeats are the engines' retransmission).
 const REQUEST_ROUNDS: u32 = 4;
-/// Attempts per operation (1 = no retry).
-const MAX_ATTEMPTS: u32 = 4;
-/// Base backoff before the second attempt, in virtual microseconds.
-const BACKOFF_BASE_US: u64 = 800;
-/// Backoff growth cap, in virtual microseconds.
-const BACKOFF_CAP_US: u64 = 12_000;
+
+/// The retry policy in virtual time: 4 attempts, backing off from 0.8 ms
+/// up to 12 ms.
+fn params() -> ClientParams {
+    ClientParams {
+        max_attempts: 4,
+        backoff_base_us: 800,
+        backoff_cap_us: 12_000,
+        ..ClientParams::default()
+    }
+}
 
 /// The terminal outcome of one client operation (after retries).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,9 +41,10 @@ pub enum OpOutcome {
         /// End-to-end latency in virtual microseconds (all attempts).
         latency_us: u64,
     },
-    /// Every attempt exhausted its round budget without a commit.
+    /// Every attempt failed, and one went unanswered in time: a write's
+    /// fate is open.
     TimedOut,
-    /// No leader could be found to submit to.
+    /// Every attempt failed without reaching a node that took it.
     NoLeader,
     /// The protocol rejected the operation.
     Rejected,
@@ -125,150 +130,107 @@ impl std::fmt::Display for ViolationKind {
     }
 }
 
-/// The retrying, redirecting client driver.
+/// The retrying, redirecting simulated client.
 #[derive(Debug)]
 pub struct RobustClient {
-    rng: StdRng,
-    /// This client's session id, embedded in every submitted write.
-    client_id: u64,
-    /// The next request sequence number. Allocated **once per
-    /// operation**, before the first attempt, and reused verbatim by
-    /// every retry — the client half of the exactly-once contract.
-    next_seq: u64,
+    core: Client,
     /// Every completed operation, in order, as the `ClientOp` event the
     /// trace journals for it (stamped at completion).
     pub history: Vec<TraceEvent>,
 }
 
 impl RobustClient {
-    /// Creates a client with its own jitter stream derived from `seed`.
-    /// The seed doubles as the client's session id, kept off the two the
-    /// engine and the simulator reserve: 0 (the no-op barrier's) and
-    /// `u64::MAX` (the simulator's own session).
+    /// A client of `nodes` whose session id, kept off the two the
+    /// engine and the simulator reserve (0 for the no-op barrier,
+    /// `u64::MAX` for the simulator's own session), is `seed`.
     #[must_use]
-    pub fn new(seed: u64) -> Self {
+    pub fn new(seed: u64, nodes: &[NodeId]) -> Self {
+        let id = seed.clamp(1, u64::MAX - 1);
         RobustClient {
-            rng: StdRng::seed_from_u64(seed ^ 0xc11e_4475),
-            client_id: seed.clamp(1, u64::MAX - 1),
-            next_seq: 1,
+            core: Client::new(nodes.iter().map(|n| n.0), id, params()),
             history: Vec::new(),
         }
     }
 
-    /// Capped exponential backoff with seeded jitter, spent as idle
-    /// virtual time (the network keeps draining meanwhile).
-    fn backoff(&mut self, cluster: &mut Cluster, attempt: u32) {
-        let exp = BACKOFF_BASE_US
-            .saturating_mul(1 << attempt.min(10))
-            .min(BACKOFF_CAP_US);
-        let jitter = self.rng.gen_range(0..=exp / 4);
-        cluster.run_idle(exp + jitter);
+    /// Aims the next attempt at `nid`, which was just elected.
+    pub fn aim(&mut self, nid: NodeId) {
+        self.core.aim(nid.0);
     }
 
-    /// Runs `once` with timeout, backoff, and leader-redirect retry;
-    /// returns its result or the outcome of the last failed attempt.
-    fn retry<T>(
+    /// Runs one operation through the core — a put of `key = value`, or a
+    /// get of `key` with no `value` — and records it. Returns its outcome
+    /// and the value written or read.
+    fn run(
         &mut self,
         cluster: &mut Cluster,
-        mut once: impl FnMut(&mut Cluster) -> Result<T, ClusterError>,
-    ) -> Result<T, OpOutcome> {
-        let mut last = OpOutcome::NoLeader;
-        for attempt in 0..MAX_ATTEMPTS {
-            if attempt > 0 {
-                self.backoff(cluster, attempt - 1);
-            }
-            if cluster.leader().is_none() && cluster.adopt_leader().is_none() {
-                last = OpOutcome::NoLeader;
-                continue;
-            }
-            match once(cluster) {
-                Ok(answer) => return Ok(answer),
-                Err(ClusterError::NoLeader) => {
-                    cluster.adopt_leader();
-                    last = OpOutcome::NoLeader;
-                }
-                Err(ClusterError::Stalled) => {
-                    // A write sits in some leader's log with an unknown
-                    // fate; it may commit behind our back.
-                    cluster.adopt_leader();
-                    last = OpOutcome::TimedOut;
-                }
-                Err(ClusterError::Rejected) => last = OpOutcome::Rejected,
-            }
-        }
-        Err(last)
-    }
-
-    /// Appends one operation to the history and journals it.
-    fn record(
-        &mut self,
-        cluster: &mut Cluster,
-        op: &str,
         key: &str,
-        value: Option<String>,
-        invoked_at_us: u64,
-        outcome: &OpOutcome,
-    ) {
-        let at = (invoked_at_us, cluster.now_us());
-        let kind = EventKind::client_op(op, key, value, at, outcome.tag());
-        self.history
-            .push(TraceEvent::root(cluster.now_us(), kind.clone()));
+        value: Option<&str>,
+    ) -> (OpOutcome, Option<String>) {
+        let op = if value.is_some() { "put" } else { "get" };
+        let start = cluster.now_us();
+        let (key, mut value) = (key.to_string(), value.map(str::to_string));
+        let msg = match &value {
+            Some(value) => ClientMsg::Put {
+                client: self.core.client_id(),
+                seq: self.core.start_write(),
+                key: key.clone(),
+                value: value.clone(),
+            },
+            None => {
+                self.core.start_read();
+                ClientMsg::Get { key: key.clone() }
+            }
+        };
+        let (mut input, mut failed) = (None, OpOutcome::NoLeader);
+        let done = loop {
+            match self.core.poll(input.take()) {
+                Action::Send { to } => {
+                    let reply = cluster.request_to(NodeId(to), msg.clone(), REQUEST_ROUNDS);
+                    if reply == Err(ClusterError::Stalled) {
+                        failed = OpOutcome::TimedOut;
+                    }
+                    input = Some(reply.map_or(Input::NoReply, Input::Reply));
+                }
+                Action::Wait(us) => cluster.run_idle(us),
+                Action::Done(done) => break done,
+            }
+        };
+        let latency_us = cluster.now_us() - start;
+        let outcome = match done {
+            Some(ClientReply::Acked { .. }) => OpOutcome::Acked { latency_us },
+            Some(ClientReply::Value { value: read, .. }) => {
+                value = read;
+                OpOutcome::Acked { latency_us }
+            }
+            Some(_) => OpOutcome::Rejected,
+            None => failed,
+        };
+        let at = (start, cluster.now_us());
+        let kind = EventKind::client_op(op, &key, value.clone(), at, outcome.tag());
+        self.history.push(TraceEvent::root(at.1, kind.clone()));
         cluster.trace(kind);
+        (outcome, value)
     }
 
     /// Writes `key = value` with timeout, backoff, and leader-redirect
     /// retry, and records the operation. A put that is not acked stays
     /// pending in the history: it may still commit.
-    pub fn put(
-        &mut self,
-        cluster: &mut Cluster,
-        key: &str,
-        value: &str,
-    ) -> OpOutcome {
-        let start = cluster.now_us();
-        // The exactly-once discipline: one sequence number per logical
-        // operation, shared by all of its retries. A retry of a write
-        // whose first attempt stalled in some leader's log is then
-        // recognized by that leader's session table and acknowledged
-        // once it commits, never appended a second time.
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let put = ClientMsg::Put {
-            client: self.client_id,
-            seq,
-            key: key.to_string(),
-            value: value.to_string(),
-        };
-        let outcome = match self.retry(cluster, |c| c.request(put.clone(), REQUEST_ROUNDS)) {
-            Ok(_) => OpOutcome::Acked {
-                latency_us: cluster.now_us() - start,
-            },
-            Err(failed) => failed,
-        };
-        let value = Some(value.to_string());
-        self.record(cluster, "put", key, value, start, &outcome);
-        outcome
+    pub fn put(&mut self, cluster: &mut Cluster, key: &str, value: &str) -> OpOutcome {
+        self.run(cluster, key, Some(value)).0
     }
 
-    /// Reads `key` through the leader's engine with the same retry
-    /// policy, and records the operation.
+    /// Reads `key` with the same retry policy, and records the
+    /// operation.
     ///
     /// # Errors
     ///
-    /// The outcome of the last failed attempt (a failed read observes
+    /// The outcome of the failed operation (a failed read observes
     /// nothing).
     pub fn get(&mut self, cluster: &mut Cluster, key: &str) -> Result<Option<String>, OpOutcome> {
-        let start = cluster.now_us();
-        let got = self.retry(cluster, |c| c.get(key));
-        let (outcome, value) = match &got {
-            Ok(value) => {
-                let latency_us = cluster.now_us() - start;
-                (OpOutcome::Acked { latency_us }, value.clone())
-            }
-            Err(failed) => (failed.clone(), None),
-        };
-        self.record(cluster, "get", key, value, start, &outcome);
-        got
+        match self.run(cluster, key, None) {
+            (OpOutcome::Acked { .. }, value) => Ok(value),
+            (failed, _) => Err(failed),
+        }
     }
 
     /// Reads every key this client has written once, in key order: the
@@ -306,6 +268,10 @@ mod tests {
     use adore_kv::LatencyModel;
     use adore_schemes::SingleNode;
 
+    fn ids(n: u32) -> Vec<NodeId> {
+        (1..=n).map(NodeId).collect()
+    }
+
     fn cluster(members: &[u32], seed: u64) -> Cluster {
         let conf0 = SingleNode::new(members.iter().copied());
         let mut cluster = Cluster::new(conf0, LatencyModel::default(), seed);
@@ -317,7 +283,7 @@ mod tests {
     #[test]
     fn healthy_cluster_acks_everything() {
         let mut cluster = cluster(&[1, 2, 3], 21);
-        let mut client = RobustClient::new(21);
+        let mut client = RobustClient::new(21, &ids(3));
         for i in 0..10 {
             let out = client.put(&mut cluster, &format!("k{i}"), "v");
             assert!(matches!(out, OpOutcome::Acked { .. }));
@@ -330,7 +296,7 @@ mod tests {
     #[test]
     fn client_redirects_to_a_new_leader_after_a_crash() {
         let mut cluster = cluster(&[1, 2, 3, 4, 5], 22);
-        let mut client = RobustClient::new(22);
+        let mut client = RobustClient::new(22, &ids(5));
         assert!(matches!(
             client.put(&mut cluster, "a", "1"),
             OpOutcome::Acked { .. }
@@ -339,7 +305,7 @@ mod tests {
         // No leader exists; the put exhausts its attempts.
         assert_eq!(client.put(&mut cluster, "a", "2"), OpOutcome::NoLeader);
         // An election happens (the fault engine or the environment); the
-        // client's adopt-leader redirect finds it without being told.
+        // client finds the new leader by redirect, without being told.
         cluster.elect(NodeId(2)).unwrap();
         cluster.fail(NodeId(3)); // leader() is Some(2); crash a bystander
         assert!(matches!(
@@ -357,7 +323,7 @@ mod tests {
     #[test]
     fn stalled_retries_commit_one_entry_not_one_per_attempt() {
         let mut cluster = cluster(&[1, 2, 3, 4, 5], 24);
-        let mut client = RobustClient::new(24);
+        let mut client = RobustClient::new(24, &ids(5));
         assert!(matches!(
             client.put(&mut cluster, "a", "1"),
             OpOutcome::Acked { .. }
@@ -386,7 +352,7 @@ mod tests {
     #[test]
     fn a_stale_read_from_a_deposed_leader_is_not_linearizable() {
         let mut cluster = cluster(&[1, 2, 3, 4, 5], 25);
-        let mut client = RobustClient::new(25);
+        let mut client = RobustClient::new(25, &ids(5));
         assert!(matches!(
             client.put(&mut cluster, "a", "1"),
             OpOutcome::Acked { .. }
@@ -400,10 +366,11 @@ mod tests {
             OpOutcome::Acked { .. }
         ));
         // With S2 down, the only node that calls itself leader is S1, cut
-        // off since before "a" = "2": some time on, it answers from its
-        // stale store.
+        // off since before "a" = "2": some time on, it answers a client
+        // that still takes it for the leader from its stale store.
         cluster.fail(NodeId(2));
         cluster.run_idle(1_000);
+        client.aim(NodeId(1));
         assert_eq!(client.get(&mut cluster, "a"), Ok(Some("1".to_string())));
 
         let v = adore_obs::linearize(&client.history).expect_err("a stale read");
@@ -436,7 +403,7 @@ mod tests {
     #[test]
     fn a_timed_out_write_stays_pending_and_may_be_read() {
         let mut cluster = cluster(&[1, 2, 3, 4, 5], 23);
-        let mut client = RobustClient::new(23);
+        let mut client = RobustClient::new(23, &ids(5));
         client.put(&mut cluster, "a", "1");
         // Partition the leader into a minority; the write times out but
         // stays in the leader's log.

@@ -235,9 +235,13 @@ fn apply_fault(
         Fault::Recover { nid } => cluster.recover(NodeId(*nid)),
         Fault::Elect { nid } => {
             // One retry absorbs a term collision (a voter that already
-            // voted at the candidate's new term).
-            if cluster.elect(NodeId(*nid)).is_err() && cluster.leader() != Some(NodeId(*nid)) {
-                let _ = cluster.elect(NodeId(*nid));
+            // voted at the candidate's new term). The schedule means the
+            // winner to take the next burst: the client is aimed at it,
+            // as `hunt`'s relabelling aims the wire client.
+            let nid = NodeId(*nid);
+            let won = cluster.elect(nid).is_ok() || cluster.leader() == Some(nid);
+            if won || cluster.elect(nid).is_ok() {
+                client.aim(nid);
             }
         }
         Fault::Reconfig { members } => {
@@ -389,7 +393,7 @@ fn run_campaign(
             members: schedule.members.clone(),
         });
     }
-    let mut client = RobustClient::new(schedule.seed);
+    let mut client = RobustClient::new(schedule.seed, &members);
     let mut write_seq = 0u64;
 
     // Boot: elect the lowest member so every schedule starts from a
