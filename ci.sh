@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate for the workspace: build, test, clippy, four short runs of
+# Tier-1 gate for the workspace: build, test, clippy, six short runs of
 # the repository benchmark, the fixed-seed nemesis, storage and
-# observability table runs, two live-cluster gates (`adored hunt
+# observability table runs, the two seeded tables compared with
+# results/, two live-cluster gates (`adored hunt
 # --gate`, `adored bench --open-loop`) and one live run that must fail
 # (`adored hunt --ablate r1`). One protocol engine
 # (`adore_kv::det`) runs under all of them: N at a time on the
@@ -24,8 +25,12 @@ cargo test -q --workspace --offline
 echo "== benchmark unit tests =="
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-# The replication path, live and briefly: a 3-node cluster on a
-# 2000-entry log takes puts for 3 s (`write_long_log`: suffix frames and
+# The replication path, live and briefly: a 3-node cluster takes puts
+# from an empty log for 3 s, from one client (`write_serial`, the
+# latency-bound path) and from two (`write_pair`: one peer link carries
+# two puts' frames back to back, so a frame can find the link's
+# unsent tail still pending); then on a
+# 2000-entry log (`write_long_log`: suffix frames and
 # heartbeats), then the same with the leader killed and restarted
 # (`failover`: a restart with no `source`, a whole-log first frame, a
 # one-entry election), then a 5-node cluster walked 5→4→3→4→5 under
@@ -39,8 +44,8 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # checks the checker's deep pinned counts (27,398/34,380 for `explore`
 # at depth 7, 47,951/104,176 for `explore_net` at depth 9); an
 # exploration off its pin is a failed operation.
-echo "== bench smoke (write_long_log, failover, reconfig_walk, certify) =="
-for workload in write_long_log failover reconfig_walk certify; do
+echo "== bench smoke (write_serial, write_pair, write_long_log, failover, reconfig_walk, certify) =="
+for workload in write_serial write_pair write_long_log failover reconfig_walk certify; do
     if ! result=$(timeout 240 benchmark/run.sh --workload "$workload" --seconds 3 | tail -n 1); then
         echo "ci: $workload: the run failed: $result" >&2
         exit 1
@@ -79,8 +84,10 @@ done
 #   L11 no guard across      Mutex/RwLock/Condvar::new and lock/try_lock/
 #       a blocking call      read/write (adored, nemesis, checker)
 #   L12 no channel()       clippy::disallowed_methods
-#       sends that shed    the engine loop's outbox type: try_send only,
-#                            #[must_use], let_underscore_must_use denied
+#       sends that shed    the engine loop's `Link` type: its stream is
+#                            private, `send` returns a #[must_use] `Sent`
+#                            (taken, full, broken), let_underscore_must_use
+#                            denied on the loop and its `Peers`
 #   L15 emission order     debug_assert! in adore_kv::det's Engine::finish
 echo "== cargo clippy -- -D warnings (all of L1-L12's static discipline) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -107,6 +114,23 @@ cargo run -p adore-bench --bin nemesis_table --release --offline >/dev/null
 echo "== storage nemesis smoke run (fixed seeds) =="
 STORAGE_TABLE_SEEDS=10 \
     cargo run -p adore-bench --bin storage_table --release --offline >/dev/null
+
+# The seeded tables of E3 (`refinement_table`) and E5 (`bug_table`)
+# print the same rows on every run; only their time column is wall
+# clock. A committed table that differs from what its bin prints, time
+# cells and table rules aside, fails here, so results/ cannot drift
+# from the code unnoticed.
+echo "== seeded tables match results/ (refinement_table, bug_table) =="
+no_time() {
+    sed -E -e 's/\| *[0-9.]+m?s *\|$/|/' -e 's/\| *time *\|$/|/' -e 's/\|-+\|$/|/'
+}
+for table in refinement_table bug_table; do
+    if ! diff <(no_time <"results/$table.txt") \
+        <(cargo run -q -p adore-bench --bin "$table" --release --offline | no_time); then
+        echo "ci: results/$table.txt differs from what $table prints" >&2
+        exit 1
+    fi
+done
 
 # Observability gate: run the E11 harness (self-asserts that tracing is
 # invisible to the simulation, that every ablation's audit reproduces

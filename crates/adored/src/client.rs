@@ -10,7 +10,7 @@
 #![cfg_attr(not(test), deny(clippy::let_underscore_must_use))] // L8: no `let _ =` on a result in a recovery scope
 
 use std::collections::BTreeMap;
-use std::io::{self};
+use std::io::{self, BufReader};
 use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
@@ -73,7 +73,9 @@ pub struct Acked {
 /// A cluster client: the client core behind a connection cache.
 pub struct NetClient {
     addrs: BTreeMap<u32, String>,
-    conns: BTreeMap<u32, TcpStream>,
+    /// Each read through a buffer: a reply that arrived whole costs one
+    /// `read`.
+    conns: BTreeMap<u32, BufReader<TcpStream>>,
     core: Client,
 }
 
@@ -95,7 +97,7 @@ impl NetClient {
         self.core.client_id()
     }
 
-    fn conn(&mut self, nid: u32) -> io::Result<&mut TcpStream> {
+    fn conn(&mut self, nid: u32) -> io::Result<&mut BufReader<TcpStream>> {
         if !self.conns.contains_key(&nid) {
             let addr = self.addrs.get(&nid).ok_or_else(|| {
                 io::Error::new(io::ErrorKind::NotFound, format!("unknown node {nid}"))
@@ -107,7 +109,7 @@ impl NetClient {
             stream.set_write_timeout(Some(timeout))?;
             let client = self.core.client_id();
             write_frame(&mut stream, &Hello::Client { client })?;
-            self.conns.insert(nid, stream);
+            self.conns.insert(nid, BufReader::new(stream));
         }
         Ok(self.conns.get_mut(&nid).expect("just inserted"))
     }
@@ -121,7 +123,7 @@ impl NetClient {
     pub fn request(&mut self, nid: u32, msg: &ClientMsg) -> io::Result<ClientReply> {
         let result = (|| {
             let stream = self.conn(nid)?;
-            write_frame(stream, msg)?;
+            write_frame(stream.get_mut(), msg)?;
             match read_frame(stream)? {
                 Some(payload) => decode_msg::<ClientReply>(&payload)
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string())),

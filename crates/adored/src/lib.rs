@@ -14,8 +14,9 @@
 //!   exactly-once session table, and the per-node protocol engine.
 //!   Pure input → output; covered by the determinism lints.
 //! - [`node`] — the threaded runtime shell: listener, per-peer
-//!   connectors with capped backoff, heartbeat ticks, the real WAL
-//!   file, and the journal writer.
+//!   dialers with capped backoff, heartbeat ticks, the engine loop that
+//!   writes every outbound frame, the real WAL file, and the journal
+//!   writer.
 //! - [`client`] — the retrying cluster client with exactly-once
 //!   semantics (a retry reuses its `(client, seq)`).
 //! - [`proxy`] — the netmesis wire layer: one fault-injecting TCP

@@ -1,28 +1,35 @@
 //! The threaded runtime shell around one [`Engine`].
 //!
 //! All nondeterminism lives here, at the edges: the TCP listener, the
-//! per-peer connector threads, the tick timer, and the wall clock that
+//! per-peer dialer threads, the tick timer, and the wall clock that
 //! stamps journal lines. The protocol itself runs single-threaded in
 //! [`run`]'s engine loop, fed through one channel — so the state
 //! machine the simulations certified is byte-for-byte the one a real
-//! cluster runs.
+//! cluster runs. The loop also writes every outbound frame itself: no
+//! thread sits between it and a socket.
 //!
 //! # Partial-failure hardening
 //!
-//! - **Connection supervision**: each outbound peer link is owned by a
-//!   connector thread that redials with capped exponential backoff and
-//!   seeded jitter; inbound links are re-accepted by the listener. A
-//!   dead link drops messages (a follower that missed a frame refuses
-//!   the next suffix with a `Nack`, and the leader's next frame to it
-//!   ships the whole log, so loss is repaired by the protocol, never
-//!   compensated for here). A frame too large to send is dropped alone
-//!   and journaled as an `oversized` `BadFrame`; the link stays up.
+//! - **Connection supervision**: each outbound peer link is dialled by
+//!   a dialer thread, which introduces the node and hands the stream to
+//!   the loop, then redials with capped exponential backoff and seeded
+//!   jitter when the loop reports the link dead; inbound links are
+//!   re-accepted by the listener. The loop writes peer frames without
+//!   blocking and keeps at most one frame's unsent tail per link; a
+//!   frame offered while a tail is pending, or with no link, is shed
+//!   and counted (a follower that missed a frame refuses the next
+//!   suffix with a `Nack`, and the leader's next frame to it ships the
+//!   whole log, so loss is repaired by the protocol, never compensated
+//!   for here). A frame too large to send is dropped alone and
+//!   journaled as an `oversized` `BadFrame`; the link stays up.
 //! - **Failure detection**: peers are declared suspect by silence — a
 //!   follower that misses heartbeats past its jittered election
 //!   deadline campaigns; a read deadline reaps sockets whose far end
 //!   vanished without a FIN (the kill -9 case).
-//! - **Deadlines**: every socket carries a write timeout, so one hung
-//!   peer can never wedge a thread that other links depend on.
+//! - **Deadlines**: a peer that stops reading costs the loop nothing
+//!   (its link sheds); every other write carries a deadline, so one
+//!   hung client or dial can never wedge a thread that other links
+//!   depend on.
 //! - **Crash-restart recovery**: the engine's WAL records are appended
 //!   to `data_dir/wal.bin` and flushed before any ack leaves the node
 //!   (the file is the only copy; no node holds a WAL image in memory).
@@ -33,13 +40,16 @@
 //!   file whole, and media loss leaves an `Abstain` record in it for
 //!   good.
 //! - **Journals**: one JSONL file per boot (`journal-<boot_us>.jsonl`),
-//!   written a line at a time, so a SIGKILL can tear at most the final
-//!   line — which `adore-obs`'s journal merge drops by design. The
-//!   files are also the node's trace export stream ([`crate::export`]).
+//!   written in whole lines, one append per engine step, after the
+//!   step's WAL bytes and before its first frame or reply. A SIGKILL
+//!   tears at most the final line — which `adore-obs`'s journal merge
+//!   drops by design — or loses the step's lines whole, whose records
+//!   the next boot's `WalRecover` installs. The files are also the
+//!   node's trace export stream ([`crate::export`]).
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,8 +73,9 @@ use crate::det::wire;
 use crate::export;
 use crate::scrape;
 
-/// Write timeout on every socket: a hung peer fails fast instead of
-/// wedging a sender thread.
+/// Write timeout on every blocking socket write (a client reply, a
+/// dialer's `Hello`): a hung peer fails fast instead of wedging a
+/// thread. Peer frames are written without blocking at all.
 const WRITE_DEADLINE: Duration = Duration::from_secs(2);
 /// Default read deadline on peer links, milliseconds; heartbeats
 /// arrive hundreds of times more often, so a silent link this long is
@@ -81,8 +92,11 @@ const BACKOFF_BASE_MS: u64 = 50;
 const BACKOFF_CAP_MS: u64 = 2_000;
 /// Bound on the engine inbox (IO threads block briefly when full).
 const INBOX_DEPTH: usize = 1_024;
-/// Bound on each per-peer outbox (overflow drops; heartbeats repair).
-const PEER_OUTBOX_DEPTH: usize = 256;
+/// Frames shed because their link still held an earlier frame's tail.
+const SHED_FULL: &str = "node.peer_frames_shed_full";
+/// Frames shed because their peer had no link (not yet dialled, or
+/// its last write failed).
+const SHED_DOWN: &str = "node.peer_frames_shed_down";
 
 /// Everything needed to run one node.
 #[derive(Debug, Clone)]
@@ -121,12 +135,20 @@ pub struct NodeConfig {
 }
 
 /// Events flowing into the engine loop from the IO threads. The inbox
-/// is the only way state reaches the loop: it owns the client write
-/// halves and the metrics registry outright, so a thread hands the one
-/// over and asks for the other here, and nothing is locked.
+/// is the only way state reaches the loop: it owns the peer links, the
+/// client write halves and the metrics registry outright, so a thread
+/// hands a socket over and asks for the registry here, and nothing is
+/// locked.
 pub(crate) enum Event {
     Tick,
     Peer(PeerMsg),
+    /// A dialer reached peer `to` and introduced this node: the loop
+    /// takes the non-blocking stream and writes `to`'s frames on it
+    /// until a write fails.
+    PeerOpen {
+        to: u32,
+        stream: TcpStream,
+    },
     /// A client session introduced itself: the loop takes the write
     /// half and answers `conn`'s requests on it until `ClientGone`.
     ClientOpen { conn: u64, writer: TcpStream },
@@ -145,31 +167,174 @@ pub(crate) enum Event {
     Shutdown,
 }
 
-/// A per-peer outbox as the engine loop holds it. The sender is
-/// private to this module, so the loop cannot reach a blocking `send`:
-/// the only way to queue a frame is [`Outbox::try_send`], whose outcome
-/// must be consumed (DESIGN §11: overflow sheds, heartbeats repair).
-mod outbox {
-    use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+/// A peer link as the engine loop holds it: a dialled, introduced,
+/// non-blocking stream and the unsent tail of at most one frame. Both
+/// are private to this module, so the loop cannot write around the
+/// tail: the only way to send a frame is [`Link::send`], whose outcome
+/// must be consumed (DESIGN §11: a full link sheds, heartbeats repair).
+mod link {
+    use std::io::{self, Write};
+    use std::net::TcpStream;
 
-    use crate::det::msg::PeerMsg;
+    pub(super) struct Link {
+        stream: TcpStream,
+        /// The frame the socket has not wholly taken, and how much of it
+        /// it has: never more than one frame.
+        tail: Vec<u8>,
+        taken: usize,
+    }
 
-    pub(super) struct Outbox(SyncSender<PeerMsg>);
+    /// What became of a frame offered to a [`Link`].
+    #[must_use = "a full or broken link sheds the frame: say so by matching on it"]
+    pub(super) enum Sent {
+        /// Written whole, or begun with the rest kept as the tail.
+        Taken,
+        /// An earlier frame's tail is still unsent: this one is shed.
+        Full,
+        /// The socket failed: the frame is lost, and the link with it.
+        Broken,
+    }
 
-    impl Outbox {
-        /// A bounded outbox and the connector's end of it.
-        pub(super) fn bounded(depth: usize) -> (Outbox, Receiver<PeerMsg>) {
-            let (tx, rx) = mpsc::sync_channel(depth);
-            (Outbox(tx), rx)
+    impl Link {
+        pub(super) fn new(stream: TcpStream) -> Link {
+            Link { stream, tail: Vec::new(), taken: 0 }
         }
 
-        #[must_use = "a full or dead outbox sheds the frame: say so by matching on it"]
-        pub(super) fn try_send(&self, msg: PeerMsg) -> Result<(), TrySendError<PeerMsg>> {
-            self.0.try_send(msg)
+        /// Writes as much of the tail as the socket takes now.
+        ///
+        /// # Errors
+        ///
+        /// The socket failed: the link is dead.
+        pub(super) fn flush(&mut self) -> io::Result<()> {
+            let rest = self.tail.get(self.taken..).unwrap_or_default();
+            self.taken += write_some(&mut self.stream, rest)?;
+            if self.taken == self.tail.len() {
+                // A catch-up frame's tail may be megabytes: keep none of it.
+                (self.tail, self.taken) = (Vec::new(), 0);
+            }
+            Ok(())
+        }
+
+        /// Flushes the tail, then writes `frame` if the tail is gone;
+        /// what the socket does not take of it becomes the new tail.
+        pub(super) fn send(&mut self, frame: &[u8]) -> Sent {
+            if self.flush().is_err() {
+                return Sent::Broken;
+            }
+            if !self.tail.is_empty() {
+                return Sent::Full;
+            }
+            match write_some(&mut self.stream, frame) {
+                Ok(n) => {
+                    self.tail.extend_from_slice(frame.get(n..).unwrap_or_default());
+                    Sent::Taken
+                }
+                Err(_) => Sent::Broken,
+            }
+        }
+
+        /// Bytes of the tail the socket has not taken yet.
+        pub(super) fn unsent(&self) -> usize {
+            self.tail.len() - self.taken
+        }
+    }
+
+    /// Writes what a non-blocking socket takes of `buf` now, and
+    /// returns how much that was.
+    fn write_some(stream: &mut TcpStream, buf: &[u8]) -> io::Result<usize> {
+        let mut done = 0;
+        while let Some(rest) = buf.get(done..).filter(|rest| !rest.is_empty()) {
+            match stream.write(rest) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => done += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(done)
+    }
+}
+use link::{Link, Sent};
+
+/// The loop's side of every outbound peer link: the links, each
+/// dialer's redial signal, and the frame the current step encoded last
+/// (a broadcast of equal messages encodes once).
+struct Peers {
+    nid: u32,
+    links: BTreeMap<u32, Link>,
+    redial: BTreeMap<u32, SyncSender<()>>,
+    last: Option<(PeerMsg, Vec<u8>)>,
+}
+
+#[deny(clippy::let_underscore_must_use)] // L12b: a shed send is matched on, never dropped
+impl Peers {
+    fn new(nid: u32, redial: BTreeMap<u32, SyncSender<()>>) -> Peers {
+        Peers { nid, links: BTreeMap::new(), redial, last: None }
+    }
+
+    /// Writes pending tails; a link whose socket failed is dropped and
+    /// its dialer told to redial.
+    fn flush(&mut self) {
+        let redial = &self.redial;
+        self.links.retain(|to, link| {
+            let up = link.flush().is_ok();
+            if !up {
+                ask_redial(redial, *to);
+            }
+            up
+        });
+    }
+
+    /// Sends `msg` to `to`, encoding it unless it equals the step's last
+    /// frame. A frame with no link, or whose link still holds a tail, is
+    /// shed and counted in `metrics`. A message that does not encode as
+    /// a frame — one past [`wire::MAX_FRAME`] — is dropped alone and
+    /// journaled as a `BadFrame`; the link stays up.
+    fn send(&mut self, to: u32, msg: PeerMsg, metrics: &mut Metrics, journal: &mut Journal) {
+        let Some(link) = self.links.get_mut(&to) else {
+            metrics.inc(SHED_DOWN);
+            return;
+        };
+        let frame = match self.last.take() {
+            Some((last, frame)) if last == msg => (last, frame),
+            _ => match encode_msg(&msg) {
+                Ok(frame) => (msg, frame),
+                Err(e) => {
+                    let reason = wire_reason(&e).to_string();
+                    journal.record(EventKind::BadFrame { nid: self.nid, reason });
+                    return;
+                }
+            },
+        };
+        match link.send(&frame.1) {
+            Sent::Taken => {}
+            Sent::Full => metrics.inc(SHED_FULL),
+            Sent::Broken => {
+                metrics.inc(SHED_DOWN);
+                self.links.remove(&to);
+                ask_redial(&self.redial, to);
+            }
+        }
+        self.last = Some(frame);
+    }
+
+    /// The largest unsent tail over the links, in bytes.
+    fn unsent_max(&self) -> usize {
+        self.links.values().map(Link::unsent).max().unwrap_or(0)
+    }
+}
+
+/// Tells `to`'s dialer that its link is gone. The channel is depth 1
+/// and the loop holds at most one link per peer, so a full channel
+/// already holds this request and a closed one has no dialer left.
+fn ask_redial(redial: &BTreeMap<u32, SyncSender<()>>, to: u32) {
+    if let Some(dialer) = redial.get(&to) {
+        match dialer.try_send(()) {
+            Ok(()) | Err(TrySendError::Full(()) | TrySendError::Disconnected(())) => {}
         }
     }
 }
-use outbox::Outbox;
 
 /// Microseconds since the UNIX epoch; journal stamps must be
 /// comparable across the processes of one host-local cluster.
@@ -181,33 +346,59 @@ pub fn now_us() -> u64 {
         .unwrap_or(0)
 }
 
-/// The per-boot journal file: every event is stamped, serialized and
-/// written in one append, so a SIGKILL tears at most the last line.
+/// The per-boot journal file. Every line is stamped when it is taken
+/// and written whole; the engine loop stages a step's lines and appends
+/// them at once ([`Journal::flush`]), every other writer one line at a
+/// time ([`Journal::record`]).
 pub(crate) struct Journal {
     file: fs::File,
+    /// Staged whole lines not yet appended.
+    pending: Vec<u8>,
 }
 
 impl Journal {
     pub(crate) fn open(dir: &Path, boot_us: u64) -> io::Result<Journal> {
         let file = fs::File::create(export::journal_path(dir, boot_us))?;
-        Ok(Journal { file })
+        Ok(Journal { file, pending: Vec::new() })
     }
 
-    /// Appends `kind`, stamped now, and returns the event as written.
+    /// Appends `kind`, stamped now, after anything staged, and returns
+    /// the event as written.
     pub(crate) fn record(&mut self, kind: EventKind) -> TraceEvent {
         let ev = TraceEvent::root(now_us(), kind);
-        if let Ok(mut line) = serde_json::to_string(&ev) {
-            line.push('\n');
-            let _ = self.file.write_all(line.as_bytes());
-        }
+        self.push(&ev);
+        self.flush();
         ev
+    }
+
+    /// Stamps `kind` now and stages its line for the next append.
+    fn stage(&mut self, kind: EventKind) {
+        self.push(&TraceEvent::root(now_us(), kind));
+    }
+
+    fn push(&mut self, ev: &TraceEvent) {
+        if let Ok(line) = serde_json::to_string(ev) {
+            self.pending.extend_from_slice(line.as_bytes());
+            self.pending.push(b'\n');
+        }
+    }
+
+    /// Appends the staged lines in one write.
+    fn flush(&mut self) {
+        if !self.pending.is_empty() {
+            // A step that adopts a whole log stages a line as long as
+            // the log: free the buffer with the lines.
+            let lines = std::mem::take(&mut self.pending);
+            let _ = self.file.write_all(&lines);
+        }
     }
 }
 
 /// Reads one frame off a stream. `Ok(None)` is a clean EOF at a frame
 /// boundary; a deadline expiry or mid-frame EOF is an error (the link
-/// is dead or misbehaving either way).
-pub(crate) fn read_frame(stream: &mut TcpStream) -> io::Result<Option<Vec<u8>>> {
+/// is dead or misbehaving either way). Through a [`BufReader`], a frame
+/// that arrived whole costs one `read`.
+pub(crate) fn read_frame(stream: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut header = [0u8; wire::HEADER];
     if let Err(e) = stream.read_exact(&mut header) {
         return if e.kind() == io::ErrorKind::UnexpectedEof {
@@ -317,7 +508,7 @@ pub fn run(cfg: NodeConfig) -> io::Result<()> {
     };
     let (engine, wal_file) = boot(engine_cfg, &cfg.data_dir.join("wal.bin"), &mut journal)?;
 
-    // Bound before the timer and the peer connectors start: a node that
+    // Bound before the timer and the peer dialers start: a node that
     // cannot take its port fails here, having dialled no peer.
     let listen_addr = cfg
         .peers
@@ -354,16 +545,17 @@ pub fn run(cfg: NodeConfig) -> io::Result<()> {
         });
     }
 
-    // Outbound peer links: one supervised connector thread per peer.
-    let mut outboxes: BTreeMap<u32, Outbox> = BTreeMap::new();
+    // Outbound peer links: one dialer thread per peer, each with a
+    // depth-1 redial signal the loop raises when its link fails.
+    let mut redial = BTreeMap::new();
     for (pid, addr) in cfg.peers.iter().filter(|(n, _)| *n != cfg.nid) {
-        let (outbox, rx) = Outbox::bounded(PEER_OUTBOX_DEPTH);
-        outboxes.insert(*pid, outbox);
-        let addr = addr.clone();
+        let (tx, rx) = mpsc::sync_channel(1);
+        redial.insert(*pid, tx);
+        let (to, addr) = (*pid, addr.clone());
         let my_nid = cfg.nid;
         let seed = cfg.seed ^ (u64::from(cfg.nid) << 32) ^ u64::from(*pid);
         let inbox = inbox_tx.clone();
-        thread::spawn(move || peer_connector(my_nid, &addr, &rx, &inbox, seed));
+        thread::spawn(move || peer_dialer(my_nid, to, &addr, &inbox, &rx, seed));
     }
 
     // Listener: inbound peer links and client sessions.
@@ -383,33 +575,44 @@ pub fn run(cfg: NodeConfig) -> io::Result<()> {
         });
     }
 
-    engine_loop(cfg.nid, engine, &inbox_rx, &outboxes, journal, wal_file)
+    engine_loop(cfg.nid, engine, &inbox_rx, Peers::new(cfg.nid, redial), journal, wal_file)
 }
 
 /// The engine loop: the single deterministic thread, and the owner of
-/// everything the IO threads talk to — the client write halves, the
-/// request timers and the metrics registry. Peer frames leave only
-/// through [`Outbox::try_send`], outcome consumed.
+/// everything the IO threads talk to — the peer links, the client write
+/// halves, the request timers and the metrics registry. It writes every
+/// outbound frame itself: a step's journal lines go out in one append
+/// after its WAL bytes and before its first frame or reply, and peer
+/// frames only through [`Peers::send`], whose sheds are counted.
 #[deny(clippy::let_underscore_must_use)] // L12b: a shed send is matched on, never dropped
 fn engine_loop(
     nid: u32,
     mut engine: Engine,
     inbox: &Receiver<Event>,
-    outboxes: &BTreeMap<u32, Outbox>,
+    mut peers: Peers,
     mut journal: Journal,
     mut wal_file: fs::File,
 ) -> io::Result<()> {
     let mut clients: BTreeMap<u64, TcpStream> = BTreeMap::new();
     let mut metrics = Metrics::new();
+    // The shed series exist from boot, so a scrape shows them at 0.
+    metrics.add(SHED_FULL, 0);
+    metrics.add(SHED_DOWN, 0);
     // `in_flight` times acked requests for the `request_latency_us`
     // histogram: one pending (seq, start) per client connection —
     // sessions are serial per client, and a retry overwrite restarts
     // the clock, which only biases the measurement pessimistically.
     let mut in_flight: BTreeMap<u64, (u64, Instant)> = BTreeMap::new();
     while let Ok(event) = inbox.recv() {
+        // Ticks arrive every `tick_ms`, so a tail waits at most one.
+        peers.flush();
         let input = match event {
             Event::Tick => Input::Tick,
             Event::Peer(msg) => Input::Peer(msg),
+            Event::PeerOpen { to, stream } => {
+                peers.links.insert(to, Link::new(stream));
+                continue;
+            }
             Event::ClientOpen { conn, writer } => {
                 clients.insert(conn, writer);
                 continue;
@@ -440,7 +643,7 @@ fn engine_loop(
             Event::Scrape { reply } => {
                 // The gauges are filled here and nowhere else: a step
                 // that nobody scrapes pays nothing for them.
-                fill_gauges(&mut metrics, &engine);
+                fill_gauges(&mut metrics, &engine, &peers);
                 let snap = metrics.snapshot();
                 let series = series_count(&snap);
                 if reply.try_send(snap).is_ok() {
@@ -458,20 +661,15 @@ fn engine_loop(
                     // Send/Reply of this batch leaves the process.
                     wal_file.write_all(&bytes)?;
                     wal_file.flush()?;
-                    journal.record(EventKind::WalSync { nid });
+                    journal.stage(EventKind::WalSync { nid });
                 }
-                Output::Journal(kind) => {
-                    journal.record(kind);
-                }
+                Output::Journal(kind) => journal.stage(kind),
                 Output::Send { to, msg } => {
-                    if let Some(outbox) = outboxes.get(&to.0) {
-                        match outbox.try_send(msg) {
-                            Ok(()) | Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
-                            }
-                        }
-                    }
+                    journal.flush();
+                    peers.send(to.0, msg, &mut metrics, &mut journal);
                 }
                 Output::Reply { conn, reply } => {
+                    journal.flush();
                     match &reply {
                         ClientReply::Acked { seq, .. } => {
                             if let Some(&(want, started)) = in_flight.get(&conn) {
@@ -505,6 +703,8 @@ fn engine_loop(
                 }
             }
         }
+        journal.flush();
+        peers.last = None;
         for conn in dead_conns {
             // A reply we could not deliver: drop the connection's
             // remaining waiters too.
@@ -515,12 +715,13 @@ fn engine_loop(
     Ok(())
 }
 
-/// Fills the scrapeable gauges from the engine.
-fn fill_gauges(metrics: &mut Metrics, engine: &Engine) {
+/// Fills the scrapeable gauges from the engine and the links.
+fn fill_gauges(metrics: &mut Metrics, engine: &Engine, peers: &Peers) {
     let gauge = |v: usize| i64::try_from(v).unwrap_or(i64::MAX);
     metrics.set_gauge("node.commit_index", gauge(engine.commit_len()));
     metrics.set_gauge("node.config_epoch", gauge(engine.config_epoch()));
     metrics.set_gauge("node.session_occupancy", gauge(engine.session_occupancy()));
+    metrics.set_gauge("node.peer_unsent_bytes_max", gauge(peers.unsent_max()));
 }
 
 /// Milliseconds to wait before redialling after `failures` consecutive
@@ -530,65 +731,48 @@ fn backoff_ms(failures: u32, rng: &mut StdRng) -> u64 {
     backoff(BACKOFF_BASE_MS, BACKOFF_CAP_MS, failures, rng)
 }
 
-/// Supervised outbound link: dial, introduce, pump messages; on any
-/// transport failure back off (capped exponential + seeded jitter) and
-/// redial. A message that does not encode as a frame — one past
-/// [`wire::MAX_FRAME`] — is the sender's problem, not the link's: it is
-/// dropped alone, reported to the engine loop as a `BadFrame` to
-/// journal, and the link stays up.
-fn peer_connector(
+/// Dials peer `to` at `addr` and hands each introduced stream to the
+/// engine loop as a `PeerOpen`, then waits for the loop's redial signal
+/// (a write on it failed). The first redial is immediate; consecutive
+/// failed dials back off (capped exponential + seeded jitter). Ends
+/// with the engine loop.
+fn peer_dialer(
     my_nid: u32,
+    to: u32,
     addr: &str,
-    rx: &Receiver<PeerMsg>,
     inbox: &SyncSender<Event>,
+    redial: &Receiver<()>,
     seed: u64,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut failures: u32 = 0;
     loop {
-        // A link is up once the `Hello` is written: a peer that accepts
-        // and then resets counts as a failed dial, not as a success
-        // that clears the backoff.
-        let link = TcpStream::connect(addr).and_then(|mut stream| {
-            let _ = stream.set_nodelay(true);
-            let _ = stream.set_write_timeout(Some(WRITE_DEADLINE));
-            // Anything queued while the link was down is stale
-            // (heartbeats supersede it); start fresh.
-            while rx.try_recv().is_ok() {}
-            write_frame(&mut stream, &Hello::Peer { from: my_nid })?;
-            Ok(stream)
-        });
-        match link {
-            Ok(mut stream) => {
+        match dial(my_nid, addr) {
+            Ok(stream) => {
                 failures = 0;
-                loop {
-                    let Ok(msg) = rx.recv() else {
-                        return; // engine gone: shut down
-                    };
-                    match encode_msg(&msg) {
-                        Ok(frame) => {
-                            if stream.write_all(&frame).is_err() {
-                                break; // dead link: redial
-                            }
-                        }
-                        Err(e) => {
-                            let reason = wire_reason(&e).to_string();
-                            if inbox.send(Event::BadFrame { reason }).is_err() {
-                                return;
-                            }
-                        }
-                    }
+                if inbox.send(Event::PeerOpen { to, stream }).is_err() || redial.recv().is_err() {
+                    return;
                 }
             }
             Err(_) => {
                 failures = failures.saturating_add(1);
                 thread::sleep(Duration::from_millis(backoff_ms(failures, &mut rng)));
-                // Drop queued messages while unreachable: the engine's
-                // bounded outbox must never block on a dead peer.
-                while rx.try_recv().is_ok() {}
             }
         }
     }
+}
+
+/// Connects to a peer and introduces this node, blocking under
+/// [`WRITE_DEADLINE`]; the stream it returns is non-blocking. A link is
+/// up once the `Hello` is written: a peer that accepts and then resets
+/// counts as a failed dial, not as a success that clears the backoff.
+fn dial(my_nid: u32, addr: &str) -> io::Result<TcpStream> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    stream.set_write_timeout(Some(WRITE_DEADLINE))?;
+    write_frame(&mut stream, &Hello::Peer { from: my_nid })?;
+    stream.set_nonblocking(true)?;
+    Ok(stream)
 }
 
 /// Reads the next `T` off a connection. `Ok(None)` ends it quietly: a
@@ -599,7 +783,7 @@ fn peer_connector(
 /// — already journaled as a `BadFrame`, never a silent discard, so the
 /// audit can prove the rejection path fired.
 fn next_msg<T: DeserializeOwned>(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     tx: &SyncSender<Event>,
 ) -> Result<Option<T>, &'static str> {
     let reason = match read_frame(stream) {
@@ -621,9 +805,10 @@ fn next_msg<T: DeserializeOwned>(
 
 /// Handles one accepted connection: a `Hello` within the deadline, then
 /// a peer pump or a client session, each until EOF, a dead link or a
-/// rejected frame (see [`next_msg`]).
+/// rejected frame (see [`next_msg`]). Reads go through one
+/// [`BufReader`] for the connection's life, the `Hello` included.
 fn serve_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     tx: &SyncSender<Event>,
     next_conn: &AtomicU64,
     peer_read_deadline: Duration,
@@ -631,12 +816,13 @@ fn serve_connection(
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(WRITE_DEADLINE));
     let _ = stream.set_read_timeout(Some(HELLO_DEADLINE));
+    let mut stream = BufReader::new(stream);
     let Ok(Some(hello)) = next_msg::<Hello>(&mut stream, tx) else {
         return;
     };
     match hello {
         Hello::Peer { from: _ } => {
-            let _ = stream.set_read_timeout(Some(peer_read_deadline));
+            let _ = stream.get_ref().set_read_timeout(Some(peer_read_deadline));
             while let Ok(Some(msg)) = next_msg::<PeerMsg>(&mut stream, tx) {
                 if tx.send(Event::Peer(msg)).is_err() {
                     return;
@@ -645,13 +831,13 @@ fn serve_connection(
         }
         Hello::Client { client: _ } => {
             let conn = next_conn.fetch_add(1, Ordering::Relaxed);
-            let Ok(writer) = stream.try_clone() else {
+            let Ok(writer) = stream.get_ref().try_clone() else {
                 return;
             };
             if tx.send(Event::ClientOpen { conn, writer }).is_err() {
                 return;
             }
-            let _ = stream.set_read_timeout(None);
+            let _ = stream.get_ref().set_read_timeout(None);
             loop {
                 match next_msg::<ClientMsg>(&mut stream, tx) {
                     Ok(Some(msg)) => {
@@ -668,7 +854,7 @@ fn serve_connection(
                             let reply = ClientReply::Rejected {
                                 reason: reason.to_string(),
                             };
-                            let _ = write_frame(&mut stream, &reply);
+                            let _ = write_frame(stream.get_mut(), &reply);
                         }
                         break;
                     }
@@ -701,9 +887,9 @@ mod tests {
         assert!(backoff_ms(u32::MAX, &mut rng) <= BACKOFF_CAP_MS + 1);
     }
 
-    /// A frame past the cap costs the sender that frame only: the link
-    /// stays up and carries the next message, and the engine loop is
-    /// told to journal an `oversized` `BadFrame`.
+    /// A frame past the cap costs the sender that frame only: the loop's
+    /// send path journals an `oversized` `BadFrame`, sheds nothing, and
+    /// the same link carries the next message.
     #[test]
     fn an_oversized_frame_is_dropped_alone_and_journaled() {
         use crate::det::msg::SessionCmd;
@@ -711,16 +897,17 @@ mod tests {
         use adore_kv::KvCommand;
         use adore_raft::{Command, Entry, Request};
 
+        let dir = test_dir("adored-oversized");
+        let mut journal = Journal::open(&dir, 1).expect("journal");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
-        let (outbox, rx) = Outbox::bounded(4);
-        let (inbox, events) = mpsc::sync_channel(4);
-        let connector = thread::spawn(move || peer_connector(1, &addr, &rx, &inbox, 7));
-        let (mut peer, _) = listener.accept().expect("the connector dials");
+        let mut peers = Peers::new(1, BTreeMap::new());
+        peers.links.insert(2, Link::new(dial(1, &addr).expect("the dial")));
+        let (peer, _) = listener.accept().expect("the dial lands");
         peer.set_read_timeout(Some(Duration::from_secs(5))).expect("deadline");
-        let next = |peer: &mut TcpStream| read_frame(peer).expect("a frame").expect("not EOF");
-        // Past the `Hello`, the connector drops nothing queued.
-        let hello: Hello = decode_msg(&next(&mut peer)).expect("a hello");
+        let mut peer = BufReader::new(peer);
+        let mut next = || read_frame(&mut peer).expect("a frame").expect("not EOF");
+        let hello: Hello = decode_msg(&next()).expect("a hello");
         assert_eq!(hello, Hello::Peer { from: 1 });
 
         let op = KvCommand::put("k", "x".repeat(wire::MAX_FRAME));
@@ -735,15 +922,65 @@ mod tests {
             commit_len: 0,
         });
         let ack = PeerMsg::CommitAck { from: 1, time: 1, len: 1 };
-        assert!(outbox.try_send(huge).is_ok() && outbox.try_send(ack.clone()).is_ok());
-        let after: PeerMsg = decode_msg(&next(&mut peer)).expect("a peer message");
+        let mut metrics = Metrics::new();
+        peers.send(2, huge, &mut metrics, &mut journal);
+        peers.send(2, ack.clone(), &mut metrics, &mut journal);
+        let after: PeerMsg = decode_msg(&next()).expect("a peer message");
         assert_eq!(after, ack, "the same link carries the next message");
-        assert!(matches!(
-            events.recv_timeout(Duration::from_secs(5)),
-            Ok(Event::BadFrame { reason }) if reason == "oversized"
-        ));
-        drop(outbox);
-        connector.join().expect("the connector ends with its outbox");
+        assert_eq!((metrics.counter(SHED_FULL), metrics.counter(SHED_DOWN)), (0, 0));
+        let lines = fs::read_to_string(export::journal_path(&dir, 1)).expect("journal");
+        let events = adore_obs::parse_jsonl(&lines).expect("the journal parses");
+        let oversized = EventKind::BadFrame { nid: 1, reason: "oversized".into() };
+        assert!(matches!(&events[..], [e] if e.kind == oversized), "{lines}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A reader that hands out one pre-cut segment per `read` call and
+    /// counts the calls: what a socket does with what arrived.
+    struct Segments {
+        segments: std::collections::VecDeque<Vec<u8>>,
+        reads: usize,
+    }
+
+    impl Read for Segments {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let Some(mut segment) = self.segments.pop_front() else {
+                return Ok(0);
+            };
+            let rest = segment.split_off(segment.len().min(buf.len()));
+            buf[..segment.len()].copy_from_slice(&segment);
+            if !rest.is_empty() {
+                self.segments.push_front(rest);
+            }
+            Ok(segment.len())
+        }
+    }
+
+    fn segmented(segments: Vec<Vec<u8>>) -> BufReader<Segments> {
+        BufReader::new(Segments { segments: segments.into(), reads: 0 })
+    }
+
+    /// Two frames that arrived in one segment come out as two frames,
+    /// from one `read` of the socket; one frame split across three
+    /// writes comes out whole.
+    #[test]
+    fn read_frame_splits_a_shared_segment_and_joins_a_split_frame() {
+        let a = encode_msg(&PeerMsg::Nack { from: 1, time: 2 }).expect("encodes");
+        let b = encode_msg(&PeerMsg::CommitAck { from: 3, time: 2, len: 9 }).expect("encodes");
+        let payload = |frame: &[u8]| frame[wire::HEADER..].to_vec();
+
+        let mut both = segmented(vec![[a.clone(), b.clone()].concat()]);
+        assert_eq!(read_frame(&mut both).expect("a").as_deref(), Some(&payload(&a)[..]));
+        assert_eq!(both.get_ref().reads, 1, "one read for the first frame");
+        assert_eq!(read_frame(&mut both).expect("b").as_deref(), Some(&payload(&b)[..]));
+        assert_eq!(both.get_ref().reads, 1, "the second frame was already read");
+        assert_eq!(read_frame(&mut both).expect("EOF"), None);
+
+        let mid = wire::HEADER + 2;
+        let mut split = segmented(vec![b[..3].to_vec(), b[3..mid].to_vec(), b[mid..].to_vec()]);
+        assert_eq!(read_frame(&mut split).expect("b").as_deref(), Some(&payload(&b)[..]));
+        assert_eq!(read_frame(&mut split).expect("EOF"), None);
     }
 
     /// Two free localhost ports: bind, note, release.
@@ -806,8 +1043,18 @@ mod tests {
         scrape.read_to_string(&mut text).expect("exposition");
         assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
         assert!(text.contains("request_latency_us_count 1\n"), "{text}");
-        for gauge in ["node_commit_index", "node_config_epoch", "node_session_occupancy"] {
+        for gauge in [
+            "node_commit_index",
+            "node_config_epoch",
+            "node_session_occupancy",
+            "node_peer_unsent_bytes_max",
+        ] {
             assert!(text.contains(&format!("# TYPE {gauge} gauge")), "{gauge}: {text}");
+        }
+        // A lone member sends no frame, so it sheds none: the series
+        // exist from boot, at 0.
+        for shed in ["node_peer_frames_shed_full", "node_peer_frames_shed_down"] {
+            assert!(text.contains(&format!("# TYPE {shed} counter\n{shed} 0\n")), "{shed}: {text}");
         }
 
         node.join().expect("no panic").expect("the watchdog ends the run cleanly");
@@ -837,6 +1084,131 @@ mod tests {
             ],
             "{lines}"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// One exposition from the `/metrics` endpoint at `addr`.
+    fn scrape(addr: &str) -> String {
+        let mut scrape = TcpStream::connect(addr).expect("dial /metrics");
+        scrape.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").expect("request");
+        let mut text = String::new();
+        scrape.read_to_string(&mut text).expect("exposition");
+        assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
+        text
+    }
+
+    /// The value of the unlabelled series `name` in an exposition.
+    fn series(text: &str, name: &str) -> u64 {
+        let line = text.lines().find_map(|l| l.strip_prefix(name)?.strip_prefix(' '));
+        line.and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("{name}: {text}"))
+    }
+
+    /// A member that accepts its links and never reads fills the
+    /// leader's socket to it. The loop sheds that member's frames
+    /// instead of waiting on it, so the other two keep acking; no link
+    /// holds more than one frame unsent; and when the member reads at
+    /// last, its stream is whole, crc-valid frames only.
+    #[test]
+    fn a_stalled_peer_never_stalls_the_loop() {
+        use crate::client::{ClientParams, NetClient};
+
+        const VALUE: usize = 64 << 10;
+        let dir = test_dir("adored-stalled");
+        let stalled = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let ((a1, a2), (m1, m2)) = (free_addrs(), free_addrs());
+        let book = vec![
+            (1, a1.clone()),
+            (2, a2.clone()),
+            (3, stalled.local_addr().expect("addr").to_string()),
+        ];
+        let nodes: Vec<_> = [(1, m1.clone()), (2, m2.clone())]
+            .into_iter()
+            .map(|(nid, metrics_addr)| {
+                let cfg = NodeConfig {
+                    nid,
+                    peers: book.clone(),
+                    data_dir: dir.join(format!("n{nid}")),
+                    seed: 9,
+                    tick_ms: 5,
+                    // ~3 s of work in a debug build, then the watchdog.
+                    max_runtime_ms: Some(8_000),
+                    params: EngineParams::default(),
+                    guard: adore_core::ReconfigGuard::all(),
+                    peer_read_deadline_ms: DEFAULT_PEER_READ_DEADLINE_MS,
+                    export_addr: None,
+                    metrics_addr: Some(metrics_addr),
+                };
+                thread::spawn(move || run(cfg))
+            })
+            .collect();
+        // Both members dial the stalled one at boot; it holds the links
+        // and reads nothing but each `Hello`, to learn whose link it is.
+        let mut held = BTreeMap::new();
+        while held.len() < 2 {
+            let (link, _) = stalled.accept().expect("a dial");
+            link.set_read_timeout(Some(Duration::from_secs(10))).expect("deadline");
+            let mut link = BufReader::new(link);
+            let hello = read_frame(&mut link).expect("a hello").expect("not EOF");
+            let Ok(Hello::Peer { from }) = decode_msg(&hello) else {
+                panic!("not a peer hello");
+            };
+            held.insert(from, link);
+        }
+
+        let addrs = BTreeMap::from([(1, a1), (2, a2)]);
+        let params = ClientParams::default();
+        let deadline = params.request_timeout;
+        let mut client = NetClient::new(addrs, 7, params);
+        client.put("warm", "up").expect("two of three members elect and ack");
+        let value = "x".repeat(VALUE);
+        let sheds = || [&m1, &m2].map(|m| series(&scrape(m), "node_peer_frames_shed_full"));
+        let mut puts = 0;
+        while sheds().iter().all(|&n| n == 0) {
+            assert!(puts < 400, "{puts} puts of {VALUE} B and no frame shed");
+            for _ in 0..8 {
+                let started = Instant::now();
+                client.put(&format!("k{puts}"), &value).expect("acked");
+                assert!(started.elapsed() < deadline, "put {puts} took {:?}", started.elapsed());
+                puts += 1;
+            }
+        }
+        let leader = if sheds()[0] > 0 { 1 } else { 2 };
+        for m in [&m1, &m2] {
+            // Each link's tail is one frame of one put at most.
+            let unsent = series(&scrape(m), "node_peer_unsent_bytes_max");
+            assert!(unsent <= (VALUE + 1024) as u64, "{unsent} B unsent");
+        }
+
+        // The stalled member reads at last: everything the leader wrote
+        // to it, then a frame carrying a put made after it woke (the
+        // first few may still find the tail full and be shed).
+        let mut link = held.remove(&leader).expect("the leader's link");
+        let (woke, saw) = mpsc::sync_channel(1);
+        let reader = thread::spawn(move || {
+            let mut frames = 0;
+            loop {
+                let payload = read_frame(&mut link).expect("whole, crc-valid frames");
+                let payload = payload.expect("the link stays open");
+                let _: PeerMsg = decode_msg(&payload).expect("a peer message");
+                frames += 1;
+                if String::from_utf8_lossy(&payload).contains("\"after-") {
+                    woke.send(()).expect("the test waits");
+                    return frames;
+                }
+            }
+        });
+        for i in 0.. {
+            assert!(i < 100, "no put made after the wake reached the member");
+            client.put(&format!("after-{i}"), "woke").expect("acked");
+            if saw.recv_timeout(Duration::from_millis(50)).is_ok() {
+                break;
+            }
+        }
+        let frames = reader.join().expect("the stream stays framed");
+        assert!(frames > 1, "{frames}");
+        for node in nodes {
+            node.join().expect("no panic").expect("the watchdog ends the run cleanly");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -974,7 +1346,7 @@ mod tests {
     }
 
     /// A node whose listen port is taken fails with the bind error
-    /// before its peer connectors start: its peer is never dialled.
+    /// before its peer dialers start: its peer is never dialled.
     #[test]
     fn an_occupied_listen_port_fails_the_boot_before_any_peer_is_dialled() {
         let dir = std::env::temp_dir().join(format!("adored-bind-{}", std::process::id()));

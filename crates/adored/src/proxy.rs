@@ -23,8 +23,8 @@
 //!   receiver sees a torn, eventually-completed frame, never a codec
 //!   violation.
 //! - **Reset**: the link generation is bumped; every pump thread on
-//!   that link tears down its sockets, forcing the node's supervised
-//!   connector through its redial path.
+//!   that link tears down its sockets, so the node's next write on the
+//!   link fails and its dialer redials.
 //!
 //! All proxy decisions draw from a per-connection `StdRng` seeded from
 //! the proxy seed and the link's endpoints, so a campaign's wire
@@ -267,7 +267,7 @@ impl ProxyNet {
     }
 
     /// Tears down every connection on the directed link (the node's
-    /// connector redials).
+    /// dialer redials).
     pub fn reset(&self, from: u32, to: u32) {
         self.with_state(from, to, |s| {
             s.generation.fetch_add(1, Ordering::Relaxed);
@@ -388,7 +388,7 @@ fn pump(
             return;
         }
         if state.generation.load(Ordering::Relaxed) != born_gen {
-            // A reset: tear the sockets down so the node's connector
+            // A reset: tear the sockets down so the node's dialer
             // exercises its redial path.
             counters.resets.fetch_add(1, Ordering::Relaxed);
             return;

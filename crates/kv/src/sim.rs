@@ -792,6 +792,12 @@ impl Cluster {
         &mut self.links
     }
 
+    /// The latency model messages fly under.
+    #[must_use]
+    pub fn latency(&self) -> &LatencyModel {
+        &self.latency
+    }
+
     /// Mutable access to the latency model (e.g. to raise `drop_pct`).
     pub fn latency_mut(&mut self) -> &mut LatencyModel {
         &mut self.latency

@@ -13,13 +13,23 @@ use serde::{Deserialize, Serialize};
 
 use adore_core::NodeId;
 use adore_kv::det::client::{Action, Client, ClientParams, Input};
+use adore_kv::det::engine::EngineParams;
 use adore_kv::det::msg::{ClientMsg, ClientReply};
-use adore_kv::{Cluster, ClusterError};
+use adore_kv::{Cluster, ClusterError, LatencyModel};
 use adore_obs::{EventKind, NotLinearizable, TraceEvent};
 
 /// Heartbeat periods granted to one attempt before it times out (the
-/// per-request timeout; heartbeats are the engines' retransmission).
-const REQUEST_ROUNDS: u32 = 4;
+/// per-request timeout; heartbeats are the engines' retransmission): a
+/// frame to a follower and its ack back, each at the latency model's
+/// slowest unspiked flight, plus its largest spike, in whole heartbeats.
+/// One spike alone must not time out an attempt at a healthy leader.
+fn request_rounds(latency: &LatencyModel) -> u32 {
+    let flight = latency.send_us + latency.per_entry_us + latency.base_us + latency.jitter_us;
+    let worst = 2 * flight + latency.spike_us.1;
+    // A tick is `base_us` long (`LatencyModel::base_us`).
+    let heartbeat = EngineParams::default().heartbeat_ticks * latency.base_us.max(1);
+    u32::try_from(worst.div_ceil(heartbeat)).unwrap_or(u32::MAX)
+}
 
 /// The retry policy in virtual time: 4 attempts, backing off from 0.8 ms
 /// up to 12 ms.
@@ -185,7 +195,8 @@ impl RobustClient {
         let done = loop {
             match self.core.poll(input.take()) {
                 Action::Send { to } => {
-                    let reply = cluster.request_to(NodeId(to), msg.clone(), REQUEST_ROUNDS);
+                    let rounds = request_rounds(cluster.latency());
+                    let reply = cluster.request_to(NodeId(to), msg.clone(), rounds);
                     if reply == Err(ClusterError::Stalled) {
                         failed = OpOutcome::TimedOut;
                     }
@@ -265,7 +276,6 @@ impl RobustClient {
 mod tests {
     use super::*;
     use adore_core::NodeId;
-    use adore_kv::LatencyModel;
     use adore_schemes::SingleNode;
 
     fn ids(n: u32) -> Vec<NodeId> {
@@ -290,6 +300,30 @@ mod tests {
         }
         assert_eq!(client.acked(), 10);
         client.read_back(&mut cluster);
+        adore_obs::linearize(&client.history).unwrap();
+    }
+
+    /// A latency spike slower than four heartbeats (what one attempt
+    /// used to wait) delays an ack, it does not lose it: on a two-member
+    /// cluster, whose every put needs the follower's ack, each put of a
+    /// seeded run acks on its first attempt at the leader, including the
+    /// puts whose frame or ack a spike held up past the old patience.
+    #[test]
+    fn one_latency_spike_does_not_time_out_an_attempt() {
+        let mut cluster = cluster(&[1, 2], 25);
+        let mut client = RobustClient::new(25, &ids(2));
+        let heartbeat = EngineParams::default().heartbeat_ticks * cluster.latency().base_us;
+        let mut spiked = 0;
+        for i in 0..500 {
+            let out = client.put(&mut cluster, &format!("k{i}"), "v");
+            let OpOutcome::Acked { latency_us } = out else {
+                panic!("put {i}: {out:?}");
+            };
+            assert_eq!(client.core.attempts(), 1, "put {i} took {latency_us} us");
+            assert_eq!(cluster.leader(), Some(NodeId(1)), "the leader leads throughout");
+            spiked += usize::from(latency_us > 4 * heartbeat);
+        }
+        assert!(spiked > 0, "no spike outlasted the old patience");
         adore_obs::linearize(&client.history).unwrap();
     }
 
